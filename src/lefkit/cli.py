@@ -1,6 +1,7 @@
 """Command-line front end: build families, run verifications, emit reports.
 
-Exit codes: 0 pass, 1 verified-false, 2 input error, 3 resource limit.
+Exit codes: 0 pass, 1 verified-false, 2 input error, 3 resource limit,
+4 internal invariant failed.
 Reports are byte-stable for a fixed configuration and seed.
 """
 
@@ -15,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LefkitError, TooLargeError
+from .errors import InvariantError, LefkitError, TooLargeError
 from .families import (
     FamilySpec,
     canonical_lefschetz,
@@ -41,6 +42,7 @@ EXIT_PASS = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_TOO_LARGE = 3
+EXIT_INVARIANT = 4
 
 
 @dataclass
@@ -305,7 +307,7 @@ def cmd_predict(config: RunConfig) -> int:
     if _resolve_weights(config.weights_arg, spec) is not None:
         raise LefkitError("predict compares unit-weight Hilbert functions")
     ensure_within_budget(spec.nvars, spec.socle_degree, config.budget)
-    predicted = predicted_hilbert_typeC(spec.size, spec.power)
+    predicted = predicted_hilbert_typeC(spec.size, spec.power, config.budget)
     computed = hilbert_function(make_invariant(spec))
     match = predicted.values == computed.values
     payload = {
@@ -415,6 +417,9 @@ def main(argv: list[str] | None = None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
+    except InvariantError as exc:
+        print(f"error: internal invariant failed: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (LefkitError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -43,3 +43,7 @@ class BadBasisError(LefkitError):
 
 class TooLargeError(LefkitError):
     """The requested computation exceeds the configured cell budget."""
+
+
+class InvariantError(LefkitError):
+    """An internal invariant that the mathematics guarantees did not hold."""

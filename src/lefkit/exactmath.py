@@ -2,9 +2,12 @@
 
 Rank and kernel are decided by fraction-free (Bareiss) elimination on
 integer rows, so every intermediate value is a minor of the input and the
-verdict is exact.  A modular probe at a random 62-bit prime gives a cheap
-rank lower bound that short-circuits full-rank confirmations.  Floats are
-never used anywhere in this module.
+verdict is exact.  ``mat_rank`` first splits the matrix into the connected
+components of its row/column graph (sparse catalecticants fall apart into
+many small blocks) and sums the block ranks; on each block a modular probe
+at one fixed 62-bit prime gives a cheap rank lower bound that
+short-circuits full-rank confirmations.  Floats are never used anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
-from .errors import BadPrimeError
+from .errors import BadPrimeError, InvariantError
 
 # Rational scalars are stdlib Fractions: arbitrary precision, always in
 # lowest terms, positive denominator.
@@ -182,7 +185,7 @@ def _fraction_free_echelon(m: RatMatrix) -> _Echelon:
                 num = row_ii[jj] * piv - f * row_r[jj]
                 q, rem = divmod(num, prev)
                 if rem:
-                    raise ArithmeticError("fraction-free step lost integrality")
+                    raise InvariantError("fraction-free step lost integrality")
                 row_ii[jj] = q
             row_ii[c] = 0
         pivots.append((r, c))
@@ -218,6 +221,11 @@ def _is_prime_u64(n: int) -> bool:
         else:
             return False
     return True
+
+
+# The probe prime of mat_rank: the least prime above 2^61.  A fixed prime
+# keeps the rank path, like the verdict, a function of the input alone.
+PROBE_PRIME = (1 << 61) + 15
 
 
 def random_probe_prime(rng: random.Random | None = None) -> int:
@@ -261,22 +269,54 @@ def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
     return rank
 
 
-def mat_rank(m: RatMatrix) -> int:
-    """Exact rank over the rationals.
+def _blocks(m: RatMatrix) -> list[RatMatrix]:
+    """The connected components of the bipartite row/column graph of the
+    nonzero entries, each as a submatrix (rows and columns kept in their
+    original order).  Permuting ``m`` into block-diagonal form leaves its
+    rank unchanged, so the rank of ``m`` is the sum of the block ranks;
+    empty rows and columns belong to no block."""
+    parent = list(range(m.rows + m.cols))  # rows, then columns offset by m.rows
 
-    A modular probe runs first; it can only confirm full rank (probe rank is
-    a lower bound, so hitting min(rows, cols) is conclusive).  Anything less
-    falls through to fraction-free elimination.
-    """
-    if m.is_zero():
-        return 0
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for (i, j), _ in m.items():
+        a, b = root(i), root(m.rows + j)
+        if a != b:
+            parent[b] = a
+    grouped: dict[int, dict] = {}
+    for (i, j), v in m.items():
+        grouped.setdefault(root(i), {})[(i, j)] = v
+    blocks = []
+    for entries in grouped.values():
+        row_at = {i: k for k, i in enumerate(sorted({i for i, _ in entries}))}
+        col_at = {j: k for k, j in enumerate(sorted({j for _, j in entries}))}
+        blocks.append(RatMatrix(len(row_at), len(col_at), {
+            (row_at[i], col_at[j]): v for (i, j), v in entries.items()
+        }))
+    return blocks
+
+
+def _block_rank(m: RatMatrix) -> int:
+    # Probe rank is a lower bound, so reaching min(rows, cols) is conclusive;
+    # anything less falls through to fraction-free elimination.
+    full = min(m.rows, m.cols)
     try:
-        probe = mat_rank_modular_probe(m, random_probe_prime())
-        if probe == min(m.rows, m.cols):
-            return probe
+        if mat_rank_modular_probe(m, PROBE_PRIME) == full:
+            return full
     except BadPrimeError:
         pass
     return _fraction_free_echelon(m).rank
+
+
+def mat_rank(m: RatMatrix) -> int:
+    """Exact rank over the rationals: the sum of the exact ranks of the
+    blocks of ``m``.  Each block is confirmed full rank by the modular probe
+    or else ranked by fraction-free elimination."""
+    return sum(_block_rank(b) for b in _blocks(m))
 
 
 def pivot_rows(m: RatMatrix) -> list[int]:

@@ -3,7 +3,10 @@
 For a nonzero homogeneous F of degree c, the degree-i catalecticant pairs
 operators of degree i (rows) against the degree c-i monomial basis (columns);
 its rank is the Hilbert function value h_i of the Gorenstein quotient, and
-the left kernel is the degree-i piece of the annihilator.  Each degree is an
+the left kernel is the degree-i piece of the annihilator.  The matrix is
+built straight from the terms of F, one entry per (term, degree-i divisor)
+pair, and it is very sparse: an entry only pairs monomials of matching torus
+weight, so ``mat_rank`` splits it into small blocks.  Each degree is an
 independent rank computation: no elimination state is shared between i and
 c-i, so transpose-rank duality stays a genuine cross-check.
 """
@@ -12,14 +15,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from math import perm, prod
+from typing import Iterator, Sequence
 
-from .errors import OutOfRangeError, TooLargeError, ZeroPolynomialError
+from .errors import (
+    InvariantError,
+    OutOfRangeError,
+    TooLargeError,
+    ZeroPolynomialError,
+)
 from .exactmath import RatMatrix, mat_kernel, mat_rank
 from .polyring import (
     Monomial,
     Poly,
-    contract,
+    contraction_weights,
     dim_of_degree,
     monomials_of_degree,
 )
@@ -99,21 +108,44 @@ class HilbertFn:
         return iter(self.values)
 
 
+def _divisors_of_degree(expo: Monomial, i: int) -> Iterator[Monomial]:
+    """Every exponent tuple d <= expo (entrywise) of total degree i."""
+    if len(expo) == 1:
+        if i <= expo[0]:
+            yield (i,)
+        return
+    rest = sum(expo[1:])
+    for d in range(min(expo[0], i), max(0, i - rest) - 1, -1):
+        for tail in _divisors_of_degree(expo[1:], i - d):
+            yield (d,) + tail
+
+
 def catalecticant(f: Poly, i: int, weights: Sequence | None = None) -> CatMatrix:
     """Rows: degree-i monomials acting by contraction; columns: the degree
     c-i monomial basis; entry = coefficient of the column monomial in
-    (row monomial) contracted against f."""
+    (row monomial) contracted against f.
+
+    Built from the terms of f: a term coeff*x^e gives, for each degree-i
+    divisor d of x^e, the entry coeff * prod perm(e_k, d_k) * prod w_k^d_k
+    at (row d, column e-d).  Distinct (term, divisor) pairs land in distinct
+    cells, so nothing is summed.
+    """
     c = _require_homogeneous(f)
     if not 0 <= i <= c:
         raise OutOfRangeError(f"degree {i} outside 0..{c}")
+    wts = contraction_weights(weights, f.nvars)
     rows = monomials_of_degree(f.nvars, i)
     cols = monomials_of_degree(f.nvars, c - i)
+    row_index = {m: k for k, m in enumerate(rows)}
     col_index = {m: k for k, m in enumerate(cols)}
     entries = {}
-    for r, mono in enumerate(rows):
-        image = contract(Poly.monomial(f.nvars, mono), f, weights)
-        for expo, coeff in image.terms():
-            entries[(r, col_index[expo])] = coeff
+    for expo, coeff in f.terms():
+        for d in _divisors_of_degree(expo, i):
+            value = coeff * prod(perm(e, k) for e, k in zip(expo, d))
+            if wts is not None:
+                value *= prod(w**k for w, k in zip(wts, d))
+            col = col_index[tuple(e - k for e, k in zip(expo, d))]
+            entries[(row_index[d], col)] = value
     return CatMatrix(
         degree=i,
         matrix=RatMatrix(len(rows), len(cols), entries),
@@ -131,7 +163,7 @@ def hilbert_function(f: Poly, weights: Sequence | None = None) -> HilbertFn:
     )
     fn = HilbertFn(c, values)
     if not fn.is_symmetric():
-        raise AssertionError(
+        raise InvariantError(
             f"Hilbert function {fn.as_text()} is not Gorenstein-symmetric"
         )
     return fn

@@ -222,6 +222,19 @@ def poly_pow(a: Poly, s: int) -> Poly:
     return result
 
 
+def contraction_weights(weights: Sequence | None, nvars: int) -> list[Fraction] | None:
+    """Validated weights as Fractions (None stays None): one positive
+    rational per variable."""
+    if weights is None:
+        return None
+    if len(weights) != nvars:
+        raise VarMismatchError("weights length must match variable count")
+    wts = [_as_coeff(w) for w in weights]
+    if any(w <= 0 for w in wts):
+        raise ValueError("contraction weights must be positive")
+    return wts
+
+
 def contract(p: Poly, f: Poly, weights: Sequence | None = None) -> Poly:
     """Apply p as the differential operator p(w*d/dx) to f.
 
@@ -230,14 +243,7 @@ def contract(p: Poly, f: Poly, weights: Sequence | None = None) -> Poly:
     deg f - deg p (and zero whenever deg p > deg f).
     """
     p._check_compatible(f)
-    if weights is None:
-        wts = None
-    else:
-        if len(weights) != p.nvars:
-            raise VarMismatchError("weights length must match variable count")
-        wts = [_as_coeff(w) for w in weights]
-        if any(w <= 0 for w in wts):
-            raise ValueError("contraction weights must be positive")
+    wts = contraction_weights(weights, p.nvars)
     terms: dict[Monomial, Fraction] = {}
     for ep, cp in p._terms.items():
         factor = cp

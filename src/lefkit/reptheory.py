@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .errors import NotDominantError, OutOfRangeError, TooLargeError
-from .macaulay import HilbertFn
+from .macaulay import HilbertFn, resolve_budget
 
 Weight = tuple[int, ...]
 
@@ -116,11 +116,12 @@ def type_c_weight(n: int, ks: Sequence[int]) -> Weight:
 def predicted_hilbert_typeC(n: int, s: int, budget: int | None = None) -> HilbertFn:
     """Predicted Hilbert function of the quotient by the annihilator of the
     s-th power of the n x n symmetric determinant: sum Weyl dimensions of the
-    surviving summands by graded degree.  Socle degree is n*s."""
+    surviving summands by graded degree.  Socle degree is n*s.  The summand
+    count is held to the cell budget (``macaulay.resolve_budget``)."""
     if n < 1 or s < 1:
         raise OutOfRangeError("need n >= 1 and s >= 1")
     tuple_count = comb(n + s, n)
-    limit = budget if budget is not None else 4_000_000
+    limit = resolve_budget(budget)
     if tuple_count > limit:
         raise TooLargeError(f"{tuple_count} summands exceed the budget {limit}")
     values = [0] * (n * s + 1)

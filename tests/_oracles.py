@@ -1,15 +1,17 @@
 """Independent reference implementations used only by tests.
 
 These deliberately use different algorithms than the package: plain
-division-based Gaussian elimination instead of fraction-free Bareiss,
-permutation-sum determinants instead of cofactor expansion, and a direct
-term-by-term multiplier instead of repeated squaring.
+division-based Gaussian elimination instead of block-split Bareiss,
+permutation-sum determinants instead of cofactor expansion, a direct
+term-by-term multiplier instead of repeated squaring, and catalecticants
+built row by row through contraction instead of from the terms of F.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from lefkit.polyring import Poly
+from lefkit.exactmath import RatMatrix
+from lefkit.polyring import Poly, contract, monomials_of_degree
 
 
 def naive_rank(rows):
@@ -88,3 +90,18 @@ def naive_pow(a, s):
     for _ in range(s):
         out = naive_mul(out, a)
     return out
+
+
+def naive_catalecticant(f, i, weights=None):
+    """The degree-i catalecticant matrix of homogeneous f, one row per
+    degree-i monomial: the coefficients of (row monomial) contracted
+    against f."""
+    c = f.homogeneous_degree()
+    rows = monomials_of_degree(f.nvars, i)
+    col_index = {m: k for k, m in enumerate(monomials_of_degree(f.nvars, c - i))}
+    entries = {}
+    for r, mono in enumerate(rows):
+        image = contract(Poly.monomial(f.nvars, mono), f, weights)
+        for expo, coeff in image.terms():
+            entries[(r, col_index[expo])] = coeff
+    return RatMatrix(len(rows), len(col_index), entries)

@@ -1,5 +1,7 @@
 import json
 
+import lefkit.exactmath
+import lefkit.macaulay
 from lefkit.cli import main
 
 
@@ -173,6 +175,23 @@ def test_budget_env_var(monkeypatch, capsys):
     monkeypatch.setenv("LEFKIT_BUDGET", "10")
     code, _, _ = run(capsys, "hilbert", "--family", "sym-det", "--n", "3")
     assert code == 3
+
+
+def test_asymmetric_hilbert_function_exit_code(monkeypatch, capsys):
+    # column counts of sym-det n=2, i = 0, 1, 2: (6, 3, 1)
+    monkeypatch.setattr(lefkit.macaulay, "mat_rank", lambda m: m.cols)
+    code, out, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "2")
+    assert code == 4
+    assert out == "" and "Gorenstein-symmetric" in err
+
+
+def test_inexact_bareiss_step_exit_code(monkeypatch, capsys):
+    # every division of the elimination now leaves a remainder
+    monkeypatch.setattr(lefkit.exactmath, "divmod", lambda a, b: (a // b, 1),
+                        raising=False)
+    code, out, err = run(capsys, "hessian", "--family", "sym-det", "--n", "2")
+    assert code == 4
+    assert out == "" and "integrality" in err
 
 
 def test_weights_override_keeps_hilbert(capsys):

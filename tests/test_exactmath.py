@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from lefkit.errors import BadPrimeError
 from lefkit.exactmath import (
+    PROBE_PRIME,
     RatMatrix,
     _fraction_free_echelon,
+    _is_prime_u64,
     identity_matrix,
     mat_det,
     mat_kernel,
@@ -88,6 +90,26 @@ def test_probe_prime_is_62_bit():
     assert all(p % q for q in (2, 3, 5, 7, 11, 13))
 
 
+def test_fixed_probe_prime_is_62_bit_prime():
+    assert (1 << 61) <= PROBE_PRIME < (1 << 62)
+    assert _is_prime_u64(PROBE_PRIME)
+
+
+def test_rank_sums_blocks_with_bad_prime_block():
+    p = PROBE_PRIME
+    # rows 0, 2 x cols 1, 2: rank-deficient, denominator divisible by p;
+    # row 1 x col 0: a 1x1 block; row 3 and col 3 are empty
+    rows = [
+        [0, Fraction(1, p), 1, 0],
+        [7, 0, 0, 0],
+        [0, 1, p, 0],
+        [0, 0, 0, 0],
+    ]
+    with pytest.raises(BadPrimeError):
+        mat_rank_modular_probe(RatMatrix.from_rows(rows), p)
+    assert mat_rank(RatMatrix.from_rows(rows)) == naive_rank(rows) == 2
+
+
 def test_det_small():
     assert mat_det(RatMatrix.from_rows([[1, 2], [3, 4]])) == -2
     assert mat_det(RatMatrix.from_rows([[1, 2], [2, 4]])) == 0
@@ -159,7 +181,7 @@ def test_rank_plus_kernel_dimension(rows):
 @settings(max_examples=40, deadline=None)
 @given(small_matrices)
 def test_bareiss_stays_integral_on_integer_input(rows):
-    # _fraction_free_echelon raises ArithmeticError if any division is inexact
+    # _fraction_free_echelon raises InvariantError if any division is inexact
     ech = _fraction_free_echelon(RatMatrix.from_rows(rows))
     for row in ech.matrix[: ech.rank]:
         assert all(isinstance(x, int) for x in row)
@@ -183,3 +205,42 @@ def test_probe_usually_attains_exact_rank():
     if misses:
         # vanishing-probability event; spec says log, don't fail
         warnings.warn(f"modular probe missed the exact rank on {misses} matrices")
+
+
+def _block(draw, bad_prime):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    inner = draw(st.integers(1, min(rows, cols)))  # rank at most inner
+    entry = st.integers(-3, 3)
+    left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    block = [
+        [Fraction(sum(a * b for a, b in zip(row, col))) for col in zip(*right)]
+        for row in left
+    ]
+    if bad_prime:
+        block[0][0] = Fraction(1, PROBE_PRIME)
+    return block
+
+
+@st.composite
+def shuffled_block_diagonal(draw):
+    count = draw(st.integers(1, 4))
+    bad = draw(st.integers(0, count))  # index count: no bad-prime block
+    blocks = [_block(draw, k == bad) for k in range(count)]
+    nrows = sum(len(b) for b in blocks)
+    ncols = sum(len(b[0]) for b in blocks)
+    dense = [[Fraction(0)] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            dense[r0 + i][c0 : c0 + len(row)] = row
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    row_order = draw(st.permutations(range(nrows)))
+    col_order = draw(st.permutations(range(ncols)))
+    return [[dense[i][j] for j in col_order] for i in row_order]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_block_diagonal())
+def test_rank_of_shuffled_block_diagonal_matches_naive(rows):
+    assert mat_rank(RatMatrix.from_rows(rows)) == naive_rank(rows)

@@ -1,4 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefkit.errors import OutOfRangeError, TooLargeError, ZeroPolynomialError
 from lefkit.exactmath import RatMatrix, mat_rank
@@ -13,9 +18,15 @@ from lefkit.macaulay import (
     resolve_budget,
     socle_check,
 )
-from lefkit.polyring import Poly, contract, dim_of_degree, poly_pow
+from lefkit.polyring import (
+    Poly,
+    contract,
+    dim_of_degree,
+    monomials_of_degree,
+    poly_pow,
+)
 
-from _oracles import naive_rank
+from _oracles import naive_catalecticant, naive_rank
 
 DET2 = make_invariant(FamilySpec(FamilyKind.SYM_DET, 2))
 DET3 = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3))
@@ -59,6 +70,45 @@ def test_catalecticant_errors():
         catalecticant(Poly.zero(3), 0)
     with pytest.raises(ValueError):
         catalecticant(Poly(2, {(1, 0): 1, (2, 0): 1}), 0)
+
+
+def _random_weights(nvars, rng):
+    return tuple(Fraction(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(nvars))
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.GENERIC_DET, 2, 2),
+    (FamilyKind.PFAFFIAN, 4, 2),
+    (FamilyKind.QUADRIC, 4, 2),
+])
+def test_catalecticant_matches_row_by_row_oracle(kind, n, s):
+    f = make_invariant(FamilySpec(kind, n, s))
+    weights = _random_weights(f.nvars, random.Random(n * 10 + s))
+    for w in (None, weights):
+        for i in range(f.homogeneous_degree() + 1):
+            assert catalecticant(f, i, w).matrix == naive_catalecticant(f, i, w)
+
+
+homogeneous_polys = st.integers(1, 3).flatmap(
+    lambda nvars: st.integers(0, 4).flatmap(
+        lambda c: st.dictionaries(
+            st.sampled_from(monomials_of_degree(nvars, c)),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            min_size=1,
+            max_size=6,
+        ).map(lambda terms: Poly(nvars, terms))
+    )
+).filter(lambda f: not f.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_polys, st.randoms(use_true_random=False))
+def test_catalecticant_matches_oracle_on_random_polys(f, rng):
+    weights = _random_weights(f.nvars, rng)
+    for w in (None, weights):
+        for i in range(f.homogeneous_degree() + 1):
+            assert catalecticant(f, i, w).matrix == naive_catalecticant(f, i, w)
 
 
 def test_catalecticant_rank_against_naive_elimination():

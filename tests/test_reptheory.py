@@ -138,6 +138,15 @@ def test_predicted_hilbert_budget():
         predicted_hilbert_typeC(0, 1)
 
 
+def test_predicted_hilbert_budget_env_var(monkeypatch):
+    # (2, 2) has C(4, 2) = 6 summands
+    monkeypatch.setenv("LEFKIT_BUDGET", "5")
+    with pytest.raises(TooLargeError):
+        predicted_hilbert_typeC(2, 2)
+    monkeypatch.setenv("LEFKIT_BUDGET", "6")
+    assert predicted_hilbert_typeC(2, 2).values == (1, 3, 6, 3, 1)
+
+
 def test_prediction_matches_catalecticant_ranks():
     for n, s in [(1, 3), (2, 1), (2, 2), (3, 1)]:
         f = make_invariant(FamilySpec(FamilyKind.SYM_DET, n, s))
