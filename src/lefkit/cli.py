@@ -35,7 +35,7 @@ from .macaulay import (
     hilbert_function,
     hilbert_report_rows,
 )
-from .polyring import Poly, dim_of_degree, format_poly
+from .polyring import Poly, dim_of_degree, format_poly, scale_variables
 from .reptheory import predicted_hilbert_typeC
 
 EXIT_PASS = 0
@@ -128,7 +128,10 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_name_map(source: str, what: str) -> dict:
+def _name_values(source: str, what: str, spec: FamilySpec, default: int) -> list[Fraction]:
+    """One rational per layout variable from a JSON object (inline or a file
+    path) mapping variable names to rationals; unnamed variables get
+    `default`.  Any bad name or value is an input error."""
     text = source
     if not source.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as fh:
@@ -136,41 +139,45 @@ def _load_name_map(source: str, what: str) -> dict:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise LefkitError(f"{what} must be a JSON object")
-    return data
-
-def _resolve_weights(arg: str | None, spec: FamilySpec) -> tuple[Fraction, ...] | None:
-    if arg is None:
-        return None
-    data = _load_name_map(arg, "weights")
-    names = spec.layout
-    index = {name: k for k, name in enumerate(names)}
-    weights = [Fraction(1)] * spec.nvars
+    index = {name: k for k, name in enumerate(spec.layout)}
+    values = [Fraction(default)] * spec.nvars
     for name, value in data.items():
         if name not in index:
-            raise LefkitError(f"unknown variable {name!r} in weights")
-        w = Fraction(str(value))
-        if w <= 0:
-            raise LefkitError("weights must be positive rationals")
-        weights[index[name]] = w
+            raise LefkitError(f"unknown variable {name!r} in {what}")
+        try:
+            values[index[name]] = Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise LefkitError(f"{what}: {name} = {value!r} is not a rational") from None
+    return values
+
+
+def _resolve_weights(arg: str | None, spec: FamilySpec) -> list[Fraction] | None:
+    """The --weights values, one per layout variable, or None when all are 1;
+    scale_variables rejects non-positive ones."""
+    if arg is None:
+        return None
+    weights = _name_values(arg, "weights", spec, 1)
     if all(w == 1 for w in weights):
         return None
-    return tuple(weights)
+    return weights
+
+
+def _invariant(config: RunConfig, spec: FamilySpec) -> Poly:
+    """The invariant F after the budget check; under non-unit --weights it is
+    F(w*x), whose plain apolarity pairing is the weighted pairing of F."""
+    ensure_within_budget(spec.nvars, spec.socle_degree, config.budget)
+    weights = _resolve_weights(config.weights_arg, spec)
+    f = make_invariant(spec)
+    return f if weights is None else scale_variables(f, weights)
 
 
 def _lefschetz_from(config: RunConfig, spec: FamilySpec) -> Poly:
     if config.lefschetz_file is not None:
-        data = _load_name_map(config.lefschetz_file, "Lefschetz coefficients")
-        index = {name: k for k, name in enumerate(spec.layout)}
-        terms = {}
-        for name, value in data.items():
-            if name not in index:
-                raise LefkitError(f"unknown variable {name!r} in Lefschetz file")
-            coeff = Fraction(str(value))
-            if coeff:
-                expo = [0] * spec.nvars
-                expo[index[name]] = 1
-                terms[tuple(expo)] = coeff
-        L = Poly(spec.nvars, terms)
+        coeffs = _name_values(config.lefschetz_file, "Lefschetz coefficients", spec, 0)
+        L = Poly(spec.nvars, {
+            tuple(int(k == j) for k in range(spec.nvars)): coeff
+            for j, coeff in enumerate(coeffs)
+        })
         if L.is_zero():
             raise LefkitError("Lefschetz file defines the zero form")
         return L
@@ -218,10 +225,8 @@ def _coeff_text(L: Poly, spec: FamilySpec) -> str:
 
 def cmd_hilbert(config: RunConfig) -> int:
     spec = config.spec()
-    ensure_within_budget(spec.nvars, spec.socle_degree, config.budget)
-    weights = _resolve_weights(config.weights_arg, spec)
-    f = make_invariant(spec)
-    fn = hilbert_function(f, weights)
+    f = _invariant(config, spec)
+    fn = hilbert_function(f)
     rows = hilbert_report_rows(f, fn)
     payload = {
         "family": spec.kind.value,
@@ -246,11 +251,9 @@ def cmd_hilbert(config: RunConfig) -> int:
 
 def cmd_slp(config: RunConfig) -> int:
     spec = config.spec()
-    ensure_within_budget(spec.nvars, spec.socle_degree, config.budget)
-    weights = _resolve_weights(config.weights_arg, spec)
-    f = make_invariant(spec)
+    f = _invariant(config, spec)
     L = _lefschetz_from(config, spec)
-    report = slp_check(f, L, spec=spec, weights=weights)
+    report = slp_check(f, L, spec=spec)
     payload = report.to_dict(spec.layout)
     csv_rows = payload["rows"]
     text_lines = [
@@ -336,11 +339,9 @@ def cmd_predict(config: RunConfig) -> int:
 
 def cmd_hessian(config: RunConfig) -> int:
     spec = config.spec()
-    ensure_within_budget(spec.nvars, spec.socle_degree, config.budget)
-    weights = _resolve_weights(config.weights_arg, spec)
-    f = make_invariant(spec)
+    f = _invariant(config, spec)
     L = _lefschetz_from(config, spec)
-    dets = hessian_determinants_at(f, L, weights)
+    dets = hessian_determinants_at(f, L)
     rows = [
         {"i": i, "det": str(d), "nonzero": bool(d)} for i, d in enumerate(dets)
     ]
@@ -372,10 +373,8 @@ def cmd_hessian(config: RunConfig) -> int:
 
 def cmd_annihilator(config: RunConfig) -> int:
     spec = config.spec()
-    ensure_within_budget(spec.nvars, spec.socle_degree, config.budget)
-    weights = _resolve_weights(config.weights_arg, spec)
-    f = make_invariant(spec)
-    basis = annihilator_basis(f, config.degree, weights)
+    f = _invariant(config, spec)
+    basis = annihilator_basis(f, config.degree)
     texts = [format_poly(p, spec.layout) for p in basis]
     payload = {
         "family": spec.kind.value,

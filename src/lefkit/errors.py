@@ -29,10 +29,6 @@ class InvalidSpecError(LefkitError):
     """A family descriptor violates its size/power constraints."""
 
 
-class UnsupportedFamilyError(LefkitError):
-    """The family is reserved but intentionally not constructible."""
-
-
 class BadPrimeError(LefkitError):
     """A modular probe prime divides one of the stored denominators."""
 

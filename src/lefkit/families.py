@@ -16,7 +16,6 @@ from .errors import (
     InvalidSpecError,
     NotLinearError,
     OutOfRangeError,
-    UnsupportedFamilyError,
     VarMismatchError,
 )
 from .exactmath import RatMatrix, mat_rank
@@ -28,7 +27,6 @@ class FamilyKind(enum.Enum):
     SYM_DET = "sym-det"
     PFAFFIAN = "pfaffian"
     QUADRIC = "quadric"
-    E7 = "e7"  # reserved; construction is refused
 
 
 _CLI_NAMES = {kind.value: kind for kind in FamilyKind}
@@ -48,9 +46,7 @@ def _positions(kind: FamilyKind, n: int) -> list[tuple[int, int]]:
         return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     if kind is FamilyKind.PFAFFIAN:
         return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if kind is FamilyKind.QUADRIC:
-        return [(i, 0) for i in range(1, n + 1)]
-    raise UnsupportedFamilyError("no layout for this kind")
+    return [(i, 0) for i in range(1, n + 1)]  # quadric
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,6 @@ class FamilySpec:
     power: int = 1
 
     def __post_init__(self):
-        if self.kind is FamilyKind.E7:
-            raise UnsupportedFamilyError("the 27-variable cubic is not implemented")
         if self.size < 1:
             raise InvalidSpecError("size must be at least 1")
         if self.power < 1:
@@ -132,18 +126,14 @@ class FamilySpec:
 def d_table(kind: FamilyKind, nvars: int) -> Fraction:
     """d per family: symmetric determinants 1, generic determinants 2,
     Pfaffians 4, quadrics dimension - 2 (2m-3 in 2m-1 variables, 2m-4 in
-    2m-2), and 4 for the reserved 27-variable cubic."""
+    2m-2)."""
     if kind is FamilyKind.SYM_DET:
         return Fraction(1)
     if kind is FamilyKind.GENERIC_DET:
         return Fraction(2)
     if kind is FamilyKind.PFAFFIAN:
         return Fraction(4)
-    if kind is FamilyKind.QUADRIC:
-        return Fraction(nvars - 2)
-    if kind is FamilyKind.E7:
-        return Fraction(4)
-    raise UnsupportedFamilyError(f"no d value for {kind}")
+    return Fraction(nvars - 2)  # quadric
 
 
 _POSITION_CACHE: dict[tuple[FamilyKind, int], dict[tuple[int, int], int]] = {}

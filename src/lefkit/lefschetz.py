@@ -4,10 +4,14 @@ The multiplication map by L^(c-2i) on the degree-i piece of the Gorenstein
 quotient is bijective exactly when the matrix of m |-> (L^(c-2i) m)
 contracted against F has rank h_i; both sides factor through the perfect
 pairing, so comparing that rank with the degree-i catalecticant rank decides
-each degree without ever constructing quotient bases.  The higher-Hessian
-determinants evaluated at L's coefficient point give an independent route to
-the same verdict, and verify_theorem cross-validates both against open-orbit
-membership on seeded samples plus deterministic rank-deficient candidates.
+each degree without ever constructing quotient bases.  L^k contracted
+against F is built as L contracted against L^(k-1) contracted against F,
+one contraction per k, never from a power of L.  The higher-Hessian
+determinants evaluated at L's coefficient point give an independent route
+to the same verdict, and verify_theorem cross-validates both against
+open-orbit membership on seeded samples plus deterministic rank-deficient
+candidates.  Everything here uses the plain apolarity pairing; a weighted
+pairing is the plain one against F(w*x) (polyring.scale_variables).
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from typing import Sequence
 from .errors import (
     BadBasisError,
     NotLinearError,
+    OutOfRangeError,
     VarMismatchError,
-    ZeroPolynomialError,
 )
 from .exactmath import RatMatrix, mat_det, mat_rank, pivot_rows
 from .families import (
@@ -31,8 +35,13 @@ from .families import (
     make_invariant,
     orbit_test,
 )
-from .macaulay import catalecticant, ensure_within_budget
-from .polyring import Monomial, Poly, contract, poly_mul, poly_pow
+from .macaulay import (
+    _require_homogeneous,
+    catalecticant,
+    ensure_within_budget,
+    hilbert_function,
+)
+from .polyring import Monomial, Poly, contract, poly_mul
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,7 @@ class SlpReport:
 
 
 def _validate_slp_inputs(f: Poly, L: Poly) -> int:
-    c = _require_c(f)
+    c = _require_homogeneous(f)
     if L.nvars != f.nvars:
         raise VarMismatchError(
             f"L has {L.nvars} variables, F has {f.nvars}"
@@ -99,53 +108,28 @@ def _validate_slp_inputs(f: Poly, L: Poly) -> int:
     return c
 
 
-def required_ranks(
-    f: Poly, weights: Sequence | None = None
-) -> tuple[int, ...]:
-    """h_i for i = 0..floor(c/2): the bijectivity targets.  Callers checking
-    many candidates against one F should compute this once and pass it to
-    slp_check."""
-    c = _require_c(f)
-    return tuple(
-        mat_rank(catalecticant(f, i, weights).matrix) for i in range(c // 2 + 1)
-    )
-
-
-def _require_c(f: Poly) -> int:
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot check the zero polynomial")
-    c = f.homogeneous_degree()
-    if c is None:
-        raise ValueError("F must be homogeneous")
-    return c
-
-
-def _achieved_rank(
-    f: Poly, L: Poly, i: int, power: int, weights: Sequence | None
-) -> int:
-    shifted = contract(poly_pow(L, power), f, weights)
-    if shifted.is_zero():
-        return 0
-    # deg shifted = 2i, so this square matrix realizes the pairing
-    # (m, m') -> (L^(c-2i) m m')(F) on degree-i monomials.
-    return mat_rank(catalecticant(shifted, i, weights).matrix)
-
-
 def slp_check(
     f: Poly,
     L: Poly,
     spec: FamilySpec | None = None,
-    weights: Sequence | None = None,
     required: Sequence[int] | None = None,
 ) -> SlpReport:
     """Exact per-degree report on x L^(c-2i); verdict is True iff L is a
-    Lefschetz element of the quotient generated by F."""
+    Lefschetz element of the quotient generated by F.  `required` is the
+    Hilbert function of F (default: computed here); callers checking many
+    candidates against one F should compute it once."""
     c = _validate_slp_inputs(f, L)
     if required is None:
-        required = required_ranks(f, weights)
+        required = hilbert_function(f).values
+    shifted = [f]  # shifted[k] = L^k contracted against F
+    for _ in range(c):
+        shifted.append(contract(L, shifted[-1]))
     rows = []
     for i in range(c // 2 + 1):
-        achieved = _achieved_rank(f, L, i, c - 2 * i, weights)
+        g = shifted[c - 2 * i]
+        # deg g = 2i, so this square matrix realizes the pairing
+        # (m, m') -> (L^(c-2i) m m')(F) on degree-i monomials.
+        achieved = mat_rank(catalecticant(g, i).matrix) if g else 0
         rows.append(SlpRow(i=i, required=required[i], achieved=achieved))
     return SlpReport(
         family=spec.kind.value if spec else None,
@@ -161,12 +145,10 @@ def slp_check(
 # higher Hessians
 
 
-def default_degree_basis(
-    f: Poly, i: int, weights: Sequence | None = None
-) -> list[Monomial]:
+def default_degree_basis(f: Poly, i: int) -> list[Monomial]:
     """Monomials whose catalecticant rows are pivot rows of the deterministic
     elimination: a canonical basis of the degree-i quotient piece."""
-    cat = catalecticant(f, i, weights)
+    cat = catalecticant(f, i)
     return [cat.row_monomials[r] for r in pivot_rows(cat.matrix)]
 
 
@@ -174,19 +156,16 @@ def higher_hessian(
     f: Poly,
     i: int,
     basis: Sequence[Poly] | None = None,
-    weights: Sequence | None = None,
 ) -> list[list[Poly]]:
     """Matrix of contract(b_j * b_k, F) over a basis of the degree-i quotient
-    piece; entries are homogeneous of degree c - 2i.  A supplied basis is
-    rejected if it is dependent modulo the annihilator or has the wrong size."""
-    cat = catalecticant(f, i, weights)
-    h_i = mat_rank(cat.matrix)
+    piece (default: default_degree_basis); entries are homogeneous of degree
+    c - 2i.  A supplied basis is rejected if it is dependent modulo the
+    annihilator or has the wrong size."""
     if basis is None:
-        polys = [
-            Poly.monomial(f.nvars, cat.row_monomials[r])
-            for r in pivot_rows(cat.matrix)
-        ]
+        polys = [Poly.monomial(f.nvars, m) for m in default_degree_basis(f, i)]
     else:
+        cat = catalecticant(f, i)
+        h_i = mat_rank(cat.matrix)
         polys = list(basis)
         if len(polys) != h_i:
             raise BadBasisError(
@@ -197,38 +176,28 @@ def higher_hessian(
         for r, b in enumerate(polys):
             if not b.is_homogeneous_of(i):
                 raise BadBasisError("basis elements must be homogeneous of degree i")
-            image = contract(b, f, weights)
+            image = contract(b, f)
             for expo, coeff in image.terms():
                 entries[(r, col_index[expo])] = coeff
         rows_matrix = RatMatrix(len(polys), len(cat.col_monomials), entries)
         if mat_rank(rows_matrix) != len(polys):
             raise BadBasisError("basis representatives are dependent modulo the annihilator")
     return [
-        [contract(poly_mul(bj, bk), f, weights) for bk in polys] for bj in polys
+        [contract(poly_mul(bj, bk), f) for bk in polys] for bj in polys
     ]
-
-
-def hessian_point(L: Poly, weights: Sequence | None = None) -> tuple[Fraction, ...]:
-    """The evaluation point dual to L: its coefficient vector, rescaled by
-    the contraction weights when those are not all 1."""
-    coeffs = L.linear_coefficients()
-    if weights is None:
-        return coeffs
-    return tuple(Fraction(w) * a for w, a in zip(weights, coeffs))
 
 
 def hessian_determinants_at(
     f: Poly,
     L: Poly,
-    weights: Sequence | None = None,
     hessians: Sequence[Sequence[Sequence[Poly]]] | None = None,
 ) -> list[Fraction]:
     """Determinant of each higher Hessian (i = 0..floor(c/2)) evaluated at
     L's coefficient point."""
     c = _validate_slp_inputs(f, L)
     if hessians is None:
-        hessians = [higher_hessian(f, i, weights=weights) for i in range(c // 2 + 1)]
-    point = hessian_point(L, weights)
+        hessians = [higher_hessian(f, i) for i in range(c // 2 + 1)]
+    point = L.linear_coefficients()
     dets = []
     for matrix in hessians:
         size = len(matrix)
@@ -242,12 +211,11 @@ def hessian_determinants_at(
 def hessian_criterion_at(
     f: Poly,
     L: Poly,
-    weights: Sequence | None = None,
     hessians: Sequence[Sequence[Sequence[Poly]]] | None = None,
 ) -> bool:
     """True iff every higher-Hessian determinant is nonzero at the point dual
     to L: an independent oracle for the slp_check verdict."""
-    return all(hessian_determinants_at(f, L, weights, hessians))
+    return all(hessian_determinants_at(f, L, hessians))
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +315,11 @@ def verify_theorem(
     linear forms plus the deterministic rank-deficient candidates.  Any
     disagreement is a counterexample to the open-orbit characterization and
     shows up in the summary."""
+    if samples < 0:
+        raise OutOfRangeError(f"samples must be non-negative, got {samples}")
     ensure_within_budget(spec.nvars, spec.socle_degree, budget)
     f = make_invariant(spec)
-    targets = required_ranks(f)
+    targets = hilbert_function(f).values
     rng = random.Random(seed)
     candidates: list[tuple[Poly, bool]] = [
         (L, True) for L in deficient_candidates(spec)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import perm, prod
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     InvariantError,
@@ -25,13 +25,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exactmath import RatMatrix, mat_kernel, mat_rank
-from .polyring import (
-    Monomial,
-    Poly,
-    contraction_weights,
-    dim_of_degree,
-    monomials_of_degree,
-)
+from .polyring import Monomial, Poly, dim_of_degree, monomials_of_degree
 
 DEFAULT_CELL_BUDGET = 4_000_000
 BUDGET_ENV_VAR = "LEFKIT_BUDGET"
@@ -120,20 +114,19 @@ def _divisors_of_degree(expo: Monomial, i: int) -> Iterator[Monomial]:
             yield (d,) + tail
 
 
-def catalecticant(f: Poly, i: int, weights: Sequence | None = None) -> CatMatrix:
+def catalecticant(f: Poly, i: int) -> CatMatrix:
     """Rows: degree-i monomials acting by contraction; columns: the degree
     c-i monomial basis; entry = coefficient of the column monomial in
     (row monomial) contracted against f.
 
     Built from the terms of f: a term coeff*x^e gives, for each degree-i
-    divisor d of x^e, the entry coeff * prod perm(e_k, d_k) * prod w_k^d_k
-    at (row d, column e-d).  Distinct (term, divisor) pairs land in distinct
+    divisor d of x^e, the entry coeff * prod perm(e_k, d_k) at (row d,
+    column e-d).  Distinct (term, divisor) pairs land in distinct
     cells, so nothing is summed.
     """
     c = _require_homogeneous(f)
     if not 0 <= i <= c:
         raise OutOfRangeError(f"degree {i} outside 0..{c}")
-    wts = contraction_weights(weights, f.nvars)
     rows = monomials_of_degree(f.nvars, i)
     cols = monomials_of_degree(f.nvars, c - i)
     row_index = {m: k for k, m in enumerate(rows)}
@@ -142,8 +135,6 @@ def catalecticant(f: Poly, i: int, weights: Sequence | None = None) -> CatMatrix
     for expo, coeff in f.terms():
         for d in _divisors_of_degree(expo, i):
             value = coeff * prod(perm(e, k) for e, k in zip(expo, d))
-            if wts is not None:
-                value *= prod(w**k for w, k in zip(wts, d))
             col = col_index[tuple(e - k for e, k in zip(expo, d))]
             entries[(row_index[d], col)] = value
     return CatMatrix(
@@ -154,12 +145,12 @@ def catalecticant(f: Poly, i: int, weights: Sequence | None = None) -> CatMatrix
     )
 
 
-def hilbert_function(f: Poly, weights: Sequence | None = None) -> HilbertFn:
+def hilbert_function(f: Poly) -> HilbertFn:
     """h_i = rank of the degree-i catalecticant, one independent exact rank
     per degree.  Gorenstein symmetry of the result is asserted, not assumed."""
     c = _require_homogeneous(f)
     values = tuple(
-        mat_rank(catalecticant(f, i, weights).matrix) for i in range(c + 1)
+        mat_rank(catalecticant(f, i).matrix) for i in range(c + 1)
     )
     fn = HilbertFn(c, values)
     if not fn.is_symmetric():
@@ -169,11 +160,11 @@ def hilbert_function(f: Poly, weights: Sequence | None = None) -> HilbertFn:
     return fn
 
 
-def annihilator_basis(f: Poly, i: int, weights: Sequence | None = None) -> list[Poly]:
+def annihilator_basis(f: Poly, i: int) -> list[Poly]:
     """Basis of the degree-i graded piece of the annihilator: the left kernel
     of the catalecticant, mapped back to operator polynomials.  Every element
     contracts f to exactly zero."""
-    cat = catalecticant(f, i, weights)
+    cat = catalecticant(f, i)
     basis = []
     for vec in mat_kernel(cat.matrix.transpose()):
         terms = {
@@ -183,12 +174,6 @@ def annihilator_basis(f: Poly, i: int, weights: Sequence | None = None) -> list[
         }
         basis.append(Poly(f.nvars, terms))
     return basis
-
-
-def socle_check(f: Poly, weights: Sequence | None = None) -> bool:
-    """True iff the Hilbert function is symmetric with h_0 = h_c = 1."""
-    fn = hilbert_function(f, weights)
-    return fn.is_symmetric() and fn.values[-1] == 1
 
 
 def hilbert_report_rows(f: Poly, fn: HilbertFn) -> list[dict]:

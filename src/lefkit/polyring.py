@@ -2,9 +2,12 @@
 
 A polynomial in the dual variables doubles as a constant-coefficient
 differential operator through :func:`contract`: variable i of the operator
-acts as weights[i] * d/dx_i, with true derivatives (so contracting x^2
-against x^2 gives 2, not 1).  Monomials are exponent tuples ordered
-graded-lex throughout, which keeps every matrix and report deterministic.
+acts as d/dx_i, with true derivatives (so contracting x^2 against x^2 gives
+2, not 1).  Apolarity weights, where variable i acts as w_i * d/dx_i, need no
+separate path: contracting against F(w*x) (:func:`scale_variables`) gives the
+weighted contraction of F with each output monomial x^e scaled by w^e.
+Monomials are exponent tuples ordered graded-lex throughout, which keeps
+every matrix and report deterministic.
 """
 
 from __future__ import annotations
@@ -222,37 +225,35 @@ def poly_pow(a: Poly, s: int) -> Poly:
     return result
 
 
-def contraction_weights(weights: Sequence | None, nvars: int) -> list[Fraction] | None:
-    """Validated weights as Fractions (None stays None): one positive
-    rational per variable."""
-    if weights is None:
-        return None
-    if len(weights) != nvars:
+def scale_variables(f: Poly, weights: Sequence) -> Poly:
+    """F(w*x): every term coeff*x^e becomes coeff*w^e*x^e.  The weights are
+    one positive rational per variable."""
+    if len(weights) != f.nvars:
         raise VarMismatchError("weights length must match variable count")
     wts = [_as_coeff(w) for w in weights]
     if any(w <= 0 for w in wts):
-        raise ValueError("contraction weights must be positive")
-    return wts
+        raise ValueError("weights must be positive")
+    terms = {}
+    for expo, coeff in f._terms.items():
+        for w, e in zip(wts, expo):
+            if e:
+                coeff *= w**e
+        terms[expo] = coeff
+    return Poly(f.nvars, terms)
 
 
-def contract(p: Poly, f: Poly, weights: Sequence | None = None) -> Poly:
-    """Apply p as the differential operator p(w*d/dx) to f.
+def contract(p: Poly, f: Poly) -> Poly:
+    """Apply p as the differential operator p(d/dx) to f.
 
     Bilinear in both arguments; inhomogeneous inputs are handled term by
     term.  For homogeneous p, f the result is zero or homogeneous of degree
     deg f - deg p (and zero whenever deg p > deg f).
     """
     p._check_compatible(f)
-    wts = contraction_weights(weights, p.nvars)
     terms: dict[Monomial, Fraction] = {}
     for ep, cp in p._terms.items():
-        factor = cp
-        if wts is not None:
-            for w, e in zip(wts, ep):
-                if e:
-                    factor *= w**e
         for ef, cf in f._terms.items():
-            coeff = factor * cf
+            coeff = cp * cf
             target = []
             for df, dp in zip(ef, ep):
                 if dp:

@@ -3,15 +3,18 @@
 These deliberately use different algorithms than the package: plain
 division-based Gaussian elimination instead of block-split Bareiss,
 permutation-sum determinants instead of cofactor expansion, a direct
-term-by-term multiplier instead of repeated squaring, and catalecticants
-built row by row through contraction instead of from the terms of F.
+term-by-term multiplier instead of repeated squaring, a weighted
+contraction of their own instead of the package's, catalecticants built row
+by row through contraction instead of from the terms of F, and SLP ranks
+from a power of L instead of a chain of contractions.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import perm
 
 from lefkit.exactmath import RatMatrix
-from lefkit.polyring import Poly, contract, monomials_of_degree
+from lefkit.polyring import Poly, monomials_of_degree
 
 
 def naive_rank(rows):
@@ -92,16 +95,48 @@ def naive_pow(a, s):
     return out
 
 
+def naive_contract(p, f, weights=None):
+    """p applied to f as a differential operator in which variable k acts
+    as weights[k] * d/dx_k (as d/dx_k without weights)."""
+    weights = weights or [1] * f.nvars
+    terms = {}
+    for ep, cp in p.terms():
+        for ef, cf in f.terms():
+            if any(a < b for a, b in zip(ef, ep)):
+                continue
+            coeff = cp * cf
+            for a, b, w in zip(ef, ep, weights):
+                coeff *= perm(a, b) * Fraction(w) ** b
+            expo = tuple(a - b for a, b in zip(ef, ep))
+            terms[expo] = terms.get(expo, Fraction(0)) + coeff
+    return Poly(f.nvars, {e: c for e, c in terms.items() if c})
+
+
 def naive_catalecticant(f, i, weights=None):
     """The degree-i catalecticant matrix of homogeneous f, one row per
     degree-i monomial: the coefficients of (row monomial) contracted
-    against f."""
+    against f, with weighted contraction when weights are given."""
     c = f.homogeneous_degree()
     rows = monomials_of_degree(f.nvars, i)
     col_index = {m: k for k, m in enumerate(monomials_of_degree(f.nvars, c - i))}
     entries = {}
     for r, mono in enumerate(rows):
-        image = contract(Poly.monomial(f.nvars, mono), f, weights)
+        image = naive_contract(Poly.monomial(f.nvars, mono), f, weights)
         for expo, coeff in image.terms():
             entries[(r, col_index[expo])] = coeff
     return RatMatrix(len(rows), len(col_index), entries)
+
+
+def naive_achieved_ranks(f, L):
+    """The achieved SLP ranks, i = 0..floor(c/2): the rank of the degree-i
+    catalecticant of L^(c-2i) contracted against f, with L^(c-2i) built as
+    a power of L."""
+    c = f.homogeneous_degree()
+    ranks = []
+    for i in range(c // 2 + 1):
+        shifted = naive_contract(naive_pow(L, c - 2 * i), f)
+        if shifted.is_zero():
+            ranks.append(0)
+        else:
+            ranks.append(naive_rank(naive_catalecticant(shifted, i).dense()))
+    return ranks

@@ -21,7 +21,6 @@ from lefkit.lefschetz import (
     hessian_criterion_at,
     higher_hessian,
     random_linear_form,
-    required_ranks,
     slp_check,
     verify_theorem,
 )
@@ -57,7 +56,7 @@ def _invariant_and_targets(family, n, s):
     key = (family, n, s)
     if key not in _F_CACHE:
         f = make_invariant(_spec(family, n, s))
-        _F_CACHE[key] = (f, required_ranks(f))
+        _F_CACHE[key] = (f, hilbert_function(f).values)
     return _F_CACHE[key]
 
 

@@ -86,6 +86,13 @@ def test_slp_file_with_rationals(tmp_path, capsys):
     assert payload["L"] == {"x11": "3/2", "x12": "-1", "x22": "2"}
 
 
+def test_slp_file_zero_denominator(capsys):
+    code, out, err = run(capsys, "slp", "--family", "sym-det", "--n", "2",
+                         "--lefschetz-file", '{"x12": "1/0"}')
+    assert code == 2
+    assert out == "" and "1/0" in err
+
+
 def test_slp_file_unknown_name(tmp_path, capsys):
     lpath = tmp_path / "l.json"
     lpath.write_text(json.dumps({"x13": "1"}))
@@ -106,6 +113,13 @@ def test_verify_generic_det(capsys):
     code, out, _ = run(capsys, "verify", "--family", "generic-det", "--n", "2",
                        "--samples", "50", "--seed", "7")
     assert code == 0
+
+
+def test_verify_rejects_negative_samples(capsys):
+    code, out, err = run(capsys, "verify", "--family", "sym-det", "--n", "2",
+                         "--samples", "-3")
+    assert code == 2
+    assert out == "" and "samples" in err
 
 
 def test_verify_rejects_weights(capsys):
@@ -199,6 +213,13 @@ def test_weights_override_keeps_hilbert(capsys):
                        "--weights", '{"x12": "2"}')
     assert code == 0
     assert "(1, 3, 1)" in out
+
+
+def test_weights_zero_denominator(capsys):
+    code, out, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "2",
+                         "--weights", '{"x12": "1/0"}')
+    assert code == 2
+    assert out == "" and "1/0" in err
 
 
 def test_usage_error_is_input_error(capsys):

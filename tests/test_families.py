@@ -7,7 +7,6 @@ from lefkit.errors import (
     InvalidSpecError,
     NotLinearError,
     OutOfRangeError,
-    UnsupportedFamilyError,
 )
 from lefkit.exactmath import RatMatrix, mat_rank
 from lefkit.families import (
@@ -41,8 +40,6 @@ def test_spec_validation():
         FamilySpec(FamilyKind.SYM_DET, 0)
     with pytest.raises(InvalidSpecError):
         FamilySpec(FamilyKind.SYM_DET, 2, 0)
-    with pytest.raises(UnsupportedFamilyError):
-        FamilySpec(FamilyKind.E7, 27)
     with pytest.raises(InvalidSpecError):
         kind_from_name("det")
 
@@ -79,7 +76,11 @@ def test_d_table():
     # quadric in 2m-1 variables: 2m-3; in 2m-2 variables: 2m-4
     assert FamilySpec(FamilyKind.QUADRIC, 5).d_value == 3
     assert FamilySpec(FamilyKind.QUADRIC, 4).d_value == 2
-    assert d_table(FamilyKind.E7, 27) == 4
+    # structural identity nvars = r + d*r*(r-1)/2 of the Jordan algebra
+    for spec in (sym(3), FamilySpec(FamilyKind.GENERIC_DET, 3),
+                 FamilySpec(FamilyKind.PFAFFIAN, 6), FamilySpec(FamilyKind.QUADRIC, 5)):
+        r = spec.rank_r
+        assert spec.nvars == r + d_table(spec.kind, spec.nvars) * r * (r - 1) / 2
 
 
 def test_rank_r_gives_basic_degree():

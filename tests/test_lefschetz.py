@@ -5,6 +5,7 @@ import pytest
 from lefkit.errors import (
     BadBasisError,
     NotLinearError,
+    OutOfRangeError,
     TooLargeError,
     VarMismatchError,
     ZeroPolynomialError,
@@ -14,6 +15,7 @@ from lefkit.families import (
     FamilySpec,
     canonical_lefschetz,
     coeffs_to_matrix,
+    deficient_candidates,
     make_invariant,
     orbit_test,
 )
@@ -23,11 +25,13 @@ from lefkit.lefschetz import (
     hessian_determinants_at,
     higher_hessian,
     random_linear_form,
-    required_ranks,
     slp_check,
     verify_theorem,
 )
+from lefkit.macaulay import hilbert_function
 from lefkit.polyring import Poly
+
+from _oracles import naive_achieved_ranks
 
 SYM2 = FamilySpec(FamilyKind.SYM_DET, 2)
 SYM3 = FamilySpec(FamilyKind.SYM_DET, 3)
@@ -83,12 +87,29 @@ def test_report_dict_shape():
 
 def test_achieved_never_exceeds_required():
     rng = random.Random(2)
-    targets = required_ranks(DET3)
+    targets = hilbert_function(DET3).values
     for _ in range(15):
         L = random_linear_form(6, rng)
         report = slp_check(DET3, L, required=targets)
         for row in report.rows:
             assert row.achieved <= row.required
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.GENERIC_DET, 2, 2),
+    (FamilyKind.PFAFFIAN, 4, 2),
+    (FamilyKind.QUADRIC, 4, 2),
+])
+def test_achieved_ranks_match_power_oracle(kind, n, s):
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    rng = random.Random(n * 10 + s)
+    forms = [canonical_lefschetz(spec), *deficient_candidates(spec)]
+    forms += [random_linear_form(spec.nvars, rng) for _ in range(2)]
+    for L in forms:
+        achieved = [row.achieved for row in slp_check(f, L).rows]
+        assert achieved == naive_achieved_ranks(f, L)
 
 
 def test_report_rows_invariant_under_scaling():
@@ -154,7 +175,7 @@ def test_hessian_criterion_examples():
 
 def test_hessian_criterion_matches_slp():
     rng = random.Random(9)
-    targets = required_ranks(DET2)
+    targets = hilbert_function(DET2).values
     for _ in range(25):
         L = random_linear_form(3, rng)
         assert hessian_criterion_at(DET2, L) == slp_check(DET2, L, required=targets).verdict
@@ -194,6 +215,11 @@ def test_verify_reports_are_deterministic():
     assert a == b
 
 
+def test_verify_rejects_negative_samples():
+    with pytest.raises(OutOfRangeError):
+        verify_theorem(SYM2, samples=-3, seed=0)
+
+
 def test_verify_respects_budget():
     with pytest.raises(TooLargeError):
         verify_theorem(FamilySpec(FamilyKind.SYM_DET, 3, 2), samples=1, seed=0, budget=10)
@@ -202,7 +228,7 @@ def test_verify_respects_budget():
 def test_k_equivariance_of_verdict():
     # congruence by an invertible integer matrix preserves the verdict
     rng = random.Random(12)
-    targets = required_ranks(DET3)
+    targets = hilbert_function(DET3).values
     checked = 0
     while checked < 5:
         g = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
@@ -245,7 +271,7 @@ def test_verdict_independent_of_power(fam, n):
     spec1 = FamilySpec(fam, n, 1)
     spec2 = FamilySpec(fam, n, 2)
     f1, f2 = make_invariant(spec1), make_invariant(spec2)
-    t1, t2 = required_ranks(f1), required_ranks(f2)
+    t1, t2 = hilbert_function(f1).values, hilbert_function(f2).values
     rng = random.Random(21)
     for _ in range(10):
         L = random_linear_form(spec1.nvars, rng)

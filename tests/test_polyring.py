@@ -14,6 +14,7 @@ from lefkit.polyring import (
     parse_poly,
     poly_mul,
     poly_pow,
+    scale_variables,
 )
 
 from _oracles import naive_mul, naive_pow
@@ -89,15 +90,19 @@ def test_contract_degree_drop_to_zero():
 
 
 def test_contract_weights():
-    p = contract(x(1), DET2, weights=[1, 2, 1])
-    assert p == Poly(3, {(0, 1, 0): -4})
+    # x12 acting as 2 d/dx12 on DET2 gives -4 x12; against DET2(w*x) the
+    # same contraction comes out with x12 scaled by 2
+    g = scale_variables(DET2, [1, 2, 1])
+    assert g == Poly(3, {(1, 0, 1): 1, (0, 2, 0): -4})
+    assert contract(x(1), g) == Poly(3, {(0, 1, 0): -8})
+    assert scale_variables(DET2, [1, Fraction(1, 3), 1]).coefficient((0, 2, 0)) == Fraction(-1, 9)
 
 
 def test_contract_weight_validation():
     with pytest.raises(ValueError):
-        contract(x(0), DET2, weights=[0, 1, 1])
+        scale_variables(DET2, [0, 1, 1])
     with pytest.raises(VarMismatchError):
-        contract(x(0), DET2, weights=[1, 1])
+        scale_variables(DET2, [1, 1])
 
 
 def test_monomials_graded_lex():
