@@ -1,4 +1,5 @@
-"""Command-line front end: build families, run verifications, emit reports.
+"""Command-line front end: build families, run verifications, and assemble
+every report (json, csv, text) from the library's results.
 
 Exit codes: 0 pass, 1 verified-false, 2 input error, 3 resource limit,
 4 internal invariant failed.
@@ -13,7 +14,6 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError, LefkitError, TooLargeError
@@ -29,12 +29,7 @@ from .lefschetz import (
     slp_check,
     verify_theorem,
 )
-from .macaulay import (
-    annihilator_basis,
-    ensure_within_budget,
-    hilbert_function,
-    hilbert_report_rows,
-)
+from .macaulay import annihilator_basis, ensure_within_budget, hilbert_function
 from .polyring import Poly, dim_of_degree, format_poly, scale_variables
 from .reptheory import predicted_hilbert_typeC
 
@@ -43,26 +38,6 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_TOO_LARGE = 3
 EXIT_INVARIANT = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    family: str
-    n: int
-    power: int
-    fmt: str
-    out: str | None
-    seed: int
-    samples: int
-    budget: int | None
-    weights_arg: str | None
-    lefschetz_source: str
-    lefschetz_file: str | None
-    degree: int | None
-
-    def spec(self) -> FamilySpec:
-        return FamilySpec(kind_from_name(self.family), self.n, self.power)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,30 +85,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        family=args.family,
-        n=args.n,
-        power=args.power,
-        fmt=args.fmt,
-        out=args.out,
-        seed=args.seed,
-        samples=args.samples,
-        budget=args.budget,
-        weights_arg=args.weights,
-        lefschetz_source=getattr(args, "lefschetz", "canonical"),
-        lefschetz_file=getattr(args, "lefschetz_file", None),
-        degree=getattr(args, "degree", None),
-    )
+def _spec(args: argparse.Namespace) -> FamilySpec:
+    return FamilySpec(kind_from_name(args.family), args.n, args.power)
 
 
 def _name_values(source: str, what: str, spec: FamilySpec, default: int) -> list[Fraction]:
-    """One rational per layout variable from a JSON object (inline or a file
-    path) mapping variable names to rationals; unnamed variables get
-    `default`.  Any bad name or value is an input error."""
+    """One rational per layout variable from a JSON object mapping variable
+    names to rationals, given inline (a value starting with `{` or `[`) or as
+    a file path; unnamed variables get `default`.  Any bad name or value is
+    an input error."""
     text = source
-    if not source.lstrip().startswith("{"):
+    if not source.lstrip().startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     data = json.loads(text)
@@ -162,18 +124,18 @@ def _resolve_weights(arg: str | None, spec: FamilySpec) -> list[Fraction] | None
     return weights
 
 
-def _invariant(config: RunConfig, spec: FamilySpec) -> Poly:
+def _invariant(args: argparse.Namespace, spec: FamilySpec) -> Poly:
     """The invariant F after the budget check; under non-unit --weights it is
     F(w*x), whose plain apolarity pairing is the weighted pairing of F."""
-    ensure_within_budget(spec.nvars, spec.socle_degree, config.budget)
-    weights = _resolve_weights(config.weights_arg, spec)
+    ensure_within_budget(spec.nvars, spec.socle_degree, args.budget)
+    weights = _resolve_weights(args.weights, spec)
     f = make_invariant(spec)
     return f if weights is None else scale_variables(f, weights)
 
 
-def _lefschetz_from(config: RunConfig, spec: FamilySpec) -> Poly:
-    if config.lefschetz_file is not None:
-        coeffs = _name_values(config.lefschetz_file, "Lefschetz coefficients", spec, 0)
+def _lefschetz_from(args: argparse.Namespace, spec: FamilySpec) -> Poly:
+    if args.lefschetz_file is not None:
+        coeffs = _name_values(args.lefschetz_file, "Lefschetz coefficients", spec, 0)
         L = Poly(spec.nvars, {
             tuple(int(k == j) for k in range(spec.nvars)): coeff
             for j, coeff in enumerate(coeffs)
@@ -181,16 +143,16 @@ def _lefschetz_from(config: RunConfig, spec: FamilySpec) -> Poly:
         if L.is_zero():
             raise LefkitError("Lefschetz file defines the zero form")
         return L
-    if config.lefschetz_source == "random":
-        return random_linear_form(spec.nvars, random.Random(config.seed))
+    if args.lefschetz == "random":
+        return random_linear_form(spec.nvars, random.Random(args.seed))
     return canonical_lefschetz(spec)
 
 
-def _write(config: RunConfig, text: str) -> None:
+def _write(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -205,118 +167,149 @@ def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit(config: RunConfig, payload: dict, csv_fields: list[str],
+def _emit(args: argparse.Namespace, payload: dict, csv_fields: list[str],
           csv_rows: list[dict], text: str) -> None:
-    if config.fmt == "json":
-        _write(config, json.dumps(payload, indent=2))
-    elif config.fmt == "csv":
-        _write(config, _csv_text(csv_fields, csv_rows))
+    if args.fmt == "json":
+        _write(args, json.dumps(payload, indent=2))
+    elif args.fmt == "csv":
+        _write(args, _csv_text(csv_fields, csv_rows))
     else:
-        _write(config, text)
+        _write(args, text)
 
 
-def _coeff_text(L: Poly, spec: FamilySpec) -> str:
-    return format_poly(L, spec.layout)
+def _echo(spec: FamilySpec) -> dict:
+    """The instance every report starts with."""
+    return {"family": spec.kind.value, "n": spec.size, "s": spec.power}
+
+
+def _title(spec: FamilySpec) -> str:
+    return "family {family} n={n} s={s}".format(**_echo(spec))
+
+
+def _coeff_map(coeffs, spec: FamilySpec) -> dict[str, str]:
+    """Nonzero coefficients of a linear form by layout variable name."""
+    return {name: str(v) for name, v in zip(spec.layout, coeffs) if v}
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_hilbert(config: RunConfig) -> int:
-    spec = config.spec()
-    f = _invariant(config, spec)
+def cmd_hilbert(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    f = _invariant(args, spec)
     fn = hilbert_function(f)
-    rows = hilbert_report_rows(f, fn)
+    rows = []
+    for i, h in enumerate(fn.values):
+        dim = dim_of_degree(f.nvars, i)
+        rows.append({"degree": i, "dim_R_i": dim, "rank": h, "kernel_dim": dim - h})
     payload = {
-        "family": spec.kind.value,
-        "n": spec.size,
-        "s": spec.power,
+        **_echo(spec),
         "socle_degree": fn.socle_degree,
         "hilbert": list(fn.values),
         "rows": rows,
     }
     text_lines = [
-        f"family {spec.kind.value} n={spec.size} s={spec.power}",
+        _title(spec),
         f"hilbert {fn.as_text()}",
         "degree dim_R_i rank kernel_dim",
     ]
     text_lines += [
         f"{r['degree']} {r['dim_R_i']} {r['rank']} {r['kernel_dim']}" for r in rows
     ]
-    _emit(config, payload, ["degree", "dim_R_i", "rank", "kernel_dim"], rows,
+    _emit(args, payload, ["degree", "dim_R_i", "rank", "kernel_dim"], rows,
           "\n".join(text_lines))
     return EXIT_PASS
 
 
-def cmd_slp(config: RunConfig) -> int:
-    spec = config.spec()
-    f = _invariant(config, spec)
-    L = _lefschetz_from(config, spec)
-    report = slp_check(f, L, spec=spec)
-    payload = report.to_dict(spec.layout)
-    csv_rows = payload["rows"]
+def cmd_slp(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    f = _invariant(args, spec)
+    L = _lefschetz_from(args, spec)
+    report = slp_check(f, L)
+    rows = [
+        {"i": r.i, "required": r.required, "achieved": r.achieved, "pass": r.passed}
+        for r in report.rows
+    ]
+    payload = {
+        **_echo(spec),
+        "L": _coeff_map(L.linear_coefficients(), spec),
+        "c": report.c,
+        "rows": rows,
+        "verdict": report.verdict,
+    }
     text_lines = [
-        f"family {spec.kind.value} n={spec.size} s={spec.power} c={report.c}",
-        f"L = {_coeff_text(L, spec)}",
+        f"{_title(spec)} c={report.c}",
+        f"L = {format_poly(L, spec.layout)}",
         "i required achieved pass",
     ]
     text_lines += [
         f"{r['i']} {r['required']} {r['achieved']} {'yes' if r['pass'] else 'no'}"
-        for r in csv_rows
+        for r in rows
     ]
     text_lines.append(f"verdict {'true' if report.verdict else 'false'}")
-    _emit(config, payload, ["i", "required", "achieved", "pass"], csv_rows,
+    _emit(args, payload, ["i", "required", "achieved", "pass"], rows,
           "\n".join(text_lines))
     return EXIT_PASS if report.verdict else EXIT_FALSE
 
 
-def cmd_verify(config: RunConfig) -> int:
-    spec = config.spec()
-    if _resolve_weights(config.weights_arg, spec) is not None:
+def cmd_verify(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    if _resolve_weights(args.weights, spec) is not None:
         raise LefkitError(
             "verify compares against open-orbit membership, which assumes "
             "unit apolarity weights"
         )
-    summary = verify_theorem(spec, config.samples, config.seed, config.budget)
-    payload = summary.to_dict(spec.layout)
-    csv_rows = [
+    summary = verify_theorem(spec, args.samples, args.seed, args.budget)
+    rows = [
         {
-            "index": k,
-            "forced": row["forced"],
-            "slp": row["slp"],
-            "orbit": row["orbit"],
-            "agree": row["agree"],
-            "L": " ".join(f"{n}={v}" for n, v in row["L"].items()),
+            "L": _coeff_map(smp.coeffs, spec),
+            "forced": smp.forced,
+            "slp": smp.slp_verdict,
+            "orbit": smp.orbit_verdict,
+            "agree": smp.agree,
         }
-        for k, row in enumerate(payload["rows"])
+        for smp in summary.samples
+    ]
+    counterexample = summary.counterexample
+    payload = {
+        **_echo(spec),
+        "c": spec.socle_degree,
+        "seed": args.seed,
+        "samples": args.samples,
+        "rows": rows,
+        "mismatches": summary.mismatches,
+        "counterexample": (
+            _coeff_map(counterexample.coeffs, spec) if counterexample else None
+        ),
+    }
+    csv_rows = [
+        {**row, "index": k, "L": " ".join(f"{n}={v}" for n, v in row["L"].items())}
+        for k, row in enumerate(rows)
     ]
     text_lines = [
-        f"family {spec.kind.value} n={spec.size} s={spec.power} "
-        f"seed={summary.seed} samples={summary.requested_samples}",
+        f"{_title(spec)} seed={args.seed} samples={args.samples}",
         f"checked {len(summary.samples)} candidates "
-        f"({len(summary.samples) - summary.requested_samples} forced)",
+        f"({len(summary.samples) - args.samples} forced)",
         f"mismatches {summary.mismatches}",
     ]
-    _emit(config, payload, ["index", "forced", "slp", "orbit", "agree", "L"],
+    _emit(args, payload, ["index", "forced", "slp", "orbit", "agree", "L"],
           csv_rows, "\n".join(text_lines))
     return EXIT_PASS if summary.mismatches == 0 else EXIT_FALSE
 
 
-def cmd_predict(config: RunConfig) -> int:
-    spec = config.spec()
+def cmd_predict(args: argparse.Namespace) -> int:
+    spec = _spec(args)
     if spec.kind.value != "sym-det":
         raise LefkitError("prediction implemented for sym-det only")
-    if _resolve_weights(config.weights_arg, spec) is not None:
+    if _resolve_weights(args.weights, spec) is not None:
         raise LefkitError("predict compares unit-weight Hilbert functions")
-    ensure_within_budget(spec.nvars, spec.socle_degree, config.budget)
-    predicted = predicted_hilbert_typeC(spec.size, spec.power, config.budget)
-    computed = hilbert_function(make_invariant(spec))
+    f = _invariant(args, spec)
+    predicted = predicted_hilbert_typeC(spec.size, spec.power, args.budget)
+    computed = hilbert_function(f)
     match = predicted.values == computed.values
     payload = {
-        "family": spec.kind.value,
-        "n": spec.size,
-        "s": spec.power,
+        **_echo(spec),
         "predicted": list(predicted.values),
         "computed": list(computed.values),
         "match": match,
@@ -327,70 +320,62 @@ def cmd_predict(config: RunConfig) -> int:
     ]
     text = "\n".join(
         [
-            f"family {spec.kind.value} n={spec.size} s={spec.power}",
+            _title(spec),
             f"predicted {predicted.as_text()}",
             f"computed  {computed.as_text()}",
             f"match {'true' if match else 'false'}",
         ]
     )
-    _emit(config, payload, ["degree", "predicted", "computed"], csv_rows, text)
+    _emit(args, payload, ["degree", "predicted", "computed"], csv_rows, text)
     return EXIT_PASS if match else EXIT_FALSE
 
 
-def cmd_hessian(config: RunConfig) -> int:
-    spec = config.spec()
-    f = _invariant(config, spec)
-    L = _lefschetz_from(config, spec)
+def cmd_hessian(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    f = _invariant(args, spec)
+    L = _lefschetz_from(args, spec)
     dets = hessian_determinants_at(f, L)
     rows = [
         {"i": i, "det": str(d), "nonzero": bool(d)} for i, d in enumerate(dets)
     ]
     all_nonzero = all(r["nonzero"] for r in rows)
     payload = {
-        "family": spec.kind.value,
-        "n": spec.size,
-        "s": spec.power,
-        "L": {
-            name: str(v)
-            for name, v in zip(spec.layout, L.linear_coefficients())
-            if v
-        },
+        **_echo(spec),
+        "L": _coeff_map(L.linear_coefficients(), spec),
         "rows": rows,
         "all_nonzero": all_nonzero,
     }
     text_lines = [
-        f"family {spec.kind.value} n={spec.size} s={spec.power}",
-        f"L = {_coeff_text(L, spec)}",
+        _title(spec),
+        f"L = {format_poly(L, spec.layout)}",
         "i det nonzero",
     ]
     text_lines += [
         f"{r['i']} {r['det']} {'yes' if r['nonzero'] else 'no'}" for r in rows
     ]
     text_lines.append(f"all_nonzero {'true' if all_nonzero else 'false'}")
-    _emit(config, payload, ["i", "det", "nonzero"], rows, "\n".join(text_lines))
+    _emit(args, payload, ["i", "det", "nonzero"], rows, "\n".join(text_lines))
     return EXIT_PASS if all_nonzero else EXIT_FALSE
 
 
-def cmd_annihilator(config: RunConfig) -> int:
-    spec = config.spec()
-    f = _invariant(config, spec)
-    basis = annihilator_basis(f, config.degree)
+def cmd_annihilator(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    f = _invariant(args, spec)
+    basis = annihilator_basis(f, args.degree)
     texts = [format_poly(p, spec.layout) for p in basis]
     payload = {
-        "family": spec.kind.value,
-        "n": spec.size,
-        "s": spec.power,
-        "degree": config.degree,
-        "dim_R_i": dim_of_degree(spec.nvars, config.degree),
+        **_echo(spec),
+        "degree": args.degree,
+        "dim_R_i": dim_of_degree(spec.nvars, args.degree),
         "kernel_dim": len(texts),
         "basis": texts,
     }
     csv_rows = [{"index": k, "polynomial": t} for k, t in enumerate(texts)]
     text_lines = [
-        f"family {spec.kind.value} n={spec.size} s={spec.power} degree={config.degree}",
+        f"{_title(spec)} degree={args.degree}",
         f"kernel_dim {len(texts)}",
     ] + texts
-    _emit(config, payload, ["index", "polynomial"], csv_rows, "\n".join(text_lines))
+    _emit(args, payload, ["index", "polynomial"], csv_rows, "\n".join(text_lines))
     return EXIT_PASS
 
 
@@ -410,9 +395,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_PASS
-    config = _config_from(args)
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

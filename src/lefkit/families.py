@@ -87,13 +87,8 @@ class FamilySpec:
 
     @property
     def basic_degree(self) -> int:
-        n = self.size
-        return {
-            FamilyKind.GENERIC_DET: n,
-            FamilyKind.SYM_DET: n,
-            FamilyKind.PFAFFIAN: n // 2,
-            FamilyKind.QUADRIC: 2,
-        }[self.kind]
+        """Degree of the basic invariant, which equals the rank r."""
+        return self.rank_r
 
     @property
     def socle_degree(self) -> int:
@@ -287,18 +282,22 @@ def orbit_test(spec: FamilySpec, L: Poly) -> bool:
     return mat_rank(matrix) == spec.size
 
 
+def _canonical_pairs(spec: FamilySpec) -> list[tuple[int, int]]:
+    """Matrix positions of the canonical element's unit entries: the
+    diagonal, or the symplectic pairs (1,2), (3,4), ... for Pfaffians."""
+    if spec.kind is FamilyKind.PFAFFIAN:
+        return [(2 * t - 1, 2 * t) for t in range(1, spec.size // 2 + 1)]
+    return [(i, i) for i in range(1, spec.size + 1)]
+
+
 def canonical_lefschetz(spec: FamilySpec) -> Poly:
     """The family's standard open-orbit element: the trace form for the
     determinant families, the standard symplectic form for Pfaffians, and
     the first coordinate for quadrics."""
     if spec.kind is FamilyKind.QUADRIC:
         return Poly.variable(spec.nvars, 0)
-    if spec.kind is FamilyKind.PFAFFIAN:
-        pairs = [(2 * t - 1, 2 * t) for t in range(1, spec.size // 2 + 1)]
-    else:
-        pairs = [(i, i) for i in range(1, spec.size + 1)]
     total = Poly.zero(spec.nvars)
-    for i, j in pairs:
+    for i, j in _canonical_pairs(spec):
         total = total + Poly.variable(spec.nvars, spec.var_index(i, j))
     return total
 
@@ -309,10 +308,7 @@ def deficient_candidates(spec: FamilySpec) -> list[Poly]:
     rational nonzero vectors are never isotropic."""
     if spec.kind is FamilyKind.QUADRIC:
         return []
-    if spec.kind is FamilyKind.PFAFFIAN:
-        pairs = [(2 * t - 1, 2 * t) for t in range(1, spec.size // 2 + 1)]
-    else:
-        pairs = [(i, i) for i in range(1, spec.size + 1)]
+    pairs = _canonical_pairs(spec)
     out = []
     for keep in range(1, len(pairs)):
         total = Poly.zero(spec.nvars)

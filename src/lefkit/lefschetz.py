@@ -8,10 +8,11 @@ each degree without ever constructing quotient bases.  L^k contracted
 against F is built as L contracted against L^(k-1) contracted against F,
 one contraction per k, never from a power of L.  The higher-Hessian
 determinants evaluated at L's coefficient point give an independent route
-to the same verdict, and verify_theorem cross-validates both against
-open-orbit membership on seeded samples plus deterministic rank-deficient
-candidates.  Everything here uses the plain apolarity pairing; a weighted
-pairing is the plain one against F(w*x) (polyring.scale_variables).
+to the same verdict.  verify_theorem cross-validates the slp_check verdict
+(not the Hessian one) against open-orbit membership on seeded samples plus
+deterministic rank-deficient candidates.  Everything here uses the plain
+apolarity pairing; a weighted pairing is the plain one against F(w*x)
+(polyring.scale_variables).
 """
 
 from __future__ import annotations
@@ -57,44 +58,14 @@ class SlpRow:
 
 @dataclass(frozen=True)
 class SlpReport:
-    """Per-degree ranks of the maps x L^(c-2i), with a family echo when the
-    check was run against a known family."""
+    """Per-degree ranks of the maps x L^(c-2i), i = 0..floor(c/2)."""
 
-    family: str | None
-    n: int | None
-    s: int | None
     c: int
-    lefschetz_coeffs: tuple[Fraction, ...]
     rows: tuple[SlpRow, ...]
 
     @property
     def verdict(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    def to_dict(self, names: Sequence[str] | None = None) -> dict:
-        if names is None:
-            names = [f"x{i + 1}" for i in range(len(self.lefschetz_coeffs))]
-        return {
-            "family": self.family,
-            "n": self.n,
-            "s": self.s,
-            "L": {
-                name: str(coeff)
-                for name, coeff in zip(names, self.lefschetz_coeffs)
-                if coeff
-            },
-            "c": self.c,
-            "rows": [
-                {
-                    "i": row.i,
-                    "required": row.required,
-                    "achieved": row.achieved,
-                    "pass": row.passed,
-                }
-                for row in self.rows
-            ],
-            "verdict": self.verdict,
-        }
 
 
 def _validate_slp_inputs(f: Poly, L: Poly) -> int:
@@ -111,7 +82,6 @@ def _validate_slp_inputs(f: Poly, L: Poly) -> int:
 def slp_check(
     f: Poly,
     L: Poly,
-    spec: FamilySpec | None = None,
     required: Sequence[int] | None = None,
 ) -> SlpReport:
     """Exact per-degree report on x L^(c-2i); verdict is True iff L is a
@@ -131,14 +101,7 @@ def slp_check(
         # (m, m') -> (L^(c-2i) m m')(F) on degree-i monomials.
         achieved = mat_rank(catalecticant(g, i).matrix) if g else 0
         rows.append(SlpRow(i=i, required=required[i], achieved=achieved))
-    return SlpReport(
-        family=spec.kind.value if spec else None,
-        n=spec.size if spec else None,
-        s=spec.power if spec else None,
-        c=c,
-        lefschetz_coeffs=L.linear_coefficients(),
-        rows=tuple(rows),
-    )
+    return SlpReport(c=c, rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +199,9 @@ class TheoremSample:
 
 @dataclass(frozen=True)
 class TheoremSummary:
-    family: str
-    n: int
-    s: int
-    c: int
-    seed: int
-    requested_samples: int
+    """One TheoremSample per candidate: the forced ones first, then the
+    seeded random ones."""
+
     samples: tuple[TheoremSample, ...]
 
     @property
@@ -254,37 +214,6 @@ class TheoremSummary:
             if not smp.agree:
                 return smp
         return None
-
-    def to_dict(self, names: Sequence[str] | None = None) -> dict:
-        def coeff_map(coeffs):
-            if names is None:
-                local = [f"x{i + 1}" for i in range(len(coeffs))]
-            else:
-                local = names
-            return {n: str(v) for n, v in zip(local, coeffs) if v}
-
-        return {
-            "family": self.family,
-            "n": self.n,
-            "s": self.s,
-            "c": self.c,
-            "seed": self.seed,
-            "samples": self.requested_samples,
-            "rows": [
-                {
-                    "L": coeff_map(smp.coeffs),
-                    "forced": smp.forced,
-                    "slp": smp.slp_verdict,
-                    "orbit": smp.orbit_verdict,
-                    "agree": smp.agree,
-                }
-                for smp in self.samples
-            ],
-            "mismatches": self.mismatches,
-            "counterexample": (
-                coeff_map(self.counterexample.coeffs) if self.counterexample else None
-            ),
-        }
 
 
 def random_linear_form(
@@ -330,7 +259,7 @@ def verify_theorem(
     )
     rows = []
     for L, forced in candidates:
-        report = slp_check(f, L, spec=spec, required=targets)
+        report = slp_check(f, L, required=targets)
         rows.append(
             TheoremSample(
                 coeffs=L.linear_coefficients(),
@@ -339,12 +268,4 @@ def verify_theorem(
                 orbit_verdict=orbit_test(spec, L),
             )
         )
-    return TheoremSummary(
-        family=spec.kind.value,
-        n=spec.size,
-        s=spec.power,
-        c=spec.socle_degree,
-        seed=seed,
-        requested_samples=samples,
-        samples=tuple(rows),
-    )
+    return TheoremSummary(samples=tuple(rows))

@@ -175,13 +175,3 @@ def annihilator_basis(f: Poly, i: int) -> list[Poly]:
         basis.append(Poly(f.nvars, terms))
     return basis
 
-
-def hilbert_report_rows(f: Poly, fn: HilbertFn) -> list[dict]:
-    """Per-degree report rows: degree, ambient dimension, rank, kernel size."""
-    rows = []
-    for i, h in enumerate(fn.values):
-        dim = dim_of_degree(f.nvars, i)
-        rows.append(
-            {"degree": i, "dim_R_i": dim, "rank": h, "kernel_dim": dim - h}
-        )
-    return rows

@@ -86,7 +86,7 @@ def test_criterion_2_slp_of_trace():
     for n, s in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
         spec = _spec("sym-det", n, s)
         f, targets = _invariant_and_targets("sym-det", n, s)
-        report = slp_check(f, canonical_lefschetz(spec), spec=spec, required=targets)
+        report = slp_check(f, canonical_lefschetz(spec), required=targets)
         ok = ok and report.verdict
     _criterion(2, "trace element is Lefschetz for sym-det powers", ok)
 

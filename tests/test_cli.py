@@ -93,6 +93,13 @@ def test_slp_file_zero_denominator(capsys):
     assert out == "" and "1/0" in err
 
 
+def test_slp_file_inline_array_is_not_an_object(capsys):
+    code, out, err = run(capsys, "slp", "--family", "sym-det", "--n", "2",
+                         "--lefschetz-file", "[1,2]")
+    assert code == 2
+    assert out == "" and "must be a JSON object" in err
+
+
 def test_slp_file_unknown_name(tmp_path, capsys):
     lpath = tmp_path / "l.json"
     lpath.write_text(json.dumps({"x13": "1"}))
@@ -220,6 +227,13 @@ def test_weights_zero_denominator(capsys):
                          "--weights", '{"x12": "1/0"}')
     assert code == 2
     assert out == "" and "1/0" in err
+
+
+def test_weights_inline_array_is_not_an_object(capsys):
+    code, out, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "2",
+                         "--weights", "[1,2]")
+    assert code == 2
+    assert out == "" and "must be a JSON object" in err
 
 
 def test_usage_error_is_input_error(capsys):

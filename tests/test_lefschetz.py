@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from lefkit.cli import main
 from lefkit.errors import (
     BadBasisError,
     NotLinearError,
@@ -47,7 +49,7 @@ def linear(spec, coeffs):
 
 
 def test_trace_is_lefschetz_for_det3():
-    report = slp_check(DET3, canonical_lefschetz(SYM3), spec=SYM3)
+    report = slp_check(DET3, canonical_lefschetz(SYM3))
     assert report.verdict
     assert [(r.i, r.required, r.achieved) for r in report.rows] == [(0, 1, 1), (1, 6, 6)]
 
@@ -60,7 +62,7 @@ def test_corner_variable_fails_at_degree_zero():
 
 def test_quadric_first_coordinate():
     spec = FamilySpec(FamilyKind.QUADRIC, 3)
-    report = slp_check(make_invariant(spec), Poly.variable(3, 0), spec=spec)
+    report = slp_check(make_invariant(spec), Poly.variable(3, 0))
     assert report.verdict
     assert report.rows[1].achieved == 3  # x L^0 is the identity on A_1
 
@@ -76,9 +78,16 @@ def test_slp_input_validation():
         slp_check(DET2, Poly.variable(4, 0))
 
 
-def test_report_dict_shape():
-    report = slp_check(DET2, canonical_lefschetz(SYM2), spec=SYM2)
-    data = report.to_dict(SYM2.layout)
+def test_report_dict_shape(capsys):
+    # the report is assembled by the CLI from slp_check's rows and verdict
+    report = slp_check(DET2, canonical_lefschetz(SYM2))
+    assert main(["slp", "--family", "sym-det", "--n", "2", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["rows"] == [
+        {"i": r.i, "required": r.required, "achieved": r.achieved, "pass": r.passed}
+        for r in report.rows
+    ]
+    assert data["verdict"] is report.verdict
     assert data["family"] == "sym-det" and data["n"] == 2 and data["s"] == 1
     assert data["L"] == {"x11": "1", "x22": "1"}
     assert data["rows"][0] == {"i": 0, "required": 1, "achieved": 1, "pass": True}
@@ -210,8 +219,8 @@ def test_verify_pfaffian_degenerate_candidate():
 
 
 def test_verify_reports_are_deterministic():
-    a = verify_theorem(SYM2, samples=10, seed=3).to_dict(SYM2.layout)
-    b = verify_theorem(SYM2, samples=10, seed=3).to_dict(SYM2.layout)
+    a = verify_theorem(SYM2, samples=10, seed=3)
+    b = verify_theorem(SYM2, samples=10, seed=3)
     assert a == b
 
 

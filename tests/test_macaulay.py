@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefkit.cli import main
 from lefkit.errors import OutOfRangeError, TooLargeError, ZeroPolynomialError
 from lefkit.exactmath import RatMatrix, mat_rank
 from lefkit.families import FamilyKind, FamilySpec, make_invariant
@@ -14,7 +16,6 @@ from lefkit.macaulay import (
     catalecticant,
     ensure_within_budget,
     hilbert_function,
-    hilbert_report_rows,
     max_catalecticant_cells,
     resolve_budget,
 )
@@ -234,7 +235,9 @@ def test_budget_env_var(monkeypatch):
     ensure_within_budget(3, 2)
 
 
-def test_report_rows():
-    rows = hilbert_report_rows(DET3, hilbert_function(DET3))
+def test_report_rows(capsys):
+    assert main(["hilbert", "--family", "sym-det", "--n", "3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["rank"] for r in rows] == list(hilbert_function(DET3).values)
     assert rows[1] == {"degree": 1, "dim_R_i": 6, "rank": 6, "kernel_dim": 0}
     assert rows[2] == {"degree": 2, "dim_R_i": 21, "rank": 6, "kernel_dim": 15}
