@@ -9,9 +9,11 @@ Reports are byte-stable for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -152,8 +154,17 @@ def _write(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # Write beside the target, then rename over it, so a failed write
+        # leaves an existing file as it was.
+        tmp = f"{args.out}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, args.out)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
     else:
         sys.stdout.write(text)
 

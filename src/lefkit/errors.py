@@ -33,10 +33,6 @@ class BadPrimeError(LefkitError):
     """A modular probe prime divides one of the stored denominators."""
 
 
-class BadBasisError(LefkitError):
-    """Given degree-basis representatives are dependent modulo the annihilator."""
-
-
 class TooLargeError(LefkitError):
     """The requested computation exceeds the configured cell budget."""
 

@@ -12,7 +12,6 @@ this module.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -195,46 +194,9 @@ def _fraction_free_echelon(m: RatMatrix) -> _Echelon:
     return _Echelon(r, pivots, a, pivot_source_rows, sign, scale_product)
 
 
-# Deterministic Miller-Rabin witness set, sufficient below 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_u64(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in _MR_BASES:
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # The probe prime of mat_rank: the least prime above 2^61.  A fixed prime
 # keeps the rank path, like the verdict, a function of the input alone.
 PROBE_PRIME = (1 << 61) + 15
-
-
-def random_probe_prime(rng: random.Random | None = None) -> int:
-    """A random prime in [2^61, 2^62), for modular rank probes."""
-    rng = rng or random
-    while True:
-        candidate = rng.randrange(1 << 61, 1 << 62) | 1
-        if _is_prime_u64(candidate):
-            return candidate
 
 
 def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:

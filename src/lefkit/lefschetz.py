@@ -8,7 +8,9 @@ each degree without ever constructing quotient bases.  L^k contracted
 against F is built as L contracted against L^(k-1) contracted against F,
 one contraction per k, never from a power of L.  The higher-Hessian
 determinants evaluated at L's coefficient point give an independent route
-to the same verdict.  verify_theorem cross-validates the slp_check verdict
+to the same verdict; the entries of the i-th higher Hessian are read from
+rows of the degree-2i catalecticant of F, and never from the L-contraction
+chain or a rank.  verify_theorem cross-validates the slp_check verdict
 (not the Hessian one) against open-orbit membership on seeded samples plus
 deterministic rank-deficient candidates.  Everything here uses the plain
 apolarity pairing; a weighted pairing is the plain one against F(w*x)
@@ -22,12 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    BadBasisError,
-    NotLinearError,
-    OutOfRangeError,
-    VarMismatchError,
-)
+from .errors import NotLinearError, OutOfRangeError, VarMismatchError
 from .exactmath import RatMatrix, mat_det, mat_rank, pivot_rows
 from .families import (
     FamilySpec,
@@ -42,7 +39,7 @@ from .macaulay import (
     ensure_within_budget,
     hilbert_function,
 )
-from .polyring import Monomial, Poly, contract, poly_mul
+from .polyring import Monomial, Poly, contract
 
 
 @dataclass(frozen=True)
@@ -115,38 +112,24 @@ def default_degree_basis(f: Poly, i: int) -> list[Monomial]:
     return [cat.row_monomials[r] for r in pivot_rows(cat.matrix)]
 
 
-def higher_hessian(
-    f: Poly,
-    i: int,
-    basis: Sequence[Poly] | None = None,
-) -> list[list[Poly]]:
-    """Matrix of contract(b_j * b_k, F) over a basis of the degree-i quotient
-    piece (default: default_degree_basis); entries are homogeneous of degree
-    c - 2i.  A supplied basis is rejected if it is dependent modulo the
-    annihilator or has the wrong size."""
-    if basis is None:
-        polys = [Poly.monomial(f.nvars, m) for m in default_degree_basis(f, i)]
-    else:
-        cat = catalecticant(f, i)
-        h_i = mat_rank(cat.matrix)
-        polys = list(basis)
-        if len(polys) != h_i:
-            raise BadBasisError(
-                f"basis size {len(polys)} != quotient dimension {h_i}"
-            )
-        col_index = {m: k for k, m in enumerate(cat.col_monomials)}
-        entries = {}
-        for r, b in enumerate(polys):
-            if not b.is_homogeneous_of(i):
-                raise BadBasisError("basis elements must be homogeneous of degree i")
-            image = contract(b, f)
-            for expo, coeff in image.terms():
-                entries[(r, col_index[expo])] = coeff
-        rows_matrix = RatMatrix(len(polys), len(cat.col_monomials), entries)
-        if mat_rank(rows_matrix) != len(polys):
-            raise BadBasisError("basis representatives are dependent modulo the annihilator")
+def higher_hessian(f: Poly, i: int) -> list[list[Poly]]:
+    """The i-th higher Hessian of F, for 0 <= i <= c//2: entry (j, k) is
+    (b_j * b_k) contracted against F, homogeneous of degree c - 2i, over the
+    basis b of default_degree_basis.  That contraction is the row of the
+    degree-2i catalecticant at the monomial b_j * b_k, so every entry is read
+    from that one matrix."""
+    c = _require_homogeneous(f)
+    if not 0 <= i <= c // 2:
+        raise OutOfRangeError(f"Hessian order {i} outside 0..{c // 2}")
+    basis = default_degree_basis(f, i)
+    cat = catalecticant(f, 2 * i)
+    rows: dict[Monomial, dict] = {}  # row monomial -> {column monomial: entry}
+    for (r, col), value in cat.matrix.items():
+        rows.setdefault(cat.row_monomials[r], {})[cat.col_monomials[col]] = value
     return [
-        [contract(poly_mul(bj, bk), f) for bk in polys] for bj in polys
+        [Poly(f.nvars, rows.get(tuple(a + b for a, b in zip(bj, bk)), {}))
+         for bk in basis]
+        for bj in basis
     ]
 
 
@@ -163,10 +146,9 @@ def hessian_determinants_at(
     point = L.linear_coefficients()
     dets = []
     for matrix in hessians:
-        size = len(matrix)
         evaluated = RatMatrix.from_rows(
             [[entry.evaluate(point) for entry in row] for row in matrix]
-        ) if size else RatMatrix(0, 0)
+        )
         dets.append(mat_det(evaluated))
     return dets
 

@@ -5,8 +5,9 @@ division-based Gaussian elimination instead of block-split Bareiss,
 permutation-sum determinants instead of cofactor expansion, a direct
 term-by-term multiplier instead of repeated squaring, a weighted
 contraction of their own instead of the package's, catalecticants built row
-by row through contraction instead of from the terms of F, and SLP ranks
-from a power of L instead of a chain of contractions.
+by row through contraction instead of from the terms of F, SLP ranks from a
+power of L instead of a chain of contractions, and higher-Hessian entries
+from a product of basis monomials instead of a row of a catalecticant.
 """
 
 from fractions import Fraction
@@ -140,3 +141,35 @@ def naive_achieved_ranks(f, L):
         else:
             ranks.append(naive_rank(naive_catalecticant(shifted, i).dense()))
     return ranks
+
+
+def naive_higher_hessian(f, basis):
+    """The higher Hessian of f over degree-i basis monomials b: entry (j, k)
+    is b_j * b_k contracted against f."""
+    polys = [Poly.monomial(f.nvars, b) for b in basis]
+    return [[naive_contract(naive_mul(bj, bk), f) for bk in polys] for bj in polys]
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin, exact for n < 2^64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % p == 0 for p in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -1,4 +1,5 @@
 import json
+import os
 
 import lefkit.exactmath
 import lefkit.macaulay
@@ -53,6 +54,21 @@ def test_reports_byte_stable(tmp_path):
         assert main(["verify", "--family", "sym-det", "--n", "2", "--samples", "10",
                      "--seed", "7", "--format", "json", "--out", str(p)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_out_failed_write_keeps_existing_file(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "h.json"
+    target.write_text("old report\n")
+
+    def fail(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(os, "replace", fail)
+    code, _, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "2",
+                       "--format", "json", "--out", str(target))
+    assert code == 2 and "simulated rename failure" in err
+    assert target.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["h.json"]
 
 
 def test_slp_canonical_passes(capsys):

@@ -11,17 +11,15 @@ from lefkit.exactmath import (
     PROBE_PRIME,
     RatMatrix,
     _fraction_free_echelon,
-    _is_prime_u64,
     identity_matrix,
     mat_det,
     mat_kernel,
     mat_rank,
     mat_rank_modular_probe,
     pivot_rows,
-    random_probe_prime,
 )
 
-from _oracles import naive_rank, perm_det_frac
+from _oracles import is_prime, naive_rank, perm_det_frac
 
 
 def test_rank_identity():
@@ -84,15 +82,9 @@ def test_probe_bad_prime():
         mat_rank_modular_probe(m, 5)
 
 
-def test_probe_prime_is_62_bit():
-    p = random_probe_prime(random.Random(0))
-    assert (1 << 61) <= p < (1 << 62)
-    assert all(p % q for q in (2, 3, 5, 7, 11, 13))
-
-
 def test_fixed_probe_prime_is_62_bit_prime():
     assert (1 << 61) <= PROBE_PRIME < (1 << 62)
-    assert _is_prime_u64(PROBE_PRIME)
+    assert is_prime(PROBE_PRIME)
 
 
 def test_rank_sums_blocks_with_bad_prime_block():
@@ -188,6 +180,8 @@ def test_bareiss_stays_integral_on_integer_input(rows):
 
 
 def test_probe_usually_attains_exact_rank():
+    primes = (PROBE_PRIME, (1 << 61) - 1, (1 << 31) - 1, 10**9 + 7, 998_244_353)
+    assert all(is_prime(p) for p in primes)
     rng = random.Random(3)
     misses = 0
     for _ in range(10):
@@ -195,8 +189,7 @@ def test_probe_usually_attains_exact_rank():
         m = RatMatrix.from_rows(rows)
         exact = mat_rank(m)
         hits = 0
-        for _ in range(5):
-            p = random_probe_prime(rng)
+        for p in primes:
             probe = mat_rank_modular_probe(m, p)
             assert probe <= exact
             hits += probe == exact

@@ -46,6 +46,10 @@ def invocations() -> list[list[str]]:
             argvs.append([cmd] + base + ["--format", "json", "--weights", weights])
         argvs.append(["annihilator"] + base + ["--format", "json", "--degree", "1",
                                                "--weights", weights])
+    for family, n, s in [("sym-det", 3, 2), ("pfaffian", 6, 1)]:
+        out = ["hessian", "--family", family, "--n", str(n), "--power", str(s),
+               "--format", "json"]
+        argvs += [out, out + ["--lefschetz", "random", "--seed", "5"]]
     sym = ["--family", "sym-det", "--n", "2"]
     argvs += [
         ["hilbert", "--family", "sym-det", "--n", "3", "--budget", "10"],

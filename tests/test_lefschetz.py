@@ -1,11 +1,11 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from lefkit.cli import main
 from lefkit.errors import (
-    BadBasisError,
     NotLinearError,
     OutOfRangeError,
     TooLargeError,
@@ -31,9 +31,14 @@ from lefkit.lefschetz import (
     verify_theorem,
 )
 from lefkit.macaulay import hilbert_function
-from lefkit.polyring import Poly
+from lefkit.polyring import Poly, monomials_of_degree, scale_variables
 
-from _oracles import naive_achieved_ranks
+from _oracles import (
+    naive_achieved_ranks,
+    naive_catalecticant,
+    naive_higher_hessian,
+    naive_rank,
+)
 
 SYM2 = FamilySpec(FamilyKind.SYM_DET, 2)
 SYM3 = FamilySpec(FamilyKind.SYM_DET, 3)
@@ -141,8 +146,7 @@ def test_hessian_diagonal_quadric():
 
 
 def test_hessian_det2_classical():
-    basis = [Poly.variable(3, 0), Poly.variable(3, 1), Poly.variable(3, 2)]
-    matrix = higher_hessian(DET2, 1, basis=basis)
+    matrix = higher_hessian(DET2, 1)  # basis x11, x12, x22
     values = [[entry.constant_term() for entry in row] for row in matrix]
     assert values == [[0, 0, 1], [0, -2, 0], [1, 0, 0]]
     dets = hessian_determinants_at(DET2, canonical_lefschetz(SYM2))
@@ -163,16 +167,34 @@ def test_default_basis_spans():
     assert len(default_degree_basis(f, 2)) == 6
 
 
-def test_bad_basis_rejected():
-    with pytest.raises(BadBasisError):
-        higher_hessian(DET2, 1, basis=[Poly.variable(3, 0)])
-    dependent = [
-        Poly.variable(3, 0),
-        Poly.variable(3, 0).scale(3),
-        Poly.variable(3, 2),
-    ]
-    with pytest.raises(BadBasisError):
-        higher_hessian(DET2, 1, basis=dependent)
+def test_hessian_order_out_of_range():
+    f = make_invariant(FamilySpec(FamilyKind.SYM_DET, 2, 2))  # c = 4
+    assert len(higher_hessian(f, 2)) == 6
+    for i in (-1, 3):
+        with pytest.raises(OutOfRangeError):
+            higher_hessian(f, i)
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.GENERIC_DET, 2, 2),
+    (FamilyKind.PFAFFIAN, 4, 2),
+    (FamilyKind.QUADRIC, 4, 2),
+])
+def test_hessian_matches_product_oracle(kind, n, s):
+    f = make_invariant(FamilySpec(kind, n, s))
+    rng = random.Random(n * 10 + s)
+    weights = [Fraction(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(f.nvars)]
+    for g in (f, scale_variables(f, weights)):
+        c = g.homogeneous_degree()
+        for i in range(c // 2 + 1):
+            basis = default_degree_basis(g, i)
+            # the basis rows are a maximal independent set of Cat_i rows
+            cat = naive_catalecticant(g, i).dense()
+            index = {m: r for r, m in enumerate(monomials_of_degree(g.nvars, i))}
+            picked = [cat[index[b]] for b in basis]
+            assert naive_rank(picked) == len(basis) == naive_rank(cat)
+            assert higher_hessian(g, i) == naive_higher_hessian(g, basis)
 
 
 def test_hessian_criterion_examples():
