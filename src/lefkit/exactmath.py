@@ -1,20 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Rank and kernel are decided by fraction-free (Bareiss) elimination on
-integer rows, so every intermediate value is a minor of the input and the
-verdict is exact.  ``mat_rank`` first splits the matrix into the connected
-components of its row/column graph (sparse catalecticants fall apart into
-many small blocks) and sums the block ranks; on each block a modular probe
-at one fixed 62-bit prime gives a cheap rank lower bound that
-short-circuits full-rank confirmations.  Floats are never used anywhere in
-this module.
+Every matrix is first split into the connected components of its
+row/column graph (sparse catalecticants fall apart into many small blocks),
+and rank, pivot rows, kernel and determinant come from one fraction-free
+(Bareiss) elimination that works block by block on sparse integer rows, so
+every intermediate value is a minor of the input and the verdict is exact.
+The pivots are the ones a whole-matrix elimination would choose: its
+entries factor over the blocks, so its shortest-entry order is replayed
+block by block.  ``mat_rank`` sums the block ranks; on each block a modular
+probe at one fixed 62-bit prime gives a cheap rank lower bound that
+short-circuits full-rank confirmations, and only the blocks it cannot
+confirm are eliminated.  Floats are never used anywhere in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterator, Sequence
 
 from .errors import BadPrimeError, InvariantError
@@ -94,14 +97,6 @@ class RatMatrix:
             out[i][j] = v
         return out
 
-    def mul_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.rows
-        for (i, j), a in self._entries.items():
-            out[i] += a * v[j]
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -113,85 +108,6 @@ class RatMatrix:
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
-
-
-# ---------------------------------------------------------------------------
-# fraction-free elimination
-
-
-@dataclass
-class _Echelon:
-    rank: int
-    pivots: list[tuple[int, int]]  # (echelon row, column), in elimination order
-    matrix: list[list[int]]  # integer echelon rows; rows >= rank are zero
-    pivot_source_rows: list[int]  # original row index feeding each pivot row
-    swap_sign: int
-    row_scale_product: int  # product of the positive per-row denominators cleared
-
-
-def _cleared_integer_rows(m: RatMatrix) -> tuple[list[list[int]], int]:
-    """Scale each row by the lcm of its denominators; returns rows and the
-    product of all scales.  Row scaling changes neither rank nor right kernel."""
-    dense = m.dense()
-    scale_product = 1
-    out = []
-    for row in dense:
-        s = lcm(*(v.denominator for v in row)) if row else 1
-        scale_product *= s
-        out.append([int(v * s) for v in row])
-    return out, scale_product
-
-
-def _fraction_free_echelon(m: RatMatrix) -> _Echelon:
-    """Bareiss elimination with shortest-entry pivoting.
-
-    Pivot choice: among nonzero candidates in the current column block take
-    the entry of smallest bit length, ties to the lowest row index.  The
-    two-term update divides by the previous pivot; exactness of that division
-    is asserted (every intermediate entry is a minor of the scaled input).
-    """
-    a, scale_product = _cleared_integer_rows(m)
-    nrows, ncols = m.rows, m.cols
-    source = list(range(nrows))
-    pivots: list[tuple[int, int]] = []
-    pivot_source_rows: list[int] = []
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        best = None
-        for i in range(r, nrows):
-            v = a[i][c]
-            if v:
-                key = (abs(v).bit_length(), i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            continue
-        i = best[1]
-        if i != r:
-            a[r], a[i] = a[i], a[r]
-            source[r], source[i] = source[i], source[r]
-            sign = -sign
-        piv = a[r][c]
-        for ii in range(r + 1, nrows):
-            f = a[ii][c]
-            row_ii = a[ii]
-            row_r = a[r]
-            for jj in range(c + 1, ncols):
-                num = row_ii[jj] * piv - f * row_r[jj]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InvariantError("fraction-free step lost integrality")
-                row_ii[jj] = q
-            row_ii[c] = 0
-        pivots.append((r, c))
-        pivot_source_rows.append(source[r])
-        prev = piv
-        r += 1
-    return _Echelon(r, pivots, a, pivot_source_rows, sign, scale_product)
 
 
 # The probe prime of mat_rank: the least prime above 2^61.  A fixed prime
@@ -231,12 +147,12 @@ def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
     return rank
 
 
-def _blocks(m: RatMatrix) -> list[RatMatrix]:
+def _blocks(m: RatMatrix) -> list[dict[tuple[int, int], Fraction]]:
     """The connected components of the bipartite row/column graph of the
-    nonzero entries, each as a submatrix (rows and columns kept in their
-    original order).  Permuting ``m`` into block-diagonal form leaves its
-    rank unchanged, so the rank of ``m`` is the sum of the block ranks;
-    empty rows and columns belong to no block."""
+    nonzero entries, each as its entries keyed by their original (row,
+    column).  Permuting ``m`` into block-diagonal form leaves its rank
+    unchanged, so the rank of ``m`` is the sum of the block ranks; empty
+    rows and columns belong to no block."""
     parent = list(range(m.rows + m.cols))  # rows, then columns offset by m.rows
 
     def root(x: int) -> int:
@@ -252,26 +168,120 @@ def _blocks(m: RatMatrix) -> list[RatMatrix]:
     grouped: dict[int, dict] = {}
     for (i, j), v in m.items():
         grouped.setdefault(root(i), {})[(i, j)] = v
-    blocks = []
-    for entries in grouped.values():
-        row_at = {i: k for k, i in enumerate(sorted({i for i, _ in entries}))}
-        col_at = {j: k for k, j in enumerate(sorted({j for _, j in entries}))}
-        blocks.append(RatMatrix(len(row_at), len(col_at), {
-            (row_at[i], col_at[j]): v for (i, j), v in entries.items()
-        }))
-    return blocks
+    return list(grouped.values())
 
 
-def _block_rank(m: RatMatrix) -> int:
+# ---------------------------------------------------------------------------
+# fraction-free elimination
+
+
+@dataclass
+class _Echelon:
+    pivots: list[tuple[int, int, dict[int, int]]]  # (row, column, echelon row), by column
+    col_block: dict[int, int]  # the block of each nonzero column
+    last: list[int]  # each block's last pivot: the determinant of its pivot minor
+    sign: int  # of the whole-matrix row swaps
+    scale: int  # product of the positive per-row denominators cleared
+
+
+def _echelon(blocks: list[dict[tuple[int, int], Fraction]]) -> _Echelon:
+    """Bareiss elimination of the matrix made of ``blocks``, on sparse
+    integer rows (each row scaled by the lcm of its denominators, which
+    changes neither rank nor right kernel), one block at a time but with the
+    pivots the whole matrix would choose.
+
+    Whole-matrix pivot rule: columns in order; among the rows not yet used
+    with a nonzero entry in the column, take the entry of smallest bit
+    length, ties to the lowest current position, then swap that row into
+    the next position.  Every entry of the whole-matrix elimination is a
+    minor, and a minor of a block-diagonal matrix factors over the blocks
+    (Sylvester's identity), so the whole-matrix entry of a row of block B is
+    Q_B * v: v is B's own entry and Q_B the product of every other block's
+    last pivot.  The bit length of Q_B * v and a position array that follows
+    the whole-matrix swaps replay that rule exactly.  Each block's two-term
+    update divides by its own previous pivot; exactness of that division is
+    asserted (every intermediate entry is a minor of the scaled input).
+    """
+    live: list[dict[int, dict[int, int]]] = []  # per block: unused row -> entries
+    col_block: dict[int, int] = {}
+    scale = 1
+    for b, entries in enumerate(blocks):
+        by_row: dict[int, dict[int, Fraction]] = {}
+        for (i, j), v in entries.items():
+            by_row.setdefault(i, {})[j] = v
+            col_block[j] = b
+        cleared = {}
+        for i, row in by_row.items():
+            s = lcm(*(v.denominator for v in row.values()))
+            scale *= s
+            cleared[i] = {j: v.numerator * (s // v.denominator) for j, v in row.items()}
+        live.append(cleared)
+    last = [1] * len(blocks)
+    product = 1  # of every block's last pivot
+    pos: dict[int, int] = {}  # current position of each moved row
+    at: dict[int, int] = {}  # row at each changed position
+    sign = 1
+    pivots = []
+    for c in sorted(col_block):
+        b = col_block[c]
+        rows = live[b]
+        q = product // last[b]
+        best = None
+        for i, row in rows.items():
+            v = row.get(c)
+            if v:
+                key = ((q * v).bit_length(), pos.get(i, i))
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            continue
+        (_, here), p = best
+        r = len(pivots)
+        other = at.get(r, r)
+        if here != r:
+            pos[p], pos[other] = r, here
+            at[r], at[here] = p, other
+            sign = -sign
+        prow = rows.pop(p)
+        piv, prev = prow[c], last[b]
+        for i, row in rows.items():
+            f = row.pop(c, 0)
+            new = {j: v * piv for j, v in row.items()}
+            if f:
+                for j, w in prow.items():
+                    if j != c:
+                        new[j] = new.get(j, 0) - f * w
+            for j, num in new.items():
+                new[j], rem = divmod(num, prev)
+                if rem:
+                    raise InvariantError("fraction-free step lost integrality")
+            rows[i] = {j: v for j, v in new.items() if v}
+        pivots.append((p, c, prow))
+        product = q * piv
+        last[b] = piv
+    return _Echelon(pivots, col_block, last, sign, scale)
+
+
+def _submatrix(entries: dict[tuple[int, int], Fraction]) -> RatMatrix:
+    """A block as a matrix of its own, rows and columns in original order."""
+    row_at = {i: k for k, i in enumerate(sorted({i for i, _ in entries}))}
+    col_at = {j: k for k, j in enumerate(sorted({j for _, j in entries}))}
+    return RatMatrix(len(row_at), len(col_at), {
+        (row_at[i], col_at[j]): v for (i, j), v in entries.items()
+    })
+
+
+def _block_rank(entries: dict[tuple[int, int], Fraction]) -> int:
     # Probe rank is a lower bound, so reaching min(rows, cols) is conclusive;
     # anything less falls through to fraction-free elimination.
+    m = _submatrix(entries)
     full = min(m.rows, m.cols)
     try:
         if mat_rank_modular_probe(m, PROBE_PRIME) == full:
             return full
     except BadPrimeError:
         pass
-    return _fraction_free_echelon(m).rank
+    return len(_echelon([entries]).pivots)
 
 
 def mat_rank(m: RatMatrix) -> int:
@@ -284,17 +294,19 @@ def mat_rank(m: RatMatrix) -> int:
 def pivot_rows(m: RatMatrix) -> list[int]:
     """Original indices of the pivot rows of the deterministic elimination,
     sorted ascending.  They are a maximal independent set of rows of ``m``."""
-    return sorted(_fraction_free_echelon(m).pivot_source_rows)
+    return sorted(p for p, _, _ in _echelon(_blocks(m)).pivots)
 
 
-def _primitive(v: list[Fraction]) -> tuple[Fraction, ...]:
-    # Scale to coprime integers; the lcm is positive so signs are preserved.
-    mult = lcm(*(x.denominator for x in v))
-    ints = [int(x * mult) for x in v]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(Fraction(x) for x in ints)
+def _primitive(v: dict[int, Fraction], size: int) -> tuple[Fraction, ...]:
+    # The nonzero slots v scaled to coprime integers, as a vector of length
+    # size; the lcm is positive so signs are preserved.
+    mult = lcm(*(x.denominator for x in v.values()))
+    ints = {j: x.numerator * (mult // x.denominator) for j, x in v.items()}
+    g = gcd(*ints.values())
+    out = [Fraction(0)] * size
+    for j, x in ints.items():
+        out[j] = Fraction(x // g)
+    return tuple(out)
 
 
 def mat_kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
@@ -302,41 +314,36 @@ def mat_kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
 
     One vector per free column, with a 1 in that column's slot before
     normalization to a primitive integer vector; satisfies M v = 0 exactly,
-    and len(result) = cols - mat_rank(m).
+    and len(result) = cols - mat_rank(m).  The pivot columns are the first
+    columns independent of the ones before them, whichever rows are chosen,
+    so each vector is fixed by ``m``; it is supported on its column's block.
     """
-    ech = _fraction_free_echelon(m)
-    pivot_cols = [c for (_, c) in ech.pivots]
-    pivot_col_set = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_col_set]
+    ech = _echelon(_blocks(m))
+    block_pivots: dict[int, list[tuple[int, dict[int, int]]]] = {}
+    for _, c, row in ech.pivots:
+        block_pivots.setdefault(ech.col_block[c], []).append((c, row))
+    pivot_cols = {c for _, c, _ in ech.pivots}
     basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for k in range(ech.rank - 1, -1, -1):
-            row = ech.matrix[k]
-            pc = pivot_cols[k]
-            s = Fraction(0)
-            for j in range(pc + 1, m.cols):
-                if row[j] and v[j]:
-                    s += Fraction(row[j]) * v[j]
-            v[pc] = -s / row[pc]
-        basis.append(_primitive(v))
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
+        v = {f: Fraction(1)}
+        for pc, row in reversed(block_pivots.get(ech.col_block.get(f), [])):
+            s = sum(w * v[j] for j, w in row.items() if j in v)
+            if s:
+                v[pc] = -s / row[pc]
+        basis.append(_primitive(v, m.cols))
     return basis
 
 
 def mat_det(m: RatMatrix) -> Fraction:
-    """Determinant of a square matrix via the same fraction-free elimination
-    (the final pivot is the determinant of the row-cleared integer matrix)."""
+    """Determinant of a square matrix via the same fraction-free elimination:
+    when every column is a pivot, the determinant of the row-cleared integer
+    matrix is the sign of the row swaps times the product of the blocks'
+    last pivots (the whole-matrix last pivot)."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    if m.rows == 0:
-        return Fraction(1)
-    ech = _fraction_free_echelon(m)
-    if ech.rank < m.rows:
+    ech = _echelon(_blocks(m))
+    if len(ech.pivots) < m.rows:
         return Fraction(0)
-    last_pivot = ech.matrix[m.rows - 1][ech.pivots[-1][1]]
-    return Fraction(ech.swap_sign * last_pivot, ech.row_scale_product)
-
-
-def identity_matrix(n: int) -> RatMatrix:
-    return RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+    return Fraction(ech.sign * prod(ech.last), ech.scale)

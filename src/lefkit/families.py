@@ -15,7 +15,6 @@ from fractions import Fraction
 from .errors import (
     InvalidSpecError,
     NotLinearError,
-    OutOfRangeError,
     VarMismatchError,
 )
 from .exactmath import RatMatrix, mat_rank
@@ -316,19 +315,3 @@ def deficient_candidates(spec: FamilySpec) -> list[Poly]:
             total = total + Poly.variable(spec.nvars, spec.var_index(i, j))
         out.append(total)
     return out
-
-
-def corner_minor(spec: FamilySpec, t: int) -> Poly:
-    """Determinant of the lower-right t x t corner of the generic symmetric
-    matrix; these are the highest-weight-vector minors of the symmetric
-    family."""
-    if spec.kind is not FamilyKind.SYM_DET:
-        raise InvalidSpecError("corner minors are defined for sym-det only")
-    if not 1 <= t <= spec.size:
-        raise OutOfRangeError(f"corner size {t} outside 1..{spec.size}")
-    n = spec.size
-    block = [
-        [_sym_var(spec, i, j) for j in range(n - t + 1, n + 1)]
-        for i in range(n - t + 1, n + 1)
-    ]
-    return _det_of(block, spec.nvars)

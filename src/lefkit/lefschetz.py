@@ -84,7 +84,8 @@ def slp_check(
     """Exact per-degree report on x L^(c-2i); verdict is True iff L is a
     Lefschetz element of the quotient generated by F.  `required` is the
     Hilbert function of F (default: computed here); callers checking many
-    candidates against one F should compute it once."""
+    candidates against one F should compute it once.  For even c the middle
+    row (i = c/2, where L^0 is the identity) is taken from it unranked."""
     c = _validate_slp_inputs(f, L)
     if required is None:
         required = hilbert_function(f).values
@@ -94,9 +95,13 @@ def slp_check(
     rows = []
     for i in range(c // 2 + 1):
         g = shifted[c - 2 * i]
-        # deg g = 2i, so this square matrix realizes the pairing
-        # (m, m') -> (L^(c-2i) m m')(F) on degree-i monomials.
-        achieved = mat_rank(catalecticant(g, i).matrix) if g else 0
+        if c == 2 * i:
+            # g is F, whose degree-i catalecticant rank is h_i by definition.
+            achieved = required[i]
+        else:
+            # deg g = 2i, so this square matrix realizes the pairing
+            # (m, m') -> (L^(c-2i) m m')(F) on degree-i monomials.
+            achieved = mat_rank(catalecticant(g, i).matrix) if g else 0
         rows.append(SlpRow(i=i, required=required[i], achieved=achieved))
     return SlpReport(c=c, rows=tuple(rows))
 
@@ -228,7 +233,7 @@ def verify_theorem(
     shows up in the summary."""
     if samples < 0:
         raise OutOfRangeError(f"samples must be non-negative, got {samples}")
-    ensure_within_budget(spec.nvars, spec.socle_degree, budget)
+    ensure_within_budget(spec.nvars, spec.socle_degree, budget, samples)
     f = make_invariant(spec)
     targets = hilbert_function(f).values
     rng = random.Random(seed)

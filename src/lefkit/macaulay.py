@@ -51,12 +51,21 @@ def max_catalecticant_cells(nvars: int, socle_degree: int) -> int:
     )
 
 
-def ensure_within_budget(nvars: int, socle_degree: int, budget: int | None = None) -> None:
+def ensure_within_budget(
+    nvars: int, socle_degree: int, budget: int | None = None, samples: int = 1
+) -> None:
+    """Refuse when the largest catalecticant, counted once per sampled
+    linear form, needs more cells than the budget."""
     limit = resolve_budget(budget)
     worst = max_catalecticant_cells(nvars, socle_degree)
     if worst > limit:
         raise TooLargeError(
             f"largest catalecticant needs {worst} cells, budget is {limit}"
+        )
+    if samples * worst > limit:
+        raise TooLargeError(
+            f"{samples} samples of the largest catalecticant need "
+            f"{samples * worst} cells, budget is {limit}"
         )
 
 

@@ -105,9 +105,6 @@ class Poly:
             return degrees.pop()
         return None
 
-    def is_homogeneous_of(self, d: int) -> bool:
-        return bool(self._terms) and self.homogeneous_degree() == d
-
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
             raise VarMismatchError("evaluation point has wrong length")
@@ -167,9 +164,6 @@ class Poly:
         if not scalar:
             return Poly.zero(self.nvars)
         return Poly(self.nvars, {e: c * scalar for e, c in self._terms.items()})
-
-    def __pow__(self, s: int) -> "Poly":
-        return poly_pow(self, s)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

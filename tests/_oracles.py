@@ -1,20 +1,28 @@
 """Independent reference implementations used only by tests.
 
 These deliberately use different algorithms than the package: plain
-division-based Gaussian elimination instead of block-split Bareiss,
-permutation-sum determinants instead of cofactor expansion, a direct
-term-by-term multiplier instead of repeated squaring, a weighted
-contraction of their own instead of the package's, catalecticants built row
-by row through contraction instead of from the terms of F, SLP ranks from a
-power of L instead of a chain of contractions, and higher-Hessian entries
-from a product of basis monomials instead of a row of a catalecticant.
+division-based Gaussian elimination instead of block-split Bareiss, a
+whole-matrix Bareiss elimination on a dense copy instead of the package's
+block-by-block one (the pivot oracle: it defines the pivot rows and kernel
+vectors the package must reproduce), permutation-sum determinants instead of
+products of block pivots, a direct term-by-term multiplier instead of
+repeated squaring, a weighted contraction of their own instead of the
+package's, catalecticants built row by row through contraction instead of
+from the terms of F, SLP ranks from a power of L instead of a chain of
+contractions, and higher-Hessian entries from a product of basis monomials
+instead of a row of a catalecticant.  A few small helpers the package no
+longer needs (identity matrix, matrix-vector product, corner minors) live
+here too.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import perm
+from math import gcd, lcm, perm
 
+from lefkit.errors import InvalidSpecError, InvariantError, OutOfRangeError
 from lefkit.exactmath import RatMatrix
+from lefkit.families import FamilyKind, generic_matrix
 from lefkit.polyring import Poly, monomials_of_degree
 
 
@@ -40,6 +48,114 @@ def naive_rank(rows):
         if rank == nrows:
             break
     return rank
+
+
+def identity_matrix(n):
+    return RatMatrix(n, n, {(i, i): Fraction(1) for i in range(n)})
+
+
+def mul_vector(m, v):
+    """The product m * v of a RatMatrix and a vector."""
+    if len(v) != m.cols:
+        raise ValueError("vector length mismatch")
+    out = [Fraction(0)] * m.rows
+    for (i, j), a in m.items():
+        out[i] += a * v[j]
+    return out
+
+
+@dataclass
+class Echelon:
+    rank: int
+    pivots: list  # (echelon row, column), in elimination order
+    matrix: list  # integer echelon rows; rows >= rank are zero
+    pivot_source_rows: list  # original row index feeding each pivot row
+
+
+def cleared_integer_rows(m):
+    """The dense rows of m, each scaled by the lcm of its denominators.  Row
+    scaling changes neither rank nor right kernel."""
+    out = []
+    for row in m.dense():
+        s = lcm(*(v.denominator for v in row)) if row else 1
+        out.append([int(v * s) for v in row])
+    return out
+
+
+def fraction_free_echelon(m):
+    """Whole-matrix Bareiss elimination with shortest-entry pivoting on a
+    dense copy: the pivot oracle.
+
+    Pivot choice: among nonzero candidates in the current column take the
+    entry of smallest bit length, ties to the lowest row index (the current
+    position, after earlier swaps).  The two-term update divides by the
+    previous pivot; exactness of that division is asserted.
+    """
+    a = cleared_integer_rows(m)
+    nrows, ncols = m.rows, m.cols
+    source = list(range(nrows))
+    pivots = []
+    pivot_source_rows = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        best = None
+        for i in range(r, nrows):
+            v = a[i][c]
+            if v:
+                key = (abs(v).bit_length(), i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        i = best[1]
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            source[r], source[i] = source[i], source[r]
+        piv = a[r][c]
+        for ii in range(r + 1, nrows):
+            f = a[ii][c]
+            row_ii = a[ii]
+            row_r = a[r]
+            for jj in range(c + 1, ncols):
+                num = row_ii[jj] * piv - f * row_r[jj]
+                q, rem = divmod(num, prev)
+                if rem:
+                    raise InvariantError("fraction-free step lost integrality")
+                row_ii[jj] = q
+            row_ii[c] = 0
+        pivots.append((r, c))
+        pivot_source_rows.append(source[r])
+        prev = piv
+        r += 1
+    return Echelon(r, pivots, a, pivot_source_rows)
+
+
+def oracle_pivot_rows(m):
+    return sorted(fraction_free_echelon(m).pivot_source_rows)
+
+
+def oracle_kernel(m):
+    """Right-kernel basis by back-substitution in the whole-matrix echelon
+    form: one vector per free column, made primitive."""
+    ech = fraction_free_echelon(m)
+    pivot_cols = [c for _, c in ech.pivots]
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivot_cols):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for k in range(ech.rank - 1, -1, -1):
+            row = ech.matrix[k]
+            pc = pivot_cols[k]
+            s = sum((row[j] * v[j] for j in range(pc + 1, m.cols)), Fraction(0))
+            v[pc] = -s / row[pc]
+        mult = lcm(*(x.denominator for x in v))
+        ints = [int(x * mult) for x in v]
+        g = gcd(*ints)
+        basis.append(tuple(Fraction(x // g) for x in ints))
+    return basis
 
 
 def perm_sign(perm):
@@ -173,3 +289,15 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+def corner_minor(spec, t):
+    """Determinant of the lower-right t x t corner of the generic symmetric
+    matrix; these are the highest-weight-vector minors of the symmetric
+    family."""
+    if spec.kind is not FamilyKind.SYM_DET:
+        raise InvalidSpecError("corner minors are defined for sym-det only")
+    if not 1 <= t <= spec.size:
+        raise OutOfRangeError(f"corner size {t} outside 1..{spec.size}")
+    corner = [row[spec.size - t:] for row in generic_matrix(spec)[spec.size - t:]]
+    return perm_det_poly(corner, spec.nvars)

@@ -145,6 +145,17 @@ def test_verify_rejects_negative_samples(capsys):
     assert out == "" and "samples" in err
 
 
+def test_verify_samples_count_against_budget(capsys):
+    # sym-det n=2 s=2: the largest catalecticant has 36 cells
+    argv = ["verify", "--family", "sym-det", "--n", "2", "--power", "2",
+            "--budget", "300"]
+    code, out, err = run(capsys, *argv, "--samples", "9")
+    assert code == 3
+    assert out == "" and "9 samples" in err and "324 cells" in err
+    code, out, _ = run(capsys, *argv, "--samples", "8")
+    assert code == 0 and "mismatches 0" in out
+
+
 def test_verify_rejects_weights(capsys):
     code, _, err = run(capsys, "verify", "--family", "sym-det", "--n", "2",
                        "--weights", '{"x12": "2"}')
@@ -223,10 +234,12 @@ def test_asymmetric_hilbert_function_exit_code(monkeypatch, capsys):
 
 
 def test_inexact_bareiss_step_exit_code(monkeypatch, capsys):
-    # every division of the elimination now leaves a remainder
+    # every division of the elimination now leaves a remainder; at s = 1
+    # every block is 1x1 and needs no division, so take s = 2
     monkeypatch.setattr(lefkit.exactmath, "divmod", lambda a, b: (a // b, 1),
                         raising=False)
-    code, out, err = run(capsys, "hessian", "--family", "sym-det", "--n", "2")
+    code, out, err = run(capsys, "hessian", "--family", "sym-det", "--n", "2",
+                         "--power", "2")
     assert code == 4
     assert out == "" and "integrality" in err
 

@@ -15,7 +15,6 @@ from lefkit.families import (
     basic_invariant,
     canonical_lefschetz,
     coeffs_to_matrix,
-    corner_minor,
     d_table,
     deficient_candidates,
     generic_matrix,
@@ -26,7 +25,7 @@ from lefkit.families import (
 )
 from lefkit.polyring import Poly, contract, poly_mul, poly_pow
 
-from _oracles import perm_det_poly
+from _oracles import corner_minor, perm_det_poly
 
 
 def sym(n, s=1):

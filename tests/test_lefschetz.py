@@ -12,6 +12,7 @@ from lefkit.errors import (
     VarMismatchError,
     ZeroPolynomialError,
 )
+from lefkit.exactmath import mat_rank
 from lefkit.families import (
     FamilyKind,
     FamilySpec,
@@ -30,7 +31,7 @@ from lefkit.lefschetz import (
     slp_check,
     verify_theorem,
 )
-from lefkit.macaulay import hilbert_function
+from lefkit.macaulay import catalecticant, hilbert_function
 from lefkit.polyring import Poly, monomials_of_degree, scale_variables
 
 from _oracles import (
@@ -124,6 +125,24 @@ def test_achieved_ranks_match_power_oracle(kind, n, s):
     for L in forms:
         achieved = [row.achieved for row in slp_check(f, L).rows]
         assert achieved == naive_achieved_ranks(f, L)
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.GENERIC_DET, 2, 2),
+    (FamilyKind.PFAFFIAN, 4, 2),
+    (FamilyKind.QUADRIC, 4, 2),
+])
+def test_middle_row_is_the_catalecticant_rank(kind, n, s):
+    # slp_check takes the c = 2i row from `required` instead of ranking it
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    c = f.homogeneous_degree()
+    required = hilbert_function(f).values
+    assert c % 2 == 0
+    assert required[c // 2] == mat_rank(catalecticant(f, c // 2).matrix)
+    for L in [canonical_lefschetz(spec), *deficient_candidates(spec)]:
+        assert slp_check(f, L).rows[c // 2].achieved == required[c // 2]
 
 
 def test_report_rows_invariant_under_scaling():
