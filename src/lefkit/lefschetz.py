@@ -4,16 +4,23 @@ The multiplication map by L^(c-2i) on the degree-i piece of the Gorenstein
 quotient is bijective exactly when the matrix of m |-> (L^(c-2i) m)
 contracted against F has rank h_i; both sides factor through the perfect
 pairing, so comparing that rank with the degree-i catalecticant rank decides
-each degree without ever constructing quotient bases.  L^k contracted
-against F is built as L contracted against L^(k-1) contracted against F,
-one contraction per k, never from a power of L.  The higher-Hessian
-determinants evaluated at L's coefficient point give an independent route
-to the same verdict; the entries of the i-th higher Hessian are read from
-rows of the degree-2i catalecticant of F, and never from the L-contraction
-chain or a rank.  verify_theorem cross-validates the slp_check verdict
-(not the Hessian one) against open-orbit membership on seeded samples plus
-deterministic rank-deficient candidates.  Everything here uses the plain
-apolarity pairing; a weighted pairing is the plain one against F(w*x)
+each degree without ever constructing quotient bases.  No power of L and no
+contraction by L is formed: by the higher-Hessian identity (Maeno-Watanabe,
+Illinois J. Math. 53 (2009)), for k = c - 2i and l the coefficient vector
+of L, (L^k m m')(F) = k! (m m' F)(l).  So slp_check evaluates the rows of
+the degree-2i catalecticant of F at l, each row m + m' filling the cells
+(m, m'), and ranks that matrix: it is Cat_i(L^k F) with column m' scaled by
+m'!/k!.  Those rows are a per-F table (SlpTable) built once from F's terms
+and reused for every L.
+
+The higher-Hessian determinants evaluated at L's coefficient point give an
+independent route to the same verdict: the entries of the i-th higher
+Hessian are read from catalecticant() of F over a quotient basis, and never
+from SlpTable or a rank, so a fault in one route cannot hide in the other.
+verify_theorem cross-validates the slp_check verdict (not the Hessian one)
+against open-orbit membership on seeded samples plus deterministic
+rank-deficient candidates.  Everything here uses the plain apolarity
+pairing; a weighted pairing is the plain one against F(w*x)
 (polyring.scale_variables).
 """
 
@@ -22,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, perm, prod
 from typing import Sequence
 
 from .errors import NotLinearError, OutOfRangeError, VarMismatchError
@@ -39,7 +47,7 @@ from .macaulay import (
     ensure_within_budget,
     hilbert_function,
 )
-from .polyring import Monomial, Poly, contract
+from .polyring import Monomial, Poly, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -76,34 +84,144 @@ def _validate_slp_inputs(f: Poly, L: Poly) -> int:
     return c
 
 
-def slp_check(
-    f: Poly,
-    L: Poly,
-    required: Sequence[int] | None = None,
-) -> SlpReport:
+def _divisors(expo: Monomial, base: int, top: int, value: int = 1):
+    """(key, degree, value * prod perm(e_k, d_k)) for every divisor x^d of
+    x^expo of degree at most `top`.  The key of d is sum d_k * base^k, so for
+    base > every exponent the key of x^(e - d) is key(e) - key(d)."""
+    parts = [(0, 0, value)]
+    step = 1
+    for e in expo:
+        if e:
+            parts = [
+                (key + d * step, deg + d, v * perm(e, d))
+                for key, deg, v in parts
+                for d in range(min(e, top - deg) + 1)
+            ]
+        step *= base
+    return parts
+
+
+def _key(expo: Monomial, base: int) -> int:
+    return sum(e * base**k for k, e in enumerate(expo))
+
+
+def _monomial(key: int, base: int, nvars: int) -> Monomial:
+    out = []
+    for _ in range(nvars):
+        key, e = divmod(key, base)
+        out.append(e)
+    return tuple(out)
+
+
+class SlpTable:
+    """Per-F data of slp_check: the Hilbert function of F (`required`) and,
+    for each degree i with c - 2i > 0, the rows of the degree-2i
+    catalecticant of F as integer data, built from F's terms: a term
+    coeff*x^e and a degree-2i divisor x^mu give the entry
+    coeff * prod perm(e_k, mu_k) at column x^(e - mu) of row mu, all
+    scaled by one positive integer (the lcm of F's denominators).  Read as
+    a polynomial, row mu is mu contracted against F.  Build the table once
+    per F and pass it to each slp_check of that F; the cells of a row are
+    added when it is first used, so keep it no longer than one loop over L."""
+
+    def __init__(self, f: Poly):
+        self.f = f
+        c = _require_homogeneous(f)
+        self.required = hilbert_function(f).values
+        base = c + 1
+        self.degrees = [_CatRows(f.nvars, base, i) for i in range((c + 1) // 2)]
+        scale = lcm(*(coeff.denominator for _, coeff in f.terms()))
+        for expo, coeff in f.terms():
+            whole = _key(expo, base)
+            value = coeff.numerator * (scale // coeff.denominator)
+            for mu, deg, entry in _divisors(expo, base, c - 1, value):
+                if deg % 2 == 0:
+                    self.degrees[deg // 2].add(mu, whole - mu, entry)
+
+
+class _CatRows:
+    """The rows of Cat_2i(F) in an SlpTable, keyed as in _divisors: row mu
+    is a list of (entry, residual id), and residual r is the column monomial
+    x^(e - mu) as its nonzero (variable, exponent) pairs."""
+
+    def __init__(self, nvars: int, base: int, i: int):
+        self.nvars, self.base, self.i = nvars, base, i
+        self.rows: dict[int, list[tuple[int, int]]] = {}
+        self.residual_id: dict[int, int] = {}
+        self.residuals: list[tuple[tuple[int, int], ...]] = []
+        self.index = {  # degree-i monomial -> its row and column of N
+            _key(m, base): k for k, m in enumerate(monomials_of_degree(nvars, i))
+        }
+        self.cells: dict[int, list[tuple[int, int]]] = {}
+
+    def add(self, mu: int, rest: int, entry: int) -> None:
+        r = self.residual_id.get(rest)
+        if r is None:
+            r = self.residual_id[rest] = len(self.residuals)
+            expo = _monomial(rest, self.base, self.nvars)
+            self.residuals.append(tuple((k, e) for k, e in enumerate(expo) if e))
+        self.rows.setdefault(mu, []).append((entry, r))
+
+    def _cells(self, mu: int) -> list[tuple[int, int]]:
+        # (m, mu - m) over the degree-i divisors m of mu
+        cells = self.cells.get(mu)
+        if cells is None:
+            index = self.index
+            expo = _monomial(mu, self.base, self.nvars)
+            cells = self.cells[mu] = [
+                (index[m], index[mu - m])
+                for m, deg, _ in _divisors(expo, self.base, self.i)
+                if deg == self.i
+            ]
+        return cells
+
+    def matrix_at(self, powers: list[list[int]]) -> RatMatrix:
+        """N[m, m'] = row m + m' evaluated at the point whose coordinate
+        powers are `powers`."""
+        at = [prod(powers[k][e] for k, e in r) for r in self.residuals]
+        entries = {}
+        for mu, row in self.rows.items():
+            value = sum(entry * at[r] for entry, r in row)
+            if value:
+                value = Fraction(value)
+                for cell in self._cells(mu):
+                    entries[cell] = value
+        return RatMatrix(len(self.index), len(self.index), entries)
+
+
+def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
     """Exact per-degree report on x L^(c-2i); verdict is True iff L is a
-    Lefschetz element of the quotient generated by F.  `required` is the
-    Hilbert function of F (default: computed here); callers checking many
-    candidates against one F should compute it once.  For even c the middle
-    row (i = c/2, where L^0 is the identity) is taken from it unranked."""
+    Lefschetz element of the quotient generated by F.  `table` is
+    SlpTable(f) (default: built here); callers checking many candidates
+    against one F should build it once.
+
+    No power of L is formed.  Let l be L's coefficient vector cleared to a
+    primitive integer vector (a positive multiple of L has the same ranks).
+    For k = c - 2i, (L^k m m')(F) = k! (m m' F)(l), and m m' F is the row of
+    the degree-2i catalecticant at m + m' read as a polynomial.  So the
+    integer matrix N[m, m'] = (table row m + m')(l) over degree-i monomials
+    is Cat_i(L^k F) with column m' scaled by m'!/k!, times the table's
+    positive scale, and has the same rank.  The Hessian route never uses
+    this table, so it stays an independent check.  For even c the middle
+    row (k = 0, the identity) is h_i, taken from the table unranked."""
     c = _validate_slp_inputs(f, L)
-    if required is None:
-        required = hilbert_function(f).values
-    shifted = [f]  # shifted[k] = L^k contracted against F
-    for _ in range(c):
-        shifted.append(contract(L, shifted[-1]))
-    rows = []
-    for i in range(c // 2 + 1):
-        g = shifted[c - 2 * i]
-        if c == 2 * i:
-            # g is F, whose degree-i catalecticant rank is h_i by definition.
-            achieved = required[i]
-        else:
-            # deg g = 2i, so this square matrix realizes the pairing
-            # (m, m') -> (L^(c-2i) m m')(F) on degree-i monomials.
-            achieved = mat_rank(catalecticant(g, i).matrix) if g else 0
-        rows.append(SlpRow(i=i, required=required[i], achieved=achieved))
-    return SlpReport(c=c, rows=tuple(rows))
+    if table is None:
+        table = SlpTable(f)
+    elif table.f != f:
+        raise ValueError("SlpTable was built for a different F")
+    coeffs = L.linear_coefficients()
+    mult = lcm(*(x.denominator for x in coeffs))
+    point = [x.numerator * (mult // x.denominator) for x in coeffs]
+    g = gcd(*point)
+    powers = [[(x // g) ** e for e in range(c + 1)] for x in point]
+    achieved = [mat_rank(d.matrix_at(powers)) for d in table.degrees]
+    if c % 2 == 0:
+        achieved.append(table.required[c // 2])
+    rows = tuple(
+        SlpRow(i=i, required=table.required[i], achieved=a)
+        for i, a in enumerate(achieved)
+    )
+    return SlpReport(c=c, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +353,7 @@ def verify_theorem(
         raise OutOfRangeError(f"samples must be non-negative, got {samples}")
     ensure_within_budget(spec.nvars, spec.socle_degree, budget, samples)
     f = make_invariant(spec)
-    targets = hilbert_function(f).values
+    table = SlpTable(f)
     rng = random.Random(seed)
     candidates: list[tuple[Poly, bool]] = [
         (L, True) for L in deficient_candidates(spec)
@@ -246,7 +364,7 @@ def verify_theorem(
     )
     rows = []
     for L, forced in candidates:
-        report = slp_check(f, L, required=targets)
+        report = slp_check(f, L, table)
         rows.append(
             TheoremSample(
                 coeffs=L.linear_coefficients(),

@@ -18,6 +18,7 @@ from lefkit.families import (
     pfaffian_poly,
 )
 from lefkit.lefschetz import (
+    SlpTable,
     hessian_criterion_at,
     higher_hessian,
     random_linear_form,
@@ -52,11 +53,11 @@ def _spec(family, n, s):
     return FamilySpec(kind_from_name(family), n, s)
 
 
-def _invariant_and_targets(family, n, s):
+def _invariant_and_table(family, n, s):
     key = (family, n, s)
     if key not in _F_CACHE:
         f = make_invariant(_spec(family, n, s))
-        _F_CACHE[key] = (f, hilbert_function(f).values)
+        _F_CACHE[key] = (f, SlpTable(f))
     return _F_CACHE[key]
 
 
@@ -74,7 +75,7 @@ def test_criterion_1_narayana_hilbert():
     expected = {2: (1, 3, 1), 3: (1, 6, 6, 1), 4: (1, 10, 20, 10, 1)}
     ok = True
     for n in (2, 3, 4):
-        f, _ = _invariant_and_targets("sym-det", n, 1)
+        f, _ = _invariant_and_table("sym-det", n, 1)
         computed = hilbert_function(f).values
         narayana_values = tuple(narayana(n + 1, k) for k in range(1, n + 2))
         ok = ok and computed == narayana_values == expected[n]
@@ -85,8 +86,8 @@ def test_criterion_2_slp_of_trace():
     ok = True
     for n, s in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
         spec = _spec("sym-det", n, s)
-        f, targets = _invariant_and_targets("sym-det", n, s)
-        report = slp_check(f, canonical_lefschetz(spec), required=targets)
+        f, table = _invariant_and_table("sym-det", n, s)
+        report = slp_check(f, canonical_lefschetz(spec), table)
         ok = ok and report.verdict
     _criterion(2, "trace element is Lefschetz for sym-det powers", ok)
 
@@ -112,11 +113,11 @@ def test_criterion_4_verdict_independent_of_power():
     ]
     ok = True
     for family, n in pairs:
-        f1, t1 = _invariant_and_targets(family, n, 1)
-        f2, t2 = _invariant_and_targets(family, n, 2)
+        f1, t1 = _invariant_and_table(family, n, 1)
+        f2, t2 = _invariant_and_table(family, n, 2)
         for L in _seeded_forms(_spec(family, n, 1), 20):
-            v1 = slp_check(f1, L, required=t1).verdict
-            v2 = slp_check(f2, L, required=t2).verdict
+            v1 = slp_check(f1, L, t1).verdict
+            v2 = slp_check(f2, L, t2).verdict
             ok = ok and v1 == v2
     _criterion(4, "Lefschetz verdict agrees between s=1 and s=2", ok)
 
@@ -127,7 +128,7 @@ def test_criterion_5_hessian_oracle_equivalence():
     ok = True
     for family, n, s in cells:
         spec = _spec(family, n, s)
-        f, targets = _invariant_and_targets(family, n, s)
+        f, table = _invariant_and_table(family, n, s)
         c = f.homogeneous_degree()
         hessians = [higher_hessian(f, i) for i in range(c // 2 + 1)]
         samples = (
@@ -136,7 +137,7 @@ def test_criterion_5_hessian_oracle_equivalence():
             + _seeded_forms(spec, 50)
         )
         for L in samples:
-            slp = slp_check(f, L, required=targets).verdict
+            slp = slp_check(f, L, table).verdict
             hess = hessian_criterion_at(f, L, hessians=hessians)
             ok = ok and slp == hess
     _criterion(5, "higher-Hessian criterion matches slp_check on all samples", ok)
@@ -145,7 +146,7 @@ def test_criterion_5_hessian_oracle_equivalence():
 def test_criterion_6_representation_prediction():
     ok = True
     for n, s in [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
-        f, _ = _invariant_and_targets("sym-det", n, s)
+        f, _ = _invariant_and_table("sym-det", n, s)
         ok = ok and predicted_hilbert_typeC(n, s).values == hilbert_function(f).values
     _criterion(6, "Weyl-dimension prediction equals catalecticant ranks", ok)
 
@@ -167,7 +168,7 @@ def test_criterion_8_annihilator_structure():
     ok = True
     for n, s in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         spec = _spec("sym-det", n, s)
-        f, _ = _invariant_and_targets("sym-det", n, s)
+        f, _ = _invariant_and_table("sym-det", n, s)
         corner = Poly.variable(spec.nvars, spec.var_index(n, n))
         ok = ok and contract(poly_pow(corner, s + 1), f).is_zero()
         ok = ok and not contract(poly_pow(corner, s), f).is_zero()
@@ -181,7 +182,7 @@ def test_criterion_9_structural_invariants():
     ok = True
     # Gorenstein symmetry and transpose-rank duality across the grid
     for family, n, s in CONVERSE_GRID:
-        f, _ = _invariant_and_targets(family, n, s)
+        f, _ = _invariant_and_table(family, n, s)
         fn = hilbert_function(f)
         ok = ok and fn.is_symmetric() and fn.values[-1] == 1
         c = fn.socle_degree

@@ -23,6 +23,7 @@ from lefkit.families import (
     orbit_test,
 )
 from lefkit.lefschetz import (
+    SlpTable,
     default_degree_basis,
     hessian_criterion_at,
     hessian_determinants_at,
@@ -82,6 +83,9 @@ def test_slp_input_validation():
         slp_check(DET2, Poly.zero(3))
     with pytest.raises(VarMismatchError):
         slp_check(DET2, Poly.variable(4, 0))
+    other = SlpTable(make_invariant(FamilySpec(FamilyKind.QUADRIC, 3)))
+    with pytest.raises(ValueError):
+        slp_check(DET2, Poly.variable(3, 0), other)
 
 
 def test_report_dict_shape(capsys):
@@ -102,12 +106,26 @@ def test_report_dict_shape(capsys):
 
 def test_achieved_never_exceeds_required():
     rng = random.Random(2)
-    targets = hilbert_function(DET3).values
+    table = SlpTable(DET3)
     for _ in range(15):
         L = random_linear_form(6, rng)
-        report = slp_check(DET3, L, required=targets)
+        report = slp_check(DET3, L, table)
         for row in report.rows:
             assert row.achieved <= row.required
+
+
+# Matrix entries of a form with coefficients 3/2 and -5/7 and unlike
+# denominators.  Outside the quadrics (whose rational forms are all in the
+# open orbit) the matrix is singular, and scaling one coordinate wrongly
+# (keeping numerators, say) makes it nonsingular, which raises the ranks.
+RATIONAL_FORMS = {
+    FamilyKind.SYM_DET: {(1, 1): Fraction(3, 2), (1, 2): 3, (2, 2): 6, (3, 3): Fraction(-5, 7)},
+    FamilyKind.GENERIC_DET: {(1, 1): Fraction(3, 2), (1, 2): Fraction(-30, 7),
+                             (2, 1): Fraction(1, 4), (2, 2): Fraction(-5, 7)},
+    FamilyKind.PFAFFIAN: {(1, 2): Fraction(3, 2), (3, 4): Fraction(-5, 7),
+                          (1, 3): Fraction(-30, 7), (2, 4): Fraction(1, 4)},
+    FamilyKind.QUADRIC: {(1, 0): Fraction(3, 2), (4, 0): Fraction(-5, 7)},
+}
 
 
 @pytest.mark.parametrize("kind,n,s", [
@@ -117,14 +135,31 @@ def test_achieved_never_exceeds_required():
     (FamilyKind.QUADRIC, 4, 2),
 ])
 def test_achieved_ranks_match_power_oracle(kind, n, s):
+    # Every form runs through one shared table, as in verify_theorem, for F
+    # and for a weighted F(w*x), against which L(x/w) has the ranks of L.
     spec = FamilySpec(kind, n, s)
     f = make_invariant(spec)
     rng = random.Random(n * 10 + s)
-    forms = [canonical_lefschetz(spec), *deficient_candidates(spec)]
+    deficient = deficient_candidates(spec)
+    rational = linear(spec, {
+        spec.var_index(i, j): v for (i, j), v in RATIONAL_FORMS[kind].items()
+    })
+    assert orbit_test(spec, rational) == (kind is FamilyKind.QUADRIC)
+    forms = [canonical_lefschetz(spec), *deficient, rational]
     forms += [random_linear_form(spec.nvars, rng) for _ in range(2)]
-    for L in forms:
-        achieved = [row.achieved for row in slp_check(f, L).rows]
-        assert achieved == naive_achieved_ranks(f, L)
+    forms += [L.scale(Fraction(2, 3)) for L in deficient[:1]]
+    weights = [Fraction(rng.randint(1, 7), rng.randint(1, 5)) for _ in range(f.nvars)]
+    inverse = [1 / w for w in weights]
+    passes = []
+    for g, shift in ((f, None), (scale_variables(f, weights), inverse)):
+        table = SlpTable(g)
+        passes.append([])
+        for L in forms:
+            L = L if shift is None else scale_variables(L, shift)
+            achieved = [row.achieved for row in slp_check(g, L, table).rows]
+            assert achieved == naive_achieved_ranks(g, L)
+            passes[-1].append(achieved)
+    assert passes[0] == passes[1]
 
 
 @pytest.mark.parametrize("kind,n,s", [
@@ -150,8 +185,8 @@ def test_report_rows_invariant_under_scaling():
     for _ in range(5):
         L = random_linear_form(6, rng)
         a = slp_check(DET3, L)
-        b = slp_check(DET3, L.scale(2))
-        assert a.rows == b.rows
+        for scaled in (L.scale(2), L.scale(Fraction(3, 7))):
+            assert slp_check(DET3, scaled).rows == a.rows
 
 
 # --- higher Hessians ---------------------------------------------------------
@@ -225,10 +260,10 @@ def test_hessian_criterion_examples():
 
 def test_hessian_criterion_matches_slp():
     rng = random.Random(9)
-    targets = hilbert_function(DET2).values
+    table = SlpTable(DET2)
     for _ in range(25):
         L = random_linear_form(3, rng)
-        assert hessian_criterion_at(DET2, L) == slp_check(DET2, L, required=targets).verdict
+        assert hessian_criterion_at(DET2, L) == slp_check(DET2, L, table).verdict
 
 
 # --- theorem-level -----------------------------------------------------------
@@ -278,7 +313,7 @@ def test_verify_respects_budget():
 def test_k_equivariance_of_verdict():
     # congruence by an invertible integer matrix preserves the verdict
     rng = random.Random(12)
-    targets = hilbert_function(DET3).values
+    table = SlpTable(DET3)
     checked = 0
     while checked < 5:
         g = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
@@ -305,8 +340,8 @@ def test_k_equivariance_of_verdict():
         L2 = linear(SYM3, coeffs)
         if L2.is_zero():
             continue
-        a = slp_check(DET3, L, required=targets).verdict
-        b = slp_check(DET3, L2, required=targets).verdict
+        a = slp_check(DET3, L, table).verdict
+        b = slp_check(DET3, L2, table).verdict
         assert a == b == orbit_test(SYM3, L)
         checked += 1
 
@@ -321,11 +356,8 @@ def test_verdict_independent_of_power(fam, n):
     spec1 = FamilySpec(fam, n, 1)
     spec2 = FamilySpec(fam, n, 2)
     f1, f2 = make_invariant(spec1), make_invariant(spec2)
-    t1, t2 = hilbert_function(f1).values, hilbert_function(f2).values
+    t1, t2 = SlpTable(f1), SlpTable(f2)
     rng = random.Random(21)
     for _ in range(10):
         L = random_linear_form(spec1.nvars, rng)
-        assert (
-            slp_check(f1, L, required=t1).verdict
-            == slp_check(f2, L, required=t2).verdict
-        )
+        assert slp_check(f1, L, t1).verdict == slp_check(f2, L, t2).verdict
