@@ -62,6 +62,8 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "RatMatrix":
+        """The matrix whose rows are `data`; each entry is cleaned once, and
+        equal row lengths bound every index, so no second pass is made."""
         rows = len(data)
         cols = len(data[0]) if rows else 0
         entries = {}
@@ -72,7 +74,9 @@ class RatMatrix:
                 v = _as_rational(v)
                 if v:
                     entries[(i, j)] = v
-        return cls(rows, cols, entries)
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._entries = rows, cols, entries
+        return m
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._entries.get((i, j), Fraction(0))

@@ -15,7 +15,8 @@ and reused for every L.
 
 The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict: the entries of the i-th higher
-Hessian are read from catalecticant() of F over a quotient basis, and never
+Hessian over a quotient basis b are built from F's terms at the rows b_j b_k
+only, evaluated once each at L's point cleared to integers, and never read
 from SlpTable or a rank, so a fault in one route cannot hide in the other.
 verify_theorem cross-validates the slp_check verdict (not the Hessian one)
 against open-orbit membership on seeded samples plus deterministic
@@ -30,6 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, perm, prod
+from operator import add
 from typing import Sequence
 
 from .errors import NotLinearError, OutOfRangeError, VarMismatchError
@@ -42,6 +44,7 @@ from .families import (
     orbit_test,
 )
 from .macaulay import (
+    _divisors_of_degree,
     _require_homogeneous,
     catalecticant,
     ensure_within_budget,
@@ -239,21 +242,28 @@ def higher_hessian(f: Poly, i: int) -> list[list[Poly]]:
     """The i-th higher Hessian of F, for 0 <= i <= c//2: entry (j, k) is
     (b_j * b_k) contracted against F, homogeneous of degree c - 2i, over the
     basis b of default_degree_basis.  That contraction is the row of the
-    degree-2i catalecticant at the monomial b_j * b_k, so every entry is read
-    from that one matrix."""
+    degree-2i catalecticant at the monomial b_j * b_k, and only those rows
+    are built, straight from F's terms by the catalecticant's entry rule: a
+    term coeff*x^e and a divisor x^mu of it give coeff * prod perm(e_k, mu_k)
+    at x^(e - mu).  Each distinct monomial gets one Poly, so entries (j, k)
+    and (k, j) are the same object."""
     c = _require_homogeneous(f)
     if not 0 <= i <= c // 2:
         raise OutOfRangeError(f"Hessian order {i} outside 0..{c // 2}")
     basis = default_degree_basis(f, i)
-    cat = catalecticant(f, 2 * i)
-    rows: dict[Monomial, dict] = {}  # row monomial -> {column monomial: entry}
-    for (r, col), value in cat.matrix.items():
-        rows.setdefault(cat.row_monomials[r], {})[cat.col_monomials[col]] = value
-    return [
-        [Poly(f.nvars, rows.get(tuple(a + b for a, b in zip(bj, bk)), {}))
-         for bk in basis]
-        for bj in basis
-    ]
+    products = [[()] * len(basis) for _ in basis]  # the monomials b_j * b_k
+    for j, bj in enumerate(basis):
+        for k in range(j, len(basis)):
+            products[j][k] = products[k][j] = tuple(map(add, bj, basis[k]))
+    rows: dict[Monomial, dict] = {mu: {} for row in products for mu in row}
+    for expo, coeff in f.terms():
+        for mu in _divisors_of_degree(expo, 2 * i):
+            row = rows.get(mu)
+            if row is not None:
+                rest = tuple(e - d for e, d in zip(expo, mu))
+                row[rest] = coeff * prod(perm(e, d) for e, d in zip(expo, mu))
+    entries = {mu: Poly(f.nvars, row) for mu, row in rows.items()}
+    return [[entries[mu] for mu in row] for row in products]
 
 
 def hessian_determinants_at(
@@ -262,17 +272,44 @@ def hessian_determinants_at(
     hessians: Sequence[Sequence[Sequence[Poly]]] | None = None,
 ) -> list[Fraction]:
     """Determinant of each higher Hessian (i = 0..floor(c/2)) evaluated at
-    L's coefficient point."""
+    L's coefficient point l; `hessians` is that list of higher_hessian(f, i)
+    (default: built here).
+
+    l is cleared to integers n = D*l over one common denominator D > 0, and
+    each distinct entry (by identity) is evaluated once at n from a table of
+    the powers n_k^e.  An entry is homogeneous of degree c - 2i, so its value
+    at n is D^(c-2i) times its value at l, and the determinant of the i-th
+    Hessian at n is divided exactly by D^((c-2i) h_i) at the end."""
     c = _validate_slp_inputs(f, L)
     if hessians is None:
         hessians = [higher_hessian(f, i) for i in range(c // 2 + 1)]
-    point = L.linear_coefficients()
+    coeffs = L.linear_coefficients()
+    denom = lcm(*(x.denominator for x in coeffs))
+    powers = [
+        [(x.numerator * (denom // x.denominator)) ** e for e in range(c + 1)]
+        for x in coeffs
+    ]
+    done: dict[int, Fraction] = {}  # id(entry) -> its value at n
+
+    def evaluate(entry: Poly) -> Fraction:
+        v = done.get(id(entry))
+        if v is None:
+            terms = list(entry.terms())
+            s = lcm(*(coeff.denominator for _, coeff in terms))
+            total = sum(
+                coeff.numerator * (s // coeff.denominator)
+                * prod(powers[k][e] for k, e in enumerate(expo) if e)
+                for expo, coeff in terms
+            )
+            v = done[id(entry)] = Fraction(total, s)
+        return v
+
     dets = []
-    for matrix in hessians:
+    for i, matrix in enumerate(hessians):
         evaluated = RatMatrix.from_rows(
-            [[entry.evaluate(point) for entry in row] for row in matrix]
+            [[evaluate(entry) for entry in row] for row in matrix]
         )
-        dets.append(mat_det(evaluated))
+        dets.append(mat_det(evaluated) / denom ** ((c - 2 * i) * len(matrix)))
     return dets
 
 

@@ -105,19 +105,6 @@ class Poly:
             return degrees.pop()
         return None
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise VarMismatchError("evaluation point has wrong length")
-        values = [_as_coeff(p) for p in point]
-        total = Fraction(0)
-        for expo, coeff in self._terms.items():
-            term = coeff
-            for x, e in zip(values, expo):
-                if e:
-                    term *= x**e
-            total += term
-        return total
-
     def linear_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficient vector of a homogeneous linear form."""
         out = [Fraction(0)] * self.nvars

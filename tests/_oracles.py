@@ -1,18 +1,18 @@
 """Independent reference implementations used only by tests.
 
 These deliberately use different algorithms than the package: plain
-division-based Gaussian elimination instead of block-split Bareiss, a
-whole-matrix Bareiss elimination on a dense copy instead of the package's
-block-by-block one (the pivot oracle: it defines the pivot rows and kernel
-vectors the package must reproduce), permutation-sum determinants instead of
-products of block pivots, a direct term-by-term multiplier instead of
-repeated squaring, a weighted contraction of their own instead of the
-package's, catalecticants built row by row through contraction instead of
-from the terms of F, SLP ranks from a power of L instead of a chain of
-contractions, and higher-Hessian entries from a product of basis monomials
-instead of a row of a catalecticant.  A few small helpers the package no
-longer needs (identity matrix, matrix-vector product, corner minors) live
-here too.
+division-based Gaussian elimination (rank and determinant) instead of
+block-split Bareiss, a whole-matrix Bareiss elimination on a dense copy
+instead of the package's block-by-block one (the pivot oracle: it defines
+the pivot rows and kernel vectors the package must reproduce),
+permutation-sum determinants instead of products of block pivots, a direct
+term-by-term multiplier instead of repeated squaring, a weighted contraction
+of their own instead of the package's, catalecticants built row by row
+through contraction instead of from the terms of F, SLP ranks from a power
+of L instead of a chain of contractions, and higher-Hessian entries from a
+product of basis monomials instead of rows built from the terms of F.  A few
+small helpers the package no longer needs (identity matrix, matrix-vector
+product, corner minors, polynomial evaluation) live here too.
 """
 
 from dataclasses import dataclass
@@ -181,6 +181,28 @@ def perm_det_frac(rows):
     return total
 
 
+def naive_det(rows):
+    """Determinant by textbook Gaussian elimination over Fraction, with a
+    sign flip per row swap: for matrices too large to expand over
+    permutations."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
 def perm_det_poly(rows, nvars):
     """Determinant of a matrix of Poly entries by permutation expansion."""
     n = len(rows)
@@ -257,6 +279,20 @@ def naive_achieved_ranks(f, L):
         else:
             ranks.append(naive_rank(naive_catalecticant(shifted, i).dense()))
     return ranks
+
+
+def naive_evaluate(p, point):
+    """p at a point of rational coordinates, term by term in Fraction
+    arithmetic."""
+    if len(point) != p.nvars:
+        raise ValueError("evaluation point has wrong length")
+    total = Fraction(0)
+    for expo, coeff in p.terms():
+        term = coeff
+        for x, e in zip(point, expo):
+            term *= Fraction(x) ** e
+        total += term
+    return total
 
 
 def naive_higher_hessian(f, basis):

@@ -59,6 +59,19 @@ def invocations() -> list[list[str]]:
         ["slp"] + sym + ["--lefschetz-file", "[1,2]"],
         ["hilbert"] + sym + ["--weights", "[1,2]"],
     ]
+    # non-unit rational weights and a rational L together
+    for family, n, s, lefschetz_file, weights in [
+        ("sym-det", 2, 2, {"x11": "3/2", "x12": "-1", "x22": "2/5"},
+         {"x11": "1/2", "x22": "3"}),
+        ("pfaffian", 4, 1, {"x12": "3/2", "x13": "2/5", "x34": "-1"},
+         {"x12": "1/2", "x34": "3"}),
+    ]:
+        for fmt in ("json", "text"):
+            argvs.append([
+                "hessian", "--family", family, "--n", str(n), "--power", str(s),
+                "--format", fmt, "--lefschetz-file", json.dumps(lefschetz_file),
+                "--weights", json.dumps(weights),
+            ])
     return argvs
 
 

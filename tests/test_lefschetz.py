@@ -38,8 +38,11 @@ from lefkit.polyring import Poly, monomials_of_degree, scale_variables
 from _oracles import (
     naive_achieved_ranks,
     naive_catalecticant,
+    naive_det,
+    naive_evaluate,
     naive_higher_hessian,
     naive_rank,
+    perm_det_frac,
 )
 
 SYM2 = FamilySpec(FamilyKind.SYM_DET, 2)
@@ -249,6 +252,51 @@ def test_hessian_matches_product_oracle(kind, n, s):
             picked = [cat[index[b]] for b in basis]
             assert naive_rank(picked) == len(basis) == naive_rank(cat)
             assert higher_hessian(g, i) == naive_higher_hessian(g, basis)
+
+
+def _oracle_det(rows):
+    # permutation expansion while it is cheap, elimination beyond
+    return perm_det_frac(rows) if len(rows) <= 6 else naive_det(rows)
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.GENERIC_DET, 2, 2),
+    (FamilyKind.PFAFFIAN, 4, 2),
+    (FamilyKind.QUADRIC, 4, 2),
+])
+def test_hessian_determinants_match_evaluated_oracle(kind, n, s):
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    nvars = f.nvars
+    weights = [Fraction(k % 4 + 1, k % 3 + 1) for k in range(nvars)]
+    # a rational point with a zero coordinate and several denominators
+    coords = [Fraction((-1) ** k * (k + 2), k % 3 + 2) for k in range(nvars)]
+    coords[1] = Fraction(0)
+    forms = [canonical_lefschetz(spec), linear(spec, dict(enumerate(coords)))]
+    deficient = deficient_candidates(spec)[:1]  # quadrics have none
+    for g in (f, scale_variables(f, weights)):
+        c = g.homogeneous_degree()
+        hessians = [higher_hessian(g, i) for i in range(c // 2 + 1)]
+        naive = [
+            naive_higher_hessian(g, default_degree_basis(g, i))
+            for i in range(c // 2 + 1)
+        ]
+        for matrix in hessians:
+            for j, row in enumerate(matrix):
+                for k, entry in enumerate(row):
+                    assert entry is matrix[k][j]
+        for L in forms + deficient:
+            point = L.linear_coefficients()
+            expected = [
+                _oracle_det([[naive_evaluate(e, point) for e in row]
+                             for row in matrix])
+                for matrix in naive
+            ]
+            assert hessian_determinants_at(g, L) == expected
+            assert hessian_determinants_at(g, L, hessians) == expected
+            if L in deficient:
+                assert not all(expected)
 
 
 def test_hessian_criterion_examples():
