@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Every matrix is first split into the connected components of its
-row/column graph (sparse catalecticants fall apart into many small blocks),
-and rank, pivot rows, kernel and determinant come from one fraction-free
-(Bareiss) elimination that works block by block on sparse integer rows, so
-every intermediate value is a minor of the input and the verdict is exact.
+Entries are exact rationals, and an integral entry is kept as a plain
+``int`` (an ``int`` has ``numerator`` and ``denominator`` too), so the
+integer catalecticants of ``macaulay`` reach the probe and the elimination
+as they are, with no ``Fraction`` round-trip.  Every matrix is first split
+into the connected components of its row/column graph (sparse
+catalecticants fall apart into many small blocks), and rank, pivot rows,
+kernel and determinant come from one fraction-free (Bareiss) elimination
+that works block by block on sparse integer rows, so every intermediate
+value is a minor of the input and the verdict is exact.
 The pivots are the ones a whole-matrix elimination would choose: its
 entries factor over the blocks, so its shortest-entry order is replayed
 block by block.  ``mat_rank`` sums the block ranks; on each block a modular
@@ -27,18 +31,20 @@ from .errors import BadPrimeError, InvariantError
 Rational = Fraction
 
 
-def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _as_rational(x) -> int | Fraction:
+    """x as an exact rational: an int when it is integral, else a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 class RatMatrix:
-    """Immutable sparse matrix with Fraction entries.
+    """Immutable sparse matrix of exact rationals: integral entries are
+    ints, the others Fractions in lowest terms.
 
     Only nonzero entries are stored.  Dimensions are fixed at construction
     and all mutating work happens on private dense copies.
@@ -49,8 +55,6 @@ class RatMatrix:
     def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        self.rows = rows
-        self.cols = cols
         cleaned = {}
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
@@ -58,12 +62,20 @@ class RatMatrix:
             v = _as_rational(v)
             if v:
                 cleaned[(i, j)] = v
-        self._entries = cleaned
+        self.rows, self.cols, self._entries = rows, cols, cleaned
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: dict) -> "RatMatrix":
+        # Library-built entries, already clean (nonzero, in range, integral
+        # ones as int): stored as given, without a copy.
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._entries = rows, cols, entries
+        return m
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "RatMatrix":
         """The matrix whose rows are `data`; each entry is cleaned once, and
-        equal row lengths bound every index, so no second pass is made."""
+        equal row lengths bound every index."""
         rows = len(data)
         cols = len(data[0]) if rows else 0
         entries = {}
@@ -74,14 +86,12 @@ class RatMatrix:
                 v = _as_rational(v)
                 if v:
                     entries[(i, j)] = v
-        m = cls.__new__(cls)
-        m.rows, m.cols, m._entries = rows, cols, entries
-        return m
+        return cls._of(rows, cols, entries)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._entries.get((i, j), Fraction(0))
+    def entry(self, i: int, j: int) -> int | Fraction:
+        return self._entries.get((i, j), 0)
 
-    def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+    def items(self) -> Iterator[tuple[tuple[int, int], int | Fraction]]:
         return iter(self._entries.items())
 
     def nnz(self) -> int:
@@ -91,12 +101,12 @@ class RatMatrix:
         return not self._entries
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
+        return RatMatrix._of(
             self.cols, self.rows, {(j, i): v for (i, j), v in self._entries.items()}
         )
 
-    def dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+    def dense(self) -> list[list[int | Fraction]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self._entries.items():
             out[i][j] = v
         return out
@@ -122,17 +132,23 @@ PROBE_PRIME = (1 << 61) + 15
 def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
     """Rank of ``m`` reduced mod ``prime``: a lower bound for the exact rank,
     never the final verdict.  Raises BadPrimeError if a stored denominator
-    vanishes mod ``prime``."""
-    a = [[0] * m.cols for _ in range(m.rows)]
+    vanishes mod ``prime``.  Only the rows and columns holding an entry are
+    laid out, in their original order."""
+    row_at = {i: k for k, i in enumerate(sorted({i for i, _ in m._entries}))}
+    col_at = {j: k for k, j in enumerate(sorted({j for _, j in m._entries}))}
+    a = [[0] * len(col_at) for _ in row_at]
     for (i, j), v in m.items():
-        den = v.denominator % prime
-        if den == 0:
+        den = v.denominator
+        if den == 1:
+            a[row_at[i]][col_at[j]] = v % prime
+            continue
+        if den % prime == 0:
             raise BadPrimeError(f"denominator divisible by {prime}")
-        a[i][j] = v.numerator * pow(den, prime - 2, prime) % prime
+        a[row_at[i]][col_at[j]] = v.numerator * pow(den, prime - 2, prime) % prime
     rank = 0
-    for c in range(m.cols):
+    for c in range(len(col_at)):
         pivot_row = None
-        for i in range(rank, m.rows):
+        for i in range(rank, len(a)):
             if a[i][c]:
                 pivot_row = i
                 break
@@ -140,18 +156,18 @@ def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
         inv = pow(a[rank][c], prime - 2, prime)
-        for i in range(rank + 1, m.rows):
+        for i in range(rank + 1, len(a)):
             f = a[i][c]
             if f:
                 mult = f * inv % prime
                 a[i] = [(x - mult * y) % prime for x, y in zip(a[i], a[rank])]
         rank += 1
-        if rank == m.rows:
+        if rank == len(a):
             break
     return rank
 
 
-def _blocks(m: RatMatrix) -> list[dict[tuple[int, int], Fraction]]:
+def _blocks(m: RatMatrix) -> list[dict[tuple[int, int], int | Fraction]]:
     """The connected components of the bipartite row/column graph of the
     nonzero entries, each as its entries keyed by their original (row,
     column).  Permuting ``m`` into block-diagonal form leaves its rank
@@ -188,10 +204,11 @@ class _Echelon:
     scale: int  # product of the positive per-row denominators cleared
 
 
-def _echelon(blocks: list[dict[tuple[int, int], Fraction]]) -> _Echelon:
+def _echelon(blocks: list[dict[tuple[int, int], int | Fraction]]) -> _Echelon:
     """Bareiss elimination of the matrix made of ``blocks``, on sparse
-    integer rows (each row scaled by the lcm of its denominators, which
-    changes neither rank nor right kernel), one block at a time but with the
+    integer rows (a row holding a Fraction is scaled by the lcm of its
+    denominators, which changes neither rank nor right kernel; an all-int
+    row is used as it is), one block at a time but with the
     pivots the whole matrix would choose.
 
     Whole-matrix pivot rule: columns in order; among the rows not yet used
@@ -210,16 +227,16 @@ def _echelon(blocks: list[dict[tuple[int, int], Fraction]]) -> _Echelon:
     col_block: dict[int, int] = {}
     scale = 1
     for b, entries in enumerate(blocks):
-        by_row: dict[int, dict[int, Fraction]] = {}
+        by_row: dict[int, dict[int, int | Fraction]] = {}
         for (i, j), v in entries.items():
             by_row.setdefault(i, {})[j] = v
             col_block[j] = b
-        cleared = {}
         for i, row in by_row.items():
             s = lcm(*(v.denominator for v in row.values()))
-            scale *= s
-            cleared[i] = {j: v.numerator * (s // v.denominator) for j, v in row.items()}
-        live.append(cleared)
+            if s > 1:
+                scale *= s
+                by_row[i] = {j: v.numerator * (s // v.denominator) for j, v in row.items()}
+        live.append(by_row)
     last = [1] * len(blocks)
     product = 1  # of every block's last pivot
     pos: dict[int, int] = {}  # current position of each moved row
@@ -266,22 +283,16 @@ def _echelon(blocks: list[dict[tuple[int, int], Fraction]]) -> _Echelon:
     return _Echelon(pivots, col_block, last, sign, scale)
 
 
-def _submatrix(entries: dict[tuple[int, int], Fraction]) -> RatMatrix:
-    """A block as a matrix of its own, rows and columns in original order."""
-    row_at = {i: k for k, i in enumerate(sorted({i for i, _ in entries}))}
-    col_at = {j: k for k, j in enumerate(sorted({j for _, j in entries}))}
-    return RatMatrix(len(row_at), len(col_at), {
-        (row_at[i], col_at[j]): v for (i, j), v in entries.items()
-    })
-
-
-def _block_rank(entries: dict[tuple[int, int], Fraction]) -> int:
+def _block_rank(entries: dict[tuple[int, int], int | Fraction]) -> int:
     # Probe rank is a lower bound, so reaching min(rows, cols) is conclusive;
-    # anything less falls through to fraction-free elimination.
-    m = _submatrix(entries)
-    full = min(m.rows, m.cols)
+    # anything less falls through to fraction-free elimination.  The probe
+    # reads the block's own entries, wrapped without a copy.
+    rows = {i for i, _ in entries}
+    cols = {j for _, j in entries}
+    full = min(len(rows), len(cols))
+    block = RatMatrix._of(max(rows) + 1, max(cols) + 1, entries)
     try:
-        if mat_rank_modular_probe(m, PROBE_PRIME) == full:
+        if mat_rank_modular_probe(block, PROBE_PRIME) == full:
             return full
     except BadPrimeError:
         pass

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, perm, prod
 from operator import add
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotLinearError, OutOfRangeError, VarMismatchError
 from .exactmath import RatMatrix, mat_det, mat_rank, pivot_rows
@@ -44,7 +44,10 @@ from .families import (
     orbit_test,
 )
 from .macaulay import (
-    _divisors_of_degree,
+    _divisors,
+    _entries,
+    _key,
+    _monomial,
     _require_homogeneous,
     catalecticant,
     ensure_within_budget,
@@ -87,40 +90,11 @@ def _validate_slp_inputs(f: Poly, L: Poly) -> int:
     return c
 
 
-def _divisors(expo: Monomial, base: int, top: int, value: int = 1):
-    """(key, degree, value * prod perm(e_k, d_k)) for every divisor x^d of
-    x^expo of degree at most `top`.  The key of d is sum d_k * base^k, so for
-    base > every exponent the key of x^(e - d) is key(e) - key(d)."""
-    parts = [(0, 0, value)]
-    step = 1
-    for e in expo:
-        if e:
-            parts = [
-                (key + d * step, deg + d, v * perm(e, d))
-                for key, deg, v in parts
-                for d in range(min(e, top - deg) + 1)
-            ]
-        step *= base
-    return parts
-
-
-def _key(expo: Monomial, base: int) -> int:
-    return sum(e * base**k for k, e in enumerate(expo))
-
-
-def _monomial(key: int, base: int, nvars: int) -> Monomial:
-    out = []
-    for _ in range(nvars):
-        key, e = divmod(key, base)
-        out.append(e)
-    return tuple(out)
-
-
 class SlpTable:
     """Per-F data of slp_check: the Hilbert function of F (`required`) and,
     for each degree i with c - 2i > 0, the rows of the degree-2i
-    catalecticant of F as integer data, built from F's terms: a term
-    coeff*x^e and a degree-2i divisor x^mu give the entry
+    catalecticant of F as integer data from macaulay's entry enumerator: a
+    term coeff*x^e and a degree-2i divisor x^mu give the entry
     coeff * prod perm(e_k, mu_k) at column x^(e - mu) of row mu, all
     scaled by one positive integer (the lcm of F's denominators).  Read as
     a polynomial, row mu is mu contracted against F.  Build the table once
@@ -133,17 +107,13 @@ class SlpTable:
         self.required = hilbert_function(f).values
         base = c + 1
         self.degrees = [_CatRows(f.nvars, base, i) for i in range((c + 1) // 2)]
-        scale = lcm(*(coeff.denominator for _, coeff in f.terms()))
-        for expo, coeff in f.terms():
-            whole = _key(expo, base)
-            value = coeff.numerator * (scale // coeff.denominator)
-            for mu, deg, entry in _divisors(expo, base, c - 1, value):
-                if deg % 2 == 0:
-                    self.degrees[deg // 2].add(mu, whole - mu, entry)
+        for mu, deg, rest, entry in _entries(f, base, 0, c - 1):
+            if deg % 2 == 0:
+                self.degrees[deg // 2].add(mu, rest, entry)
 
 
 class _CatRows:
-    """The rows of Cat_2i(F) in an SlpTable, keyed as in _divisors: row mu
+    """The rows of Cat_2i(F) in an SlpTable, keyed as in macaulay: row mu
     is a list of (entry, residual id), and residual r is the column monomial
     x^(e - mu) as its nonzero (variable, exponent) pairs."""
 
@@ -173,8 +143,7 @@ class _CatRows:
             expo = _monomial(mu, self.base, self.nvars)
             cells = self.cells[mu] = [
                 (index[m], index[mu - m])
-                for m, deg, _ in _divisors(expo, self.base, self.i)
-                if deg == self.i
+                for m, _, _ in _divisors(expo, self.base, self.i, self.i)
             ]
         return cells
 
@@ -186,10 +155,9 @@ class _CatRows:
         for mu, row in self.rows.items():
             value = sum(entry * at[r] for entry, r in row)
             if value:
-                value = Fraction(value)
                 for cell in self._cells(mu):
                     entries[cell] = value
-        return RatMatrix(len(self.index), len(self.index), entries)
+        return RatMatrix._of(len(self.index), len(self.index), entries)
 
 
 def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
@@ -238,6 +206,20 @@ def default_degree_basis(f: Poly, i: int) -> list[Monomial]:
     return [cat.row_monomials[r] for r in pivot_rows(cat.matrix)]
 
 
+def _divisors_of_degree(expo: Monomial, i: int) -> Iterator[Monomial]:
+    """Every exponent tuple d <= expo (entrywise) of total degree i: the
+    Hessian route's own divisor walk, kept apart from macaulay's keyed
+    enumerator so that the route it checks shares no code with it."""
+    if len(expo) == 1:
+        if i <= expo[0]:
+            yield (i,)
+        return
+    rest = sum(expo[1:])
+    for d in range(min(expo[0], i), max(0, i - rest) - 1, -1):
+        for tail in _divisors_of_degree(expo[1:], i - d):
+            yield (d,) + tail
+
+
 def higher_hessian(f: Poly, i: int) -> list[list[Poly]]:
     """The i-th higher Hessian of F, for 0 <= i <= c//2: entry (j, k) is
     (b_j * b_k) contracted against F, homogeneous of degree c - 2i, over the
@@ -262,7 +244,7 @@ def higher_hessian(f: Poly, i: int) -> list[list[Poly]]:
             if row is not None:
                 rest = tuple(e - d for e, d in zip(expo, mu))
                 row[rest] = coeff * prod(perm(e, d) for e, d in zip(expo, mu))
-    entries = {mu: Poly(f.nvars, row) for mu, row in rows.items()}
+    entries = {mu: Poly._of(f.nvars, row) for mu, row in rows.items()}
     return [[entries[mu] for mu in row] for row in products]
 
 
@@ -289,9 +271,9 @@ def hessian_determinants_at(
         [(x.numerator * (denom // x.denominator)) ** e for e in range(c + 1)]
         for x in coeffs
     ]
-    done: dict[int, Fraction] = {}  # id(entry) -> its value at n
+    done: dict[int, int | Fraction] = {}  # id(entry) -> its value at n
 
-    def evaluate(entry: Poly) -> Fraction:
+    def evaluate(entry: Poly) -> int | Fraction:
         v = done.get(id(entry))
         if v is None:
             terms = list(entry.terms())
@@ -301,7 +283,7 @@ def hessian_determinants_at(
                 * prod(powers[k][e] for k, e in enumerate(expo) if e)
                 for expo, coeff in terms
             )
-            v = done[id(entry)] = Fraction(total, s)
+            v = done[id(entry)] = total if s == 1 else Fraction(total, s)
         return v
 
     dets = []

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, perm
+from operator import sub
 from typing import Iterator, Sequence
 
 from .errors import VarMismatchError
@@ -48,6 +50,14 @@ class Poly:
                 if not cleaned[expo]:
                     del cleaned[expo]
         self._terms = cleaned
+
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[Monomial, Fraction]) -> "Poly":
+        # Library-built terms, already clean (exponent tuples of length
+        # nvars, nonzero Fraction coefficients): stored as given, unchecked.
+        p = cls.__new__(cls)
+        p.nvars, p._terms = nvars, terms
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -131,10 +141,10 @@ class Poly:
                 terms[expo] = s
             else:
                 terms.pop(expo, None)
-        return Poly(self.nvars, terms)
+        return Poly._of(self.nvars, terms)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return Poly._of(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -150,7 +160,7 @@ class Poly:
         scalar = _as_coeff(scalar)
         if not scalar:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {e: c * scalar for e, c in self._terms.items()})
+        return Poly._of(self.nvars, {e: c * scalar for e, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -187,7 +197,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
                 terms[expo] = s
             else:
                 terms.pop(expo, None)
-    return Poly(a.nvars, terms)
+    return Poly._of(a.nvars, terms)
 
 
 def poly_pow(a: Poly, s: int) -> Poly:
@@ -220,7 +230,7 @@ def scale_variables(f: Poly, weights: Sequence) -> Poly:
             if e:
                 coeff *= w**e
         terms[expo] = coeff
-    return Poly(f.nvars, terms)
+    return Poly._of(f.nvars, terms)
 
 
 def contract(p: Poly, f: Poly) -> Poly:
@@ -251,24 +261,23 @@ def contract(p: Poly, f: Poly) -> Poly:
                 terms[expo] = s
             else:
                 terms.pop(expo, None)
-    return Poly(p.nvars, terms)
-
-
-def _exponents(nvars: int, d: int) -> Iterator[Monomial]:
-    # Descending lex directly: the leading variable takes d down to 0.
-    if nvars == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in _exponents(nvars - 1, d - e):
-            yield (e,) + rest
+    return Poly._of(p.nvars, terms)
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
-    """All C(nvars+d-1, d) exponent tuples of total degree d, graded-lex."""
+    """All C(nvars+d-1, d) exponent tuples of total degree d, graded-lex
+    (descending lex within the degree)."""
     if nvars < 1 or d < 0:
         raise ValueError("need nvars >= 1 and d >= 0")
-    out = list(_exponents(nvars, d))
+    # Stars and bars: cut points 0 <= c_1 <= ... <= c_(n-1) <= d give the
+    # parts c_1, c_2 - c_1, ..., d - c_(n-1), and lex order of the cut
+    # points is lex order of the parts, so the list is built ascending and
+    # reversed.
+    out = [
+        tuple(map(sub, cuts + (d,), (0,) + cuts))
+        for cuts in combinations_with_replacement(range(d + 1), nvars - 1)
+    ]
+    out.reverse()
     assert len(out) == comb(nvars + d - 1, d)
     return out
 

@@ -42,6 +42,7 @@ from _oracles import (
     naive_evaluate,
     naive_higher_hessian,
     naive_rank,
+    oracle_pivot_rows,
     perm_det_frac,
 )
 
@@ -251,6 +252,11 @@ def test_hessian_matches_product_oracle(kind, n, s):
             index = {m: r for r, m in enumerate(monomials_of_degree(g.nvars, i))}
             picked = [cat[index[b]] for b in basis]
             assert naive_rank(picked) == len(basis) == naive_rank(cat)
+            # and they are the pivot rows of the dense whole-matrix oracle
+            labels = list(index)
+            assert basis == [
+                labels[r] for r in oracle_pivot_rows(naive_catalecticant(g, i))
+            ]
             assert higher_hessian(g, i) == naive_higher_hessian(g, basis)
 
 

@@ -81,11 +81,15 @@ def _random_weights(nvars, rng):
 def _check_against_oracle(f, weights):
     """catalecticant(F(w*x), i) is the weighted catalecticant of F with
     column k scaled by w^(column monomial k); with no weights, the plain
-    catalecticant of F."""
+    catalecticant of F.  The Hilbert function of F(w*x), ranked on the
+    integer entries over the scale D, is the rank of each weighted oracle
+    catalecticant."""
     g = f if weights is None else scale_variables(f, weights)
+    values = hilbert_function(g).values
     for i in range(f.homogeneous_degree() + 1):
         cat = catalecticant(g, i)
         expected = naive_catalecticant(f, i, weights)
+        assert values[i] == naive_rank(expected.dense())
         if weights is not None:
             expected = RatMatrix(expected.rows, expected.cols, {
                 (r, k): v * prod(w**e for w, e in zip(weights, cat.col_monomials[k]))
@@ -131,6 +135,16 @@ def test_catalecticant_rank_against_naive_elimination():
     for i in range(4):
         cat = catalecticant(DET3, i)
         assert mat_rank(cat.matrix) == naive_rank(cat.matrix.dense())
+
+
+def test_hilbert_function_lists_no_monomial_labels(monkeypatch):
+    f = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3, 2))
+
+    def refuse(nvars, d):
+        raise AssertionError("the rank path listed monomial labels")
+
+    monkeypatch.setattr("lefkit.macaulay.monomials_of_degree", refuse)
+    assert hilbert_function(f).values == (1, 6, 21, 28, 21, 6, 1)
 
 
 def test_hilbert_det3_narayana():
