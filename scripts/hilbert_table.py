@@ -8,7 +8,7 @@ Usage: python3 scripts/hilbert_table.py [--max-n N] [--max-s S]
 import argparse
 import time
 
-from lefkit.families import FamilyKind, FamilySpec, make_invariant
+from lefkit.families import FamilyKind, FamilySpec, family_symmetry, make_invariant
 from lefkit.macaulay import hilbert_function, max_catalecticant_cells
 from lefkit.reptheory import predicted_hilbert_typeC
 
@@ -29,7 +29,7 @@ def main():
                 print(f"n={n} s={s}: skipped (over cell limit)")
                 continue
             start = time.perf_counter()
-            computed = hilbert_function(make_invariant(spec))
+            computed = hilbert_function(make_invariant(spec), family_symmetry(spec))
             elapsed = time.perf_counter() - start
             predicted = predicted_hilbert_typeC(n, s)
             flag = "ok" if computed.values == predicted.values else "MISMATCH"

@@ -22,6 +22,7 @@ from .errors import InvariantError, LefkitError, TooLargeError
 from .families import (
     FamilySpec,
     canonical_lefschetz,
+    family_symmetry,
     kind_from_name,
     make_invariant,
 )
@@ -209,7 +210,10 @@ def _coeff_map(coeffs, spec: FamilySpec) -> dict[str, str]:
 def cmd_hilbert(args: argparse.Namespace) -> int:
     spec = _spec(args)
     f = _invariant(args, spec)
-    fn = hilbert_function(f)
+    # F(w*x) under non-unit weights is no longer fixed by the family's
+    # variable permutations, so it takes the generic path
+    weighted = _resolve_weights(args.weights, spec) is not None
+    fn = hilbert_function(f, None if weighted else family_symmetry(spec))
     rows = []
     for i, h in enumerate(fn.values):
         dim = dim_of_degree(f.nvars, i)
@@ -317,7 +321,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise LefkitError("predict compares unit-weight Hilbert functions")
     f = _invariant(args, spec)
     predicted = predicted_hilbert_typeC(spec.size, spec.power, args.budget)
-    computed = hilbert_function(f)
+    computed = hilbert_function(f, family_symmetry(spec))
     match = predicted.values == computed.values
     payload = {
         **_echo(spec),

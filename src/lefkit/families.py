@@ -3,7 +3,12 @@
 Each family fixes a variable layout over matrix positions, the invariant
 polynomial (generic determinant, symmetric determinant, Pfaffian, or sum of
 squares), the embedding of linear forms back into matrices, and the
-open-orbit membership test that characterizes Lefschetz elements.
+open-orbit membership test that characterizes Lefschetz elements.  Every
+family but the quadric also supplies its symmetry (``family_symmetry``):
+the torus weight of each variable and signed variable permutations that fix
+the invariant up to sign, which ``macaulay.hilbert_function`` checks
+exactly and then uses to rank one catalecticant block per orbit; quadrics
+take the generic path.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .errors import (
     VarMismatchError,
 )
 from .exactmath import RatMatrix, mat_rank
+from .macaulay import Symmetry
 from .polyring import Poly, poly_mul, poly_pow
 
 
@@ -232,6 +238,53 @@ def basic_invariant(spec: FamilySpec) -> Poly:
 def make_invariant(spec: FamilySpec) -> Poly:
     """F = (basic invariant)^s, homogeneous of degree s * c0."""
     return poly_pow(basic_invariant(spec), spec.power)
+
+
+def family_symmetry(spec: FamilySpec) -> Symmetry | None:
+    """The torus weights of the variables and signed variable permutations
+    that fix F up to sign, for ``hilbert_function``; None for quadrics.
+
+    x_ij has weight e_i + e_j (for generic-det, (e_i, e'_j)).  Index
+    permutations p of 1..n are generated by the transposition (1 2) and the
+    n-cycle, and x_ij goes to x_p(i)p(j): on rows and on columns apart for
+    generic-det, which adds the transpose x_ij -> x_ji; with the sign -1
+    for the Pfaffian when p flips the pair (x_ji = -x_ij)."""
+    if spec.kind is FamilyKind.QUADRIC:
+        return None
+    n = spec.size
+    generic = spec.kind is FamilyKind.GENERIC_DET
+    positions = _positions(spec.kind, n)
+    index = _position_index(spec)
+    offset = n if generic else 0
+    weights = []
+    for i, j in positions:
+        w = [0] * (n + offset)
+        w[i - 1] += 1
+        w[offset + j - 1] += 1
+        weights.append(tuple(w))
+    identity = {i: i for i in range(1, n + 1)}
+    perms = [] if n < 2 else [
+        {**identity, 1: 2, 2: 1},
+        {i: i % n + 1 for i in identity},
+    ]
+    if generic:
+        moves = [lambda i, j, p=p: (p[i], j) for p in perms]
+        moves += [lambda i, j, p=p: (i, p[j]) for p in perms]
+        moves.append(lambda i, j: (j, i))
+    else:
+        moves = [lambda i, j, p=p: (p[i], p[j]) for p in perms]
+    flip = -1 if spec.kind is FamilyKind.PFAFFIAN else 1
+    generators = []
+    for move in moves:
+        gen = []
+        for i, j in positions:
+            a, b = move(i, j)
+            if not generic and a > b:
+                gen.append((index[(b, a)], flip))
+            else:
+                gen.append((index[(a, b)], 1))
+        generators.append(tuple(gen))
+    return Symmetry(tuple(weights), tuple(generators))
 
 
 def _linear_coeffs(spec: FamilySpec, L: Poly) -> tuple[Fraction, ...]:

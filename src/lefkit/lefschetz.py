@@ -49,6 +49,7 @@ from .macaulay import (
     _key,
     _monomial,
     _require_homogeneous,
+    _steps,
     catalecticant,
     ensure_within_budget,
     hilbert_function,
@@ -107,7 +108,7 @@ class SlpTable:
         self.required = hilbert_function(f).values
         base = c + 1
         self.degrees = [_CatRows(f.nvars, base, i) for i in range((c + 1) // 2)]
-        for mu, deg, rest, entry in _entries(f, base, 0, c - 1):
+        for mu, deg, rest, entry in _entries(f, _steps(base, f.nvars), 0, c - 1):
             if deg % 2 == 0:
                 self.degrees[deg // 2].add(mu, rest, entry)
 
@@ -119,6 +120,7 @@ class _CatRows:
 
     def __init__(self, nvars: int, base: int, i: int):
         self.nvars, self.base, self.i = nvars, base, i
+        self.steps = _steps(base, nvars)
         self.rows: dict[int, list[tuple[int, int]]] = {}
         self.residual_id: dict[int, int] = {}
         self.residuals: list[tuple[tuple[int, int], ...]] = []
@@ -143,7 +145,7 @@ class _CatRows:
             expo = _monomial(mu, self.base, self.nvars)
             cells = self.cells[mu] = [
                 (index[m], index[mu - m])
-                for m, _, _ in _divisors(expo, self.base, self.i, self.i)
+                for m, _, _ in _divisors(expo, self.steps, self.i, self.i)
             ]
         return cells
 

@@ -19,6 +19,14 @@ so its entries are the exact rationals.  Each degree is an independent rank
 computation: no elimination state is shared between i and c-i, so
 transpose-rank duality stays a genuine cross-check.  The cell budget still
 counts the dense cells of the largest catalecticant.
+
+Given a Symmetry (the family invariants' torus weights and signed variable
+permutations, from ``families.family_symmetry``), ``hilbert_function``
+ranks one torus-weight block per symmetry orbit and counts its rank times
+the orbit size.  The symmetry is checked exactly on F first, and any
+failure raises InvariantError (exit code 4) with no fallback.  Without one
+(a weighted F(w*x), a quadric, any other F) it ranks every block; that
+generic path is the oracle the symmetric one is tested against.
 """
 
 from __future__ import annotations
@@ -137,15 +145,19 @@ def _monomial(key: int, base: int, nvars: int) -> Monomial:
     return tuple(out)
 
 
-def _divisors(expo: Monomial, base: int, low: int, high: int, value: int = 1):
+def _steps(base: int, nvars: int) -> list[int]:
+    """The key step of each variable: the key of x^e is sum e_k * step_k."""
+    return [base**k for k in range(nvars)]
+
+
+def _divisors(expo: Monomial, steps: list[int], low: int, high: int, value: int = 1):
     """(key, degree, value * prod perm(e_k, d_k)) for every divisor x^d of
     x^expo of degree low..high; a partial divisor that can no longer reach
-    that range is pruned.  The key of d is sum d_k * base^k, so for base >
-    every exponent the key of x^(e - d) is key(e) - key(d)."""
+    that range is pruned.  The key of d is sum d_k * steps[k], additive, so
+    the key of x^(e - d) is key(e) - key(d)."""
     parts = [(0, 0, value)]
-    step = 1
     left = sum(expo)  # degree still available after this variable
-    for e in expo:
+    for e, step in zip(expo, steps):
         left -= e
         if e:
             parts = [
@@ -153,7 +165,6 @@ def _divisors(expo: Monomial, base: int, low: int, high: int, value: int = 1):
                 for key, deg, v in parts
                 for d in range(max(0, low - deg - left), min(e, high - deg) + 1)
             ]
-        step *= base
     return parts
 
 
@@ -163,18 +174,18 @@ def _scale(f: Poly) -> int:
     return lcm(*(coeff.denominator for _, coeff in f.terms()))
 
 
-def _entries(f: Poly, base: int, low: int, high: int):
+def _entries(f: Poly, steps: list[int], low: int, high: int):
     """The catalecticant entry enumerator: for every term coeff*x^e of F and
     divisor x^mu of degree low..high, (key mu, degree, key(e) - key(mu),
     entry) with the integer entry D * coeff * prod perm(e_k, mu_k), D =
     _scale(f): row mu and column x^(e - mu) of the degree-deg catalecticant
-    of D*F.  Distinct (term, divisor) pairs give distinct (row, column)
-    cells."""
+    of D*F.  Keys are by ``steps``; distinct (term, divisor) pairs give
+    distinct (row, column) cells."""
     scale = _scale(f)
     for expo, coeff in f.terms():
-        whole = _key(expo, base)
+        whole = sum(e * step for e, step in zip(expo, steps))
         value = coeff.numerator * (scale // coeff.denominator)
-        for mu, deg, entry in _divisors(expo, base, low, high, value):
+        for mu, deg, entry in _divisors(expo, steps, low, high, value):
             yield mu, deg, whole - mu, entry
 
 
@@ -195,7 +206,7 @@ def catalecticant(f: Poly, i: int) -> CatMatrix:
     col_index = {_key(m, base): k for k, m in enumerate(cols)}
     entries = {
         (row_index[mu], col_index[rest]): entry
-        for mu, _, rest, entry in _entries(f, base, i, i)
+        for mu, _, rest, entry in _entries(f, _steps(base, f.nvars), i, i)
     }
     scale = _scale(f)
     if scale > 1:  # back to F's own entries; RatMatrix keeps integral ones as int
@@ -212,27 +223,154 @@ def catalecticant(f: Poly, i: int) -> CatMatrix:
     )
 
 
-def hilbert_function(f: Poly) -> HilbertFn:
+@dataclass(frozen=True)
+class Symmetry:
+    """A torus grading and signed variable permutations offered as
+    symmetries of F: ``weights[k]`` is variable k's weight vector, and a
+    generator sends variable k to ``sign * x_image`` for its k-th pair
+    (image, sign).  ``hilbert_function`` checks every claim exactly."""
+
+    weights: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _coordinate_perm(
+    gen: tuple[tuple[int, int], ...],
+    weights: tuple[tuple[int, ...], ...],
+    terms: dict[Monomial, Fraction],
+) -> list[int]:
+    """The weight-coordinate permutation tau of a signed variable
+    permutation sigma (weight[image k][tau a] = weight[k][a] for all k, a),
+    after checking that sigma is one and maps F to +F or -F."""
+    nvars, dims = len(weights), len(weights[0])
+    if sorted(image for image, _ in gen) != list(range(nvars)) or any(
+        sign not in (1, -1) for _, sign in gen
+    ):
+        raise InvariantError(
+            "a symmetry generator is not a signed variable permutation"
+        )
+    columns: dict[tuple[int, ...], list[int]] = {}
+    for b in range(dims):
+        columns.setdefault(tuple(w[b] for w in weights), []).append(b)
+    tau = []
+    for a in range(dims):
+        moved = [0] * nvars
+        for w, (image, _) in zip(weights, gen):
+            moved[image] = w[a]
+        match = columns.get(tuple(moved))
+        if not match:
+            raise InvariantError(
+                "a symmetry generator does not permute the weight coordinates"
+            )
+        tau.append(match.pop())
+    mapped = {}
+    for expo, coeff in terms.items():
+        out = [0] * nvars
+        negate = False
+        for e, (image, sign) in zip(expo, gen):
+            out[image] = e
+            if sign < 0 and e % 2:
+                negate = not negate
+        mapped[tuple(out)] = -coeff if negate else coeff
+    if mapped != terms and mapped != {e: -v for e, v in terms.items()}:
+        raise InvariantError("a symmetry generator does not map F to +F or -F")
+    return tau
+
+
+def _weight_orbits(f: Poly, c: int, symmetry: Symmetry):
+    """Each variable's additive weight key and the orbit table: a row
+    weight key maps to its orbit's size when it is the least key of its
+    orbit under the generated coordinate group, else to 0; ``close`` fills
+    the table for a new key's whole orbit and returns its entry.  The
+    symmetry is checked exactly first: F must be weight-homogeneous and
+    each generator a signed variable permutation that permutes the weight
+    coordinates and maps F to +F or -F."""
+    weights = symmetry.weights
+    if (
+        len(weights) != f.nvars
+        or not all(weights)
+        or len({len(w) for w in weights}) != 1
+        or any(v < 0 for w in weights for v in w)
+    ):
+        raise InvariantError(
+            "symmetry weights must be one non-negative vector per variable"
+        )
+    dims = len(weights[0])
+    # a degree <= c monomial's weight has coordinates below wbase
+    wbase = c * max(max(w) for w in weights) + 1
+    keys = [_key(w, wbase) for w in weights]
+    terms = dict(f.terms())
+    if len({sum(e * k for e, k in zip(expo, keys)) for expo in terms}) > 1:
+        raise InvariantError("F is not homogeneous for the symmetry's weights")
+    taus = [_coordinate_perm(gen, weights, terms) for gen in symmetry.generators]
+    table: dict[int, int] = {}
+
+    def close(key: int) -> int:
+        orbit, todo = {key}, [key]
+        while todo:
+            v = _monomial(todo.pop(), wbase, dims)
+            for tau in taus:
+                image = [0] * dims
+                for a, b in enumerate(tau):
+                    image[b] = v[a]
+                k = _key(image, wbase)
+                if k not in orbit:
+                    orbit.add(k)
+                    todo.append(k)
+        for k in orbit:
+            table[k] = 0
+        table[min(orbit)] = len(orbit)
+        return table[key]
+
+    return keys, table, close
+
+
+def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
     """h_i = rank of the degree-i catalecticant, one independent exact rank
     per degree.  Gorenstein symmetry of the result is asserted, not assumed.
 
     Each rank is taken on the enumerator's integer entries (D times the
     catalecticant, the same rank), rows and columns numbered by key in the
-    order first seen, so no monomial label is listed."""
+    order first seen, so no monomial label is listed.
+
+    With ``symmetry`` (checked exactly; any failure raises InvariantError)
+    the catalecticant splits into torus-weight blocks, and a signed
+    variable permutation fixing F up to sign maps the block of row weight w
+    onto that of tau(w), with the same rank.  Only the block whose row
+    weight has the least key of its orbit is built and ranked, and h_i sums
+    orbit size times rank.  Without it, every degree is one block."""
     c = _require_homogeneous(f)
     base = c + 1
-    values = []
-    for i in range(c + 1):
-        row_at: dict[int, int] = {}
-        col_at: dict[int, int] = {}
-        entries = {}
-        for mu, _, rest, entry in _entries(f, base, i, i):
-            r = row_at.setdefault(mu, len(row_at))
-            entries[(r, col_at.setdefault(rest, len(col_at)))] = entry
-        matrix = RatMatrix._of(
-            dim_of_degree(f.nvars, i), dim_of_degree(f.nvars, c - i), entries
-        )
-        values.append(mat_rank(matrix))
+    steps = _steps(base, f.nvars)
+    # keys carry the row weight above the monomial bits: mu >> shift
+    shift = (base**f.nvars).bit_length()
+    table, close = {0: 1}, None
+    if symmetry is not None:
+        weight_keys, table, close = _weight_orbits(f, c, symmetry)
+        steps = [s + (k << shift) for s, k in zip(steps, weight_keys)]
+    values = [0] * (c + 1)
+    # The symmetric path keeps a small share of the entries, so one walk over
+    # every degree serves them all; the generic path holds one degree at a
+    # time.  Either way each degree is ranked on its own.
+    walks = [(0, c)] if symmetry is not None else [(i, i) for i in range(c + 1)]
+    for low, high in walks:
+        blocks: list[dict[int, tuple[dict, dict, dict]]] = [{} for _ in range(c + 1)]
+        for mu, deg, rest, entry in _entries(f, steps, low, high):
+            w = mu >> shift
+            size = table.get(w)
+            if size is None:
+                size = close(w)
+            if size:
+                block = blocks[deg].get(w)
+                if block is None:
+                    block = blocks[deg][w] = ({}, {}, {})
+                row_at, col_at, entries = block
+                r = row_at.setdefault(mu, len(row_at))
+                entries[(r, col_at.setdefault(rest, len(col_at)))] = entry
+        for deg in range(low, high + 1):
+            for w, (rows, cols, entries) in blocks[deg].items():
+                matrix = RatMatrix._of(len(rows), len(cols), entries)
+                values[deg] += table[w] * mat_rank(matrix)
     fn = HilbertFn(c, tuple(values))
     if not fn.is_symmetric():
         raise InvariantError(

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 
 import lefkit.exactmath
+import lefkit.families
 import lefkit.macaulay
 from lefkit.cli import main
 
@@ -231,6 +233,18 @@ def test_asymmetric_hilbert_function_exit_code(monkeypatch, capsys):
     code, out, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "2")
     assert code == 4
     assert out == "" and "Gorenstein-symmetric" in err
+
+
+def test_refused_family_symmetry_exit_code(monkeypatch, capsys):
+    # x11 of weight e_1: F = x11 x22 - x12^2 is not weight-homogeneous
+    def bad_symmetry(spec):
+        symmetry = lefkit.families.family_symmetry(spec)
+        return dataclasses.replace(symmetry, weights=((1, 0),) + symmetry.weights[1:])
+
+    monkeypatch.setattr("lefkit.cli.family_symmetry", bad_symmetry)
+    code, out, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "2")
+    assert code == 4
+    assert out == "" and "not homogeneous" in err
 
 
 def test_inexact_bareiss_step_exit_code(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -8,9 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefkit.cli import main
-from lefkit.errors import OutOfRangeError, TooLargeError, ZeroPolynomialError
+from lefkit.errors import (
+    InvariantError,
+    OutOfRangeError,
+    TooLargeError,
+    ZeroPolynomialError,
+)
 from lefkit.exactmath import RatMatrix, mat_rank
-from lefkit.families import FamilyKind, FamilySpec, make_invariant
+from lefkit.families import FamilyKind, FamilySpec, family_symmetry, make_invariant
 from lefkit.macaulay import (
     annihilator_basis,
     catalecticant,
@@ -145,6 +151,68 @@ def test_hilbert_function_lists_no_monomial_labels(monkeypatch):
 
     monkeypatch.setattr("lefkit.macaulay.monomials_of_degree", refuse)
     assert hilbert_function(f).values == (1, 6, 21, 28, 21, 6, 1)
+    symmetry = family_symmetry(FamilySpec(FamilyKind.SYM_DET, 3, 2))
+    assert hilbert_function(f, symmetry).values == (1, 6, 21, 28, 21, 6, 1)
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (kind, n, s)
+    for kind, sizes, powers in [
+        (FamilyKind.SYM_DET, (2, 3), (1, 2, 3)),
+        (FamilyKind.GENERIC_DET, (2, 3), (1, 2)),
+        (FamilyKind.PFAFFIAN, (4, 6), (1, 2)),
+    ]
+    for n in sizes
+    for s in powers
+] + [(FamilyKind.PFAFFIAN, 4, 3), (FamilyKind.GENERIC_DET, 2, 3)])
+def test_symmetric_hilbert_function_matches_generic(kind, n, s):
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    assert hilbert_function(f, family_symmetry(spec)) == hilbert_function(f)
+
+
+@pytest.mark.parametrize("kind,n,s,expected", [
+    (FamilyKind.SYM_DET, 3, 4, (1, 6, 21, 56, 126, 186, 209, 186, 126, 56, 21, 6, 1)),
+    (FamilyKind.GENERIC_DET, 3, 2, (1, 9, 45, 65, 45, 9, 1)),
+])
+def test_symmetric_hilbert_function_of_benchmark_instances(kind, n, s, expected):
+    spec = FamilySpec(kind, n, s)
+    fn = hilbert_function(make_invariant(spec), family_symmetry(spec))
+    assert fn.values == expected
+
+
+def test_quadrics_have_no_family_symmetry():
+    for n in (2, 3, 5):
+        assert family_symmetry(FamilySpec(FamilyKind.QUADRIC, n)) is None
+
+
+def _unsigned(symmetry):
+    gens = tuple(tuple((image, 1) for image, _ in gen) for gen in symmetry.generators)
+    return dataclasses.replace(symmetry, generators=gens)
+
+
+def _x11_of_weight_e1(symmetry):  # F = x11 x22 - x12^2 is then not homogeneous
+    return dataclasses.replace(symmetry, weights=((1, 0),) + symmetry.weights[1:])
+
+
+def _swap_x11_x12(symmetry):  # weights 2e_1 and e_1 + e_2 are not permuted
+    return dataclasses.replace(symmetry, generators=(((1, 1), (0, 1), (2, 1)),))
+
+
+def _repeated_image(symmetry):
+    return dataclasses.replace(symmetry, generators=(((0, 1), (0, 1), (2, 1)),))
+
+
+@pytest.mark.parametrize("kind,n,spoil,message", [
+    (FamilyKind.PFAFFIAN, 4, _unsigned, "does not map F"),
+    (FamilyKind.SYM_DET, 2, _x11_of_weight_e1, "not homogeneous"),
+    (FamilyKind.SYM_DET, 2, _swap_x11_x12, "does not permute the weight"),
+    (FamilyKind.SYM_DET, 2, _repeated_image, "not a signed variable permutation"),
+])
+def test_false_symmetry_claims_are_refused(kind, n, spoil, message):
+    spec = FamilySpec(kind, n)
+    with pytest.raises(InvariantError, match=message):
+        hilbert_function(make_invariant(spec), spoil(family_symmetry(spec)))
 
 
 def test_hilbert_det3_narayana():
