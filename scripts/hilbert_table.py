@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Print computed Hilbert functions next to the representation-theoretic
-prediction for the symmetric-determinant family.
+"""Print computed Hilbert functions next to the Jordan-algebra prediction
+(``families.predicted_hilbert``) for every family; odd Pfaffian sizes are
+skipped.
 
 Usage: python3 scripts/hilbert_table.py [--max-n N] [--max-s S]
 """
@@ -8,9 +9,14 @@ Usage: python3 scripts/hilbert_table.py [--max-n N] [--max-s S]
 import argparse
 import time
 
-from lefkit.families import FamilyKind, FamilySpec, family_symmetry, make_invariant
+from lefkit.families import (
+    FamilyKind,
+    FamilySpec,
+    family_symmetry,
+    make_invariant,
+    predicted_hilbert,
+)
 from lefkit.macaulay import hilbert_function, max_catalecticant_cells
-from lefkit.reptheory import predicted_hilbert_typeC
 
 
 def main():
@@ -22,20 +28,23 @@ def main():
     args = parser.parse_args()
 
     mismatch = 0
-    for n in range(1, args.max_n + 1):
-        for s in range(1, args.max_s + 1):
-            spec = FamilySpec(FamilyKind.SYM_DET, n, s)
-            if max_catalecticant_cells(spec.nvars, spec.socle_degree) > args.cell_limit:
-                print(f"n={n} s={s}: skipped (over cell limit)")
+    for kind in FamilyKind:
+        for n in range(1, args.max_n + 1):
+            if kind is FamilyKind.PFAFFIAN and n % 2:
                 continue
-            start = time.perf_counter()
-            computed = hilbert_function(make_invariant(spec), family_symmetry(spec))
-            elapsed = time.perf_counter() - start
-            predicted = predicted_hilbert_typeC(n, s)
-            flag = "ok" if computed.values == predicted.values else "MISMATCH"
-            mismatch += flag != "ok"
-            print(f"n={n} s={s}: computed {computed.as_text()}  "
-                  f"predicted {predicted.as_text()}  {flag}  ({elapsed:.2f}s)")
+            for s in range(1, args.max_s + 1):
+                spec = FamilySpec(kind, n, s)
+                if max_catalecticant_cells(spec.nvars, spec.socle_degree) > args.cell_limit:
+                    print(f"{spec}: skipped (over cell limit)")
+                    continue
+                start = time.perf_counter()
+                computed = hilbert_function(make_invariant(spec), family_symmetry(spec))
+                elapsed = time.perf_counter() - start
+                predicted = predicted_hilbert(spec)
+                flag = "ok" if computed.values == predicted.values else "MISMATCH"
+                mismatch += flag != "ok"
+                print(f"{spec}: computed {computed.as_text()}  "
+                      f"predicted {predicted.as_text()}  {flag}  ({elapsed:.2f}s)")
     return 0 if mismatch == 0 else 1
 
 

@@ -25,6 +25,7 @@ from .families import (
     family_symmetry,
     kind_from_name,
     make_invariant,
+    predicted_hilbert,
 )
 from .lefschetz import (
     hessian_determinants_at,
@@ -34,7 +35,6 @@ from .lefschetz import (
 )
 from .macaulay import annihilator_basis, ensure_within_budget, hilbert_function
 from .polyring import Poly, dim_of_degree, format_poly, scale_variables
-from .reptheory import predicted_hilbert_typeC
 
 EXIT_PASS = 0
 EXIT_FALSE = 1
@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("verify", parents=[common],
                    help="cross-check Lefschetz verdicts against open-orbit membership")
     sub.add_parser("predict", parents=[common],
-                   help="predicted vs computed Hilbert function (sym-det only)")
+                   help="Jordan-algebra predicted vs computed Hilbert function "
+                        "(every family)")
     sub.add_parser("hessian", parents=[common, lef],
                    help="higher-Hessian determinants evaluated at a point")
     ann = sub.add_parser("annihilator", parents=[common],
@@ -315,12 +316,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    if spec.kind.value != "sym-det":
-        raise LefkitError("prediction implemented for sym-det only")
     if _resolve_weights(args.weights, spec) is not None:
         raise LefkitError("predict compares unit-weight Hilbert functions")
     f = _invariant(args, spec)
-    predicted = predicted_hilbert_typeC(spec.size, spec.power, args.budget)
+    predicted = predicted_hilbert(spec, args.budget)
     computed = hilbert_function(f, family_symmetry(spec))
     match = predicted.values == computed.values
     payload = {

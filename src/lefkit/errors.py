@@ -17,10 +17,6 @@ class NotLinearError(LefkitError):
     """A Lefschetz candidate must be a nonzero homogeneous linear form."""
 
 
-class NotDominantError(LefkitError):
-    """A gl_n highest weight must be weakly decreasing."""
-
-
 class OutOfRangeError(LefkitError):
     """An index or degree parameter is outside its documented range."""
 

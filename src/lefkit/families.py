@@ -8,7 +8,8 @@ family but the quadric also supplies its symmetry (``family_symmetry``):
 the torus weight of each variable and signed variable permutations that fix
 the invariant up to sign, which ``macaulay.hilbert_function`` checks
 exactly and then uses to rank one catalecticant block per orbit; quadrics
-take the generic path.
+take the generic path.  ``predicted_hilbert`` gives the Hilbert function of
+every family from its Jordan data (rank r and Peirce constant d) alone.
 """
 
 from __future__ import annotations
@@ -16,14 +17,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 from .errors import (
     InvalidSpecError,
+    InvariantError,
     NotLinearError,
+    TooLargeError,
     VarMismatchError,
 )
 from .exactmath import RatMatrix, mat_rank
-from .macaulay import Symmetry
+from .macaulay import HilbertFn, Symmetry, resolve_budget
 from .polyring import Poly, poly_mul, poly_pow
 
 
@@ -101,8 +106,8 @@ class FamilySpec:
 
     @property
     def rank_r(self) -> int:
-        """Number of strongly orthogonal roots; the grading k1+2k2+...+r*kr
-        gives the basic invariant degree r."""
+        """The rank r of the family's Jordan algebra: the number of strongly
+        orthogonal roots, and the degree of the basic invariant."""
         n = self.size
         return {
             FamilyKind.GENERIC_DET: n,
@@ -113,7 +118,8 @@ class FamilySpec:
 
     @property
     def d_value(self) -> Fraction:
-        """The multiplicity constant of the submodule-vanishing predicate."""
+        """The Peirce constant d of the family's Jordan algebra, which with
+        rank_r fixes ``predicted_hilbert``."""
         return d_table(self.kind, self.nvars)
 
     def var_index(self, i: int, j: int = 0) -> int:
@@ -134,6 +140,52 @@ def d_table(kind: FamilyKind, nvars: int) -> Fraction:
     if kind is FamilyKind.PFAFFIAN:
         return Fraction(4)
     return Fraction(nvars - 2)  # quadric
+
+
+def _rising(y: Fraction, n: int) -> Fraction:
+    """The rising factorial (y)_n = y (y+1) ... (y+n-1)."""
+    out = Fraction(1)
+    for k in range(n):
+        out *= y + k
+    return out
+
+
+def predicted_hilbert(spec: FamilySpec, budget: int | None = None) -> HilbertFn:
+    """The Hilbert function of A_F for F = N^s, from the Jordan data (rank r,
+    Peirce constant d) alone, with no catalecticant.
+
+    h_k = sum of d_m over partitions m = (m_1 >= ... >= m_r >= 0) with
+    m_1 <= s and |m| = k, where, with a = d/2, d_m is the product over
+    i < j with x = m_i - m_j > 0 and t = j - i of
+    (x + a t) (t+1)/t (a(t+1)+1)_{x-1} / (a(t-1)+1)_x  (Faraut-Koranyi,
+    ch. XI).  This form has no division by a t, so it holds for the quadrics
+    in 1 and 2 variables too (d = -1, 0).  Each (x, t) factor is tabled once
+    per call.  The partition count C(r+s, r) is held to the
+    cell budget (``macaulay.resolve_budget``)."""
+    r, s = spec.rank_r, spec.power
+    count = comb(r + s, r)
+    limit = resolve_budget(budget)
+    if count > limit:
+        raise TooLargeError(f"{count} partitions exceed the budget {limit}")
+    a = spec.d_value / 2
+    factor = {(0, t): Fraction(1) for t in range(1, r)}
+    for t in range(1, r):
+        for x in range(1, s + 1):
+            factor[x, t] = (
+                (x + a * t) * Fraction(t + 1, t) * _rising(a * (t + 1) + 1, x - 1)
+                / _rising(a * (t - 1) + 1, x)
+            )
+    pairs = [(i, j) for j in range(r) for i in range(j)]
+    values = [Fraction(0)] * (r * s + 1)
+    # weakly decreasing tuples drawn from s, s-1, ..., 0
+    for m in combinations_with_replacement(range(s, -1, -1), r):
+        dm = Fraction(1)
+        for i, j in pairs:
+            dm *= factor[m[i] - m[j], j - i]
+        values[sum(m)] += dm
+    if any(v.denominator != 1 or v < 0 for v in values):
+        raise InvariantError(f"predicted Hilbert values {values} are not counts")
+    return HilbertFn(r * s, tuple(int(v) for v in values))
 
 
 _POSITION_CACHE: dict[tuple[FamilyKind, int], dict[tuple[int, int], int]] = {}

@@ -12,7 +12,6 @@ every matrix and report deterministic.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, perm
@@ -311,40 +310,3 @@ def format_poly(p: Poly, names: Sequence[str]) -> str:
             pieces.append(f"{'+' if coeff > 0 else '-'} {body}")
     return " ".join(pieces)
 
-
-_NUMBER_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
-def parse_poly(text: str, names: Sequence[str]) -> Poly:
-    """Inverse of :func:`format_poly`; accepts integer and p/q coefficients,
-    `*` or whitespace between factors, and an optional leading sign."""
-    index = {name: i for i, name in enumerate(names)}
-    nvars = len(names)
-    stripped = text.strip()
-    if stripped in ("", "0"):
-        return Poly.zero(nvars)
-    normalized = stripped.replace("-", "+-")
-    result = Poly.zero(nvars)
-    for chunk in normalized.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        negative = chunk.startswith("-")
-        if negative:
-            chunk = chunk[1:].strip()
-        if not chunk:
-            raise ValueError(f"dangling sign in polynomial text: {text!r}")
-        coeff = Fraction(1)
-        expo = [0] * nvars
-        for factor in chunk.replace("*", " ").split():
-            if _NUMBER_RE.match(factor):
-                coeff *= Fraction(factor)
-                continue
-            name, _, power = factor.partition("^")
-            if name not in index:
-                raise ValueError(f"unknown variable {name!r}")
-            expo[index[name]] += int(power) if power else 1
-        if negative:
-            coeff = -coeff
-        result = result + Poly.monomial(nvars, expo, coeff)
-    return result

@@ -10,19 +10,24 @@ term-by-term multiplier instead of repeated squaring, a weighted contraction
 of their own instead of the package's, catalecticants built row by row
 through contraction instead of from the terms of F, SLP ranks from a power
 of L instead of a chain of contractions, and higher-Hessian entries from a
-product of basis monomials instead of rows built from the terms of F.  A few
-small helpers the package no longer needs (identity matrix, matrix-vector
-product, corner minors, polynomial evaluation) live here too.
+product of basis monomials instead of rows built from the terms of F.  The
+d = 1 representation-theoretic oracles for ``families.predicted_hilbert`` are
+a sum of gl_n Weyl dimensions over type-C highest weights, Narayana numbers
+and the q_mu product.  A few small helpers the package no longer needs
+(identity matrix, matrix-vector product, corner minors, polynomial
+evaluation, parsing a polynomial from text) live here too.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import gcd, lcm, perm
+from itertools import permutations, product
+from math import comb, gcd, lcm, perm
 
 from lefkit.errors import InvalidSpecError, InvariantError, OutOfRangeError
 from lefkit.exactmath import RatMatrix
 from lefkit.families import FamilyKind, generic_matrix
+from lefkit.macaulay import HilbertFn
 from lefkit.polyring import Poly, monomials_of_degree
 
 
@@ -337,3 +342,100 @@ def corner_minor(spec, t):
         raise OutOfRangeError(f"corner size {t} outside 1..{spec.size}")
     corner = [row[spec.size - t:] for row in generic_matrix(spec)[spec.size - t:]]
     return perm_det_poly(corner, spec.nvars)
+
+
+_NUMBER_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def parse_poly(text, names):
+    """Inverse of ``polyring.format_poly``; accepts integer and p/q
+    coefficients, `*` or whitespace between factors, and an optional leading
+    sign."""
+    index = {name: i for i, name in enumerate(names)}
+    nvars = len(names)
+    stripped = text.strip()
+    if stripped in ("", "0"):
+        return Poly.zero(nvars)
+    result = Poly.zero(nvars)
+    for chunk in stripped.replace("-", "+-").split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        negative = chunk.startswith("-")
+        if negative:
+            chunk = chunk[1:].strip()
+        if not chunk:
+            raise ValueError(f"dangling sign in polynomial text: {text!r}")
+        coeff = Fraction(1)
+        expo = [0] * nvars
+        for factor in chunk.replace("*", " ").split():
+            if _NUMBER_RE.match(factor):
+                coeff *= Fraction(factor)
+                continue
+            name, _, power = factor.partition("^")
+            if name not in index:
+                raise ValueError(f"unknown variable {name!r}")
+            expo[index[name]] += int(power) if power else 1
+        result = result + Poly.monomial(nvars, expo, -coeff if negative else coeff)
+    return result
+
+
+def weyl_dim_gl(weight):
+    """dim V_lambda = prod_{i<j} (lambda_i - lambda_j + j - i) / (j - i)
+    for a weakly decreasing integer tuple."""
+    lam = tuple(int(x) for x in weight)
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise ValueError(f"weight {lam} is not weakly decreasing")
+    dim = Fraction(1)
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            dim *= Fraction(lam[i] - lam[j] + j - i, j - i)
+    assert dim.denominator == 1 and dim > 0
+    return int(dim)
+
+
+def weyl_sum_hilbert(n, s):
+    """The n x n symmetric determinant's Hilbert function at power s as a sum
+    of gl_n Weyl dimensions: one simple summand per exponent tuple
+    (k_1, ..., k_n) with k_1 + ... + k_n <= s, in degree k_1 + 2 k_2 + ... +
+    n k_n, of highest weight sum k_i lambda_i, where lambda_i has -2 in its
+    last i entries (entry p is -2 (k_{n-p+1} + ... + k_n))."""
+    values = [0] * (n * s + 1)
+    for ks in product(range(s + 1), repeat=n):
+        if sum(ks) > s:
+            continue
+        weight = tuple(-2 * sum(ks[n - p:]) for p in range(1, n + 1))
+        values[sum((i + 1) * k for i, k in enumerate(ks))] += weyl_dim_gl(weight)
+    return HilbertFn(n * s, tuple(values))
+
+
+def narayana(n, k):
+    """N(n, k) = (1/n) C(n, k) C(n, k-1)."""
+    if not 1 <= k <= n:
+        raise OutOfRangeError(f"need 1 <= k <= n, got k={k}, n={n}")
+    value = comb(n, k) * comb(n, k - 1)
+    assert value % n == 0
+    return value // n
+
+
+def narayana_hilbert(n):
+    """(N(n+1, 1), ..., N(n+1, n+1)): the Hilbert function of the n x n
+    symmetric determinant."""
+    if n < 1:
+        raise OutOfRangeError("need n >= 1")
+    return HilbertFn(n, tuple(narayana(n + 1, k) for k in range(1, n + 2)))
+
+
+def q_mu(ks, s, d):
+    """The double product prod_{i=0}^{r-1} prod_{l=0}^{k_{i+1}+...+k_r - 1}
+    (i*d/2 + s - l); empty inner ranges contribute 1.  Rational s and d are
+    accepted so the predicate can be probed off the integer locus."""
+    ks = tuple(int(x) for x in ks)
+    if any(x < 0 for x in ks):
+        raise ValueError("exponents are non-negative")
+    s, d = Fraction(s), Fraction(d)
+    value = Fraction(1)
+    for i in range(len(ks)):
+        for l in range(sum(ks[i:])):  # k_{i+1} + ... + k_r, 1-based
+            value *= Fraction(i) * d / 2 + s - l
+    return value

@@ -16,6 +16,7 @@ from lefkit.families import (
     kind_from_name,
     make_invariant,
     pfaffian_poly,
+    predicted_hilbert,
 )
 from lefkit.lefschetz import (
     SlpTable,
@@ -27,10 +28,9 @@ from lefkit.lefschetz import (
 )
 from lefkit.macaulay import catalecticant, hilbert_function
 from lefkit.polyring import Poly, contract, poly_mul, poly_pow
-from lefkit.reptheory import narayana, predicted_hilbert_typeC, q_mu
 from lefkit.exactmath import mat_rank
 
-from _oracles import perm_det_poly
+from _oracles import narayana, perm_det_poly, q_mu, weyl_sum_hilbert
 
 SEED = 7
 
@@ -145,10 +145,24 @@ def test_criterion_5_hessian_oracle_equivalence():
 
 def test_criterion_6_representation_prediction():
     ok = True
-    for n, s in [(1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
-        f, _ = _invariant_and_table("sym-det", n, s)
-        ok = ok and predicted_hilbert_typeC(n, s).values == hilbert_function(f).values
-    _criterion(6, "Weyl-dimension prediction equals catalecticant ranks", ok)
+    for family, n, s in [
+        ("sym-det", 1, 3), ("sym-det", 2, 1), ("sym-det", 2, 2),
+        ("sym-det", 2, 3), ("sym-det", 3, 1), ("sym-det", 3, 2),
+        ("generic-det", 2, 2), ("generic-det", 3, 1),
+        ("pfaffian", 4, 2), ("pfaffian", 6, 1),
+        ("quadric", 2, 3), ("quadric", 4, 2), ("quadric", 5, 2),
+    ]:
+        f, _ = _invariant_and_table(family, n, s)
+        predicted = predicted_hilbert(_spec(family, n, s)).values
+        ok = ok and predicted == hilbert_function(f).values
+        if family == "sym-det":
+            ok = ok and predicted == weyl_sum_hilbert(n, s).values
+    _criterion(
+        6,
+        "Jordan-algebra prediction equals catalecticant ranks on all four "
+        "families, and the Weyl-dimension sum on sym-det",
+        ok,
+    )
 
 
 def test_criterion_7_q_mu_cutoff():

@@ -181,10 +181,10 @@ def test_predict_narayana(capsys):
     assert payload["match"] is True
 
 
-def test_predict_unsupported_family(capsys):
-    code, _, err = run(capsys, "predict", "--family", "pfaffian", "--n", "4")
-    assert code == 2
-    assert "sym-det only" in err
+def test_predict_pfaffian(capsys):
+    code, out, _ = run(capsys, "predict", "--family", "pfaffian", "--n", "4")
+    assert code == 0
+    assert "match true" in out
 
 
 def test_hessian_command(capsys):

@@ -11,13 +11,12 @@ from lefkit.polyring import (
     dim_of_degree,
     format_poly,
     monomials_of_degree,
-    parse_poly,
     poly_mul,
     poly_pow,
     scale_variables,
 )
 
-from _oracles import naive_mul, naive_pow
+from _oracles import naive_mul, naive_pow, parse_poly
 
 
 def x(i, nvars=3):

@@ -1,3 +1,7 @@
+"""The Jordan-algebra Hilbert prediction (``families.predicted_hilbert``)
+against catalecticant ranks, and the d = 1 representation-theoretic oracles
+of ``_oracles`` (Weyl dimensions, Narayana numbers, q_mu) against it."""
+
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -6,18 +10,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefkit.errors import NotDominantError, OutOfRangeError, TooLargeError
-from lefkit.families import FamilyKind, FamilySpec, make_invariant
-from lefkit.macaulay import hilbert_function
-from lefkit.reptheory import (
-    ExponentTuple,
-    narayana,
-    narayana_hilbert,
-    predicted_hilbert_typeC,
-    q_mu,
-    type_c_weight,
-    weyl_dim_gl,
+from lefkit.errors import InvalidSpecError, OutOfRangeError, TooLargeError
+from lefkit.families import (
+    FamilyKind,
+    FamilySpec,
+    family_symmetry,
+    make_invariant,
+    predicted_hilbert,
 )
+from lefkit.macaulay import hilbert_function
+
+from _oracles import narayana, narayana_hilbert, q_mu, weyl_dim_gl, weyl_sum_hilbert
+
+# (family, n, s) cheap enough to rank every catalecticant block
+CATALECTICANT_GRID = [
+    (FamilyKind.SYM_DET, 1, 3), (FamilyKind.SYM_DET, 2, 1),
+    (FamilyKind.SYM_DET, 2, 3), (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.SYM_DET, 4, 1),
+    (FamilyKind.GENERIC_DET, 1, 2), (FamilyKind.GENERIC_DET, 2, 3),
+    (FamilyKind.GENERIC_DET, 3, 1), (FamilyKind.GENERIC_DET, 3, 2),
+    (FamilyKind.PFAFFIAN, 2, 2), (FamilyKind.PFAFFIAN, 4, 3),
+    (FamilyKind.PFAFFIAN, 6, 1), (FamilyKind.PFAFFIAN, 8, 1),
+    (FamilyKind.QUADRIC, 1, 3), (FamilyKind.QUADRIC, 2, 3),
+    (FamilyKind.QUADRIC, 3, 2), (FamilyKind.QUADRIC, 5, 3),
+    (FamilyKind.QUADRIC, 7, 2),
+]
 
 
 def test_weyl_dim_examples():
@@ -28,7 +45,7 @@ def test_weyl_dim_examples():
 
 
 def test_weyl_dim_rejects_non_dominant():
-    with pytest.raises(NotDominantError):
+    with pytest.raises(ValueError):
         weyl_dim_gl((0, 1))
 
 
@@ -79,10 +96,6 @@ def test_q_mu_examples():
     assert q_mu((0,), Fraction(7, 2), Fraction(1, 3)) == 1
 
 
-def test_q_mu_accepts_exponent_tuple():
-    assert q_mu(ExponentTuple((1, 1)), 2, 1) == q_mu((1, 1), 2, 1)
-
-
 def test_q_mu_rational_probe_off_integer_locus():
     # at s = 1/2 the i=0 factor (s - l) never hits zero on integers
     assert q_mu((3, 0), Fraction(1, 2), 1) != 0
@@ -98,21 +111,6 @@ def test_q_mu_cutoff_equivalence_exhaustive():
                     assert vanishes == (sum(ks) > s), (d, ks, s)
 
 
-def test_exponent_tuple_grading():
-    t = ExponentTuple((1, 0, 2))
-    assert t.rank == 3
-    assert t.total == 3
-    assert t.graded_degree == 1 + 3 * 2
-
-
-def test_type_c_weight():
-    # lambda_1 = (0,...,0,-2); k = (1,0,0)
-    assert type_c_weight(3, (1, 0, 0)) == (0, 0, -2)
-    assert type_c_weight(3, (0, 1, 0)) == (0, -2, -2)
-    assert type_c_weight(3, (0, 0, 2)) == (-4, -4, -4)
-    assert type_c_weight(2, (1, 1)) == (-2, -4)
-
-
 @pytest.mark.parametrize("n,s,expected", [
     (3, 1, (1, 6, 6, 1)),
     (2, 2, (1, 3, 6, 3, 1)),
@@ -120,39 +118,73 @@ def test_type_c_weight():
     (2, 3, (1, 3, 6, 10, 6, 3, 1)),
 ])
 def test_predicted_hilbert(n, s, expected):
-    assert predicted_hilbert_typeC(n, s).values == expected
+    assert predicted_hilbert(FamilySpec(FamilyKind.SYM_DET, n, s)).values == expected
+
+
+@pytest.mark.parametrize("n,s,expected", [
+    # d = -1: F = x^(2s), one monomial per degree
+    (1, 1, (1, 1, 1)),
+    (1, 3, (1, 1, 1, 1, 1, 1, 1)),
+    # d = 0: the textbook (x + a t) / (a t) would divide by zero here
+    (2, 1, (1, 2, 1)),
+    (2, 3, (1, 2, 3, 4, 3, 2, 1)),
+])
+def test_predicted_hilbert_small_quadrics(n, s, expected):
+    assert predicted_hilbert(FamilySpec(FamilyKind.QUADRIC, n, s)).values == expected
 
 
 def test_predicted_hilbert_palindromic():
-    for n, s in [(2, 1), (2, 4), (3, 2), (4, 2), (5, 1)]:
-        fn = predicted_hilbert_typeC(n, s)
-        assert fn.socle_degree == n * s
+    for kind, n, s in [
+        (FamilyKind.SYM_DET, 2, 1), (FamilyKind.SYM_DET, 2, 4),
+        (FamilyKind.SYM_DET, 3, 2), (FamilyKind.SYM_DET, 4, 2),
+        (FamilyKind.SYM_DET, 5, 1),
+        (FamilyKind.GENERIC_DET, 4, 2), (FamilyKind.PFAFFIAN, 10, 2),
+        (FamilyKind.QUADRIC, 9, 4),
+    ]:
+        spec = FamilySpec(kind, n, s)
+        fn = predicted_hilbert(spec)
+        assert fn.socle_degree == spec.socle_degree
         assert fn.is_symmetric()
         assert fn.values[0] == 1 and fn.values[-1] == 1
+        assert fn.values[1] == spec.nvars
 
 
 def test_predicted_hilbert_budget():
     with pytest.raises(TooLargeError):
-        predicted_hilbert_typeC(40, 40, budget=1000)
-    with pytest.raises(OutOfRangeError):
-        predicted_hilbert_typeC(0, 1)
+        predicted_hilbert(FamilySpec(FamilyKind.SYM_DET, 40, 40), budget=1000)
+    with pytest.raises(TooLargeError):
+        predicted_hilbert(FamilySpec(FamilyKind.PFAFFIAN, 80, 40), budget=1000)
+    with pytest.raises(InvalidSpecError):
+        predicted_hilbert(FamilySpec(FamilyKind.SYM_DET, 0, 1))
 
 
 def test_predicted_hilbert_budget_env_var(monkeypatch):
-    # (2, 2) has C(4, 2) = 6 summands
+    # (2, 2) has C(4, 2) = 6 partitions
     monkeypatch.setenv("LEFKIT_BUDGET", "5")
+    spec = FamilySpec(FamilyKind.SYM_DET, 2, 2)
     with pytest.raises(TooLargeError):
-        predicted_hilbert_typeC(2, 2)
+        predicted_hilbert(spec)
     monkeypatch.setenv("LEFKIT_BUDGET", "6")
-    assert predicted_hilbert_typeC(2, 2).values == (1, 3, 6, 3, 1)
+    assert predicted_hilbert(spec).values == (1, 3, 6, 3, 1)
 
 
 def test_prediction_matches_catalecticant_ranks():
-    for n, s in [(1, 3), (2, 1), (2, 2), (3, 1)]:
-        f = make_invariant(FamilySpec(FamilyKind.SYM_DET, n, s))
-        assert predicted_hilbert_typeC(n, s).values == hilbert_function(f).values
+    for kind, n, s in CATALECTICANT_GRID:
+        spec = FamilySpec(kind, n, s)
+        computed = hilbert_function(make_invariant(spec), family_symmetry(spec))
+        assert predicted_hilbert(spec).values == computed.values, spec
+
+
+def test_weyl_sum_equals_prediction_for_sym_det():
+    # d = 1: the gl_n Weyl sum over type-C highest weights is an oracle of
+    # its own, sharing nothing with the Jordan product formula
+    for n in range(1, 5):
+        for s in range(1, 5):
+            spec = FamilySpec(FamilyKind.SYM_DET, n, s)
+            assert weyl_sum_hilbert(n, s).values == predicted_hilbert(spec).values
 
 
 def test_narayana_equals_prediction_at_power_one():
     for n in range(1, 6):
-        assert narayana_hilbert(n).values == predicted_hilbert_typeC(n, 1).values
+        spec = FamilySpec(FamilyKind.SYM_DET, n, 1)
+        assert narayana_hilbert(n).values == predicted_hilbert(spec).values
