@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .errors import InvariantError, LefkitError, TooLargeError
 from .families import (
+    FamilyKind,
     FamilySpec,
     canonical_lefschetz,
     family_symmetry,
@@ -53,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--family", required=True,
-                        choices=["generic-det", "sym-det", "pfaffian", "quadric"])
+                        choices=[kind.value for kind in FamilyKind])
     common.add_argument("--n", type=int, required=True, help="matrix size / dimension")
     common.add_argument("--power", type=int, default=1, help="power s of the invariant")
     common.add_argument("--format", dest="fmt", default="text",
@@ -62,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--samples", type=int, default=50)
     common.add_argument("--budget", type=int, default=None,
-                        help="catalecticant cell budget (default 4e6, env LEFKIT_BUDGET)")
+                        help="cell budget for catalecticants and predicted "
+                             "partitions (default 4e6)")
     common.add_argument("--weights", default=None,
                         help="apolarity weight override: JSON object or path, "
                              "variable name -> positive rational")
@@ -128,13 +130,16 @@ def _resolve_weights(arg: str | None, spec: FamilySpec) -> list[Fraction] | None
     return weights
 
 
-def _invariant(args: argparse.Namespace, spec: FamilySpec) -> Poly:
-    """The invariant F after the budget check; under non-unit --weights it is
+def _invariant(
+    spec: FamilySpec, budget: int | None, weights_arg: str | None
+) -> tuple[Poly, list[Fraction] | None]:
+    """The invariant F after the budget check, and the weights read from
+    ``weights_arg`` (``_resolve_weights``).  Under non-unit weights F is
     F(w*x), whose plain apolarity pairing is the weighted pairing of F."""
-    ensure_within_budget(spec.nvars, spec.socle_degree, args.budget)
-    weights = _resolve_weights(args.weights, spec)
+    ensure_within_budget(spec.nvars, spec.socle_degree, budget)
+    weights = _resolve_weights(weights_arg, spec)
     f = make_invariant(spec)
-    return f if weights is None else scale_variables(f, weights)
+    return (f if weights is None else scale_variables(f, weights)), weights
 
 
 def _lefschetz_from(args: argparse.Namespace, spec: FamilySpec) -> Poly:
@@ -210,11 +215,10 @@ def _coeff_map(coeffs, spec: FamilySpec) -> dict[str, str]:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    f = _invariant(args, spec)
+    f, weights = _invariant(spec, args.budget, args.weights)
     # F(w*x) under non-unit weights is no longer fixed by the family's
     # variable permutations, so it takes the generic path
-    weighted = _resolve_weights(args.weights, spec) is not None
-    fn = hilbert_function(f, None if weighted else family_symmetry(spec))
+    fn = hilbert_function(f, family_symmetry(spec) if weights is None else None)
     rows = []
     for i, h in enumerate(fn.values):
         dim = dim_of_degree(f.nvars, i)
@@ -240,7 +244,7 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 def cmd_slp(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    f = _invariant(args, spec)
+    f, _ = _invariant(spec, args.budget, args.weights)
     L = _lefschetz_from(args, spec)
     report = slp_check(f, L)
     rows = [
@@ -318,7 +322,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     spec = _spec(args)
     if _resolve_weights(args.weights, spec) is not None:
         raise LefkitError("predict compares unit-weight Hilbert functions")
-    f = _invariant(args, spec)
+    f, _ = _invariant(spec, args.budget, None)
     predicted = predicted_hilbert(spec, args.budget)
     computed = hilbert_function(f, family_symmetry(spec))
     match = predicted.values == computed.values
@@ -346,7 +350,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_hessian(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    f = _invariant(args, spec)
+    f, _ = _invariant(spec, args.budget, args.weights)
     L = _lefschetz_from(args, spec)
     dets = hessian_determinants_at(f, L)
     rows = [
@@ -374,7 +378,7 @@ def cmd_hessian(args: argparse.Namespace) -> int:
 
 def cmd_annihilator(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    f = _invariant(args, spec)
+    f, _ = _invariant(spec, args.budget, args.weights)
     basis = annihilator_basis(f, args.degree)
     texts = [format_poly(p, spec.layout) for p in basis]
     payload = {

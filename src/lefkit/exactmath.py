@@ -26,10 +26,6 @@ from typing import Iterator, Sequence
 
 from .errors import BadPrimeError, InvariantError
 
-# Rational scalars are stdlib Fractions: arbitrary precision, always in
-# lowest terms, positive denominator.
-Rational = Fraction
-
 
 def _as_rational(x) -> int | Fraction:
     """x as an exact rational: an int when it is integral, else a Fraction."""

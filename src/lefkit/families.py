@@ -15,6 +15,7 @@ every family from its Jordan data (rank r and Peirce constant d) alone.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -39,24 +40,33 @@ class FamilyKind(enum.Enum):
     QUADRIC = "quadric"
 
 
-_CLI_NAMES = {kind.value: kind for kind in FamilyKind}
-
-
 def kind_from_name(name: str) -> FamilyKind:
     try:
-        return _CLI_NAMES[name]
-    except KeyError:
+        return FamilyKind(name)
+    except ValueError:
         raise InvalidSpecError(f"unknown family {name!r}") from None
 
 
-def _positions(kind: FamilyKind, n: int) -> list[tuple[int, int]]:
+def _row(kind: FamilyKind, n: int, i: int) -> range:
+    """The columns j of the variables x_ij in row i of the layout: the one
+    definition of the family's positions and so of its variable count."""
     if kind is FamilyKind.GENERIC_DET:
-        return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        return range(1, n + 1)
     if kind is FamilyKind.SYM_DET:
-        return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        return range(i, n + 1)
     if kind is FamilyKind.PFAFFIAN:
-        return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return [(i, 0) for i in range(1, n + 1)]  # quadric
+        return range(i + 1, n + 1)
+    return range(1)  # quadric: x_i sits at (i, 0)
+
+
+def _positions(kind: FamilyKind, n: int) -> list[tuple[int, int]]:
+    """The matrix position of each variable, row-major in layout order."""
+    return [(i, j) for i in range(1, n + 1) for j in _row(kind, n, i)]
+
+
+@functools.cache
+def _position_index(kind: FamilyKind, n: int) -> dict[tuple[int, int], int]:
+    return {pos: k for k, pos in enumerate(_positions(kind, n))}
 
 
 @dataclass(frozen=True)
@@ -75,15 +85,12 @@ class FamilySpec:
         if self.kind is FamilyKind.PFAFFIAN and self.size % 2:
             raise InvalidSpecError("Pfaffian needs an even matrix size")
 
-    @property
+    @functools.cached_property
     def nvars(self) -> int:
+        # counted row by row: the budget check, which needs this count,
+        # must not build an n^2 position table first
         n = self.size
-        return {
-            FamilyKind.GENERIC_DET: n * n,
-            FamilyKind.SYM_DET: n * (n + 1) // 2,
-            FamilyKind.PFAFFIAN: n * (n - 1) // 2,
-            FamilyKind.QUADRIC: n,
-        }[self.kind]
+        return sum(len(_row(self.kind, n, i)) for i in range(1, n + 1))
 
     @property
     def layout(self) -> tuple[str, ...]:
@@ -96,13 +103,8 @@ class FamilySpec:
         )
 
     @property
-    def basic_degree(self) -> int:
-        """Degree of the basic invariant, which equals the rank r."""
-        return self.rank_r
-
-    @property
     def socle_degree(self) -> int:
-        return self.power * self.basic_degree
+        return self.power * self.rank_r
 
     @property
     def rank_r(self) -> int:
@@ -123,7 +125,7 @@ class FamilySpec:
         return d_table(self.kind, self.nvars)
 
     def var_index(self, i: int, j: int = 0) -> int:
-        return _position_index(self)[(i, j)]
+        return _position_index(self.kind, self.size)[(i, j)]
 
     def __str__(self) -> str:
         return f"{self.kind.value}(n={self.size}, s={self.power})"
@@ -186,18 +188,6 @@ def predicted_hilbert(spec: FamilySpec, budget: int | None = None) -> HilbertFn:
     if any(v.denominator != 1 or v < 0 for v in values):
         raise InvariantError(f"predicted Hilbert values {values} are not counts")
     return HilbertFn(r * s, tuple(int(v) for v in values))
-
-
-_POSITION_CACHE: dict[tuple[FamilyKind, int], dict[tuple[int, int], int]] = {}
-
-
-def _position_index(spec: FamilySpec) -> dict[tuple[int, int], int]:
-    key = (spec.kind, spec.size)
-    table = _POSITION_CACHE.get(key)
-    if table is None:
-        table = {pos: k for k, pos in enumerate(_positions(spec.kind, spec.size))}
-        _POSITION_CACHE[key] = table
-    return table
 
 
 def _sym_var(spec: FamilySpec, i: int, j: int) -> Poly:
@@ -306,7 +296,7 @@ def family_symmetry(spec: FamilySpec) -> Symmetry | None:
     n = spec.size
     generic = spec.kind is FamilyKind.GENERIC_DET
     positions = _positions(spec.kind, n)
-    index = _position_index(spec)
+    index = _position_index(spec.kind, n)
     offset = n if generic else 0
     weights = []
     for i, j in positions:

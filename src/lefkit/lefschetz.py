@@ -342,13 +342,11 @@ class TheoremSummary:
         return None
 
 
-def random_linear_form(
-    nvars: int, rng: random.Random, bound: int = 5
-) -> Poly:
-    """Random linear form with integer coefficients in [-bound, bound],
-    redrawn on the (rare) all-zero outcome."""
+def random_linear_form(nvars: int, rng: random.Random) -> Poly:
+    """Random linear form with integer coefficients in [-5, 5], redrawn on
+    the (rare) all-zero outcome."""
     while True:
-        coeffs = [rng.randint(-bound, bound) for _ in range(nvars)]
+        coeffs = [rng.randint(-5, 5) for _ in range(nvars)]
         if any(coeffs):
             return Poly(
                 nvars,

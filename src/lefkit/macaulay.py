@@ -31,7 +31,6 @@ generic path is the oracle the symmetric one is tested against.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, perm
@@ -46,17 +45,11 @@ from .exactmath import RatMatrix, mat_kernel, mat_rank
 from .polyring import Monomial, Poly, dim_of_degree, monomials_of_degree
 
 DEFAULT_CELL_BUDGET = 4_000_000
-BUDGET_ENV_VAR = "LEFKIT_BUDGET"
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """Explicit budget, else the LEFKIT_BUDGET environment variable, else
-    the 4e6-cell default."""
-    if budget is not None:
-        value = int(budget)
-    else:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        value = int(env) if env else DEFAULT_CELL_BUDGET
+    """Explicit budget, else the 4e6-cell default."""
+    value = DEFAULT_CELL_BUDGET if budget is None else int(budget)
     if value <= 0:
         raise ValueError("cell budget must be positive")
     return value
@@ -124,9 +117,6 @@ class HilbertFn:
 
     def as_text(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 def _key(expo: Monomial, base: int) -> int:

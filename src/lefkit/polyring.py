@@ -1,11 +1,10 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial in the dual variables doubles as a constant-coefficient
-differential operator through :func:`contract`: variable i of the operator
-acts as d/dx_i, with true derivatives (so contracting x^2 against x^2 gives
-2, not 1).  Apolarity weights, where variable i acts as w_i * d/dx_i, need no
-separate path: contracting against F(w*x) (:func:`scale_variables`) gives the
-weighted contraction of F with each output monomial x^e scaled by w^e.
+In the apolarity pairing p acts on F as p(d/dx), with true derivatives (x^2
+applied to x^2 gives 2, not 1); ``macaulay`` builds it from the divisors of
+F's terms.  Apolarity weights, where variable i acts as w_i * d/dx_i, need no
+separate path: the plain pairing against F(w*x) (:func:`scale_variables`) is
+the weighted pairing against F with each output monomial x^e scaled by w^e.
 Monomials are exponent tuples ordered graded-lex throughout, which keeps
 every matrix and report deterministic.
 """
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, perm
+from math import comb
 from operator import sub
 from typing import Iterator, Sequence
 
@@ -100,12 +99,6 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self._terms.get(tuple([0] * self.nvars), Fraction(0))
-
-    def degree(self) -> int | None:
-        """Maximum total degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(e) for e in self._terms)
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree, or None if zero or inhomogeneous."""
@@ -230,37 +223,6 @@ def scale_variables(f: Poly, weights: Sequence) -> Poly:
                 coeff *= w**e
         terms[expo] = coeff
     return Poly._of(f.nvars, terms)
-
-
-def contract(p: Poly, f: Poly) -> Poly:
-    """Apply p as the differential operator p(d/dx) to f.
-
-    Bilinear in both arguments; inhomogeneous inputs are handled term by
-    term.  For homogeneous p, f the result is zero or homogeneous of degree
-    deg f - deg p (and zero whenever deg p > deg f).
-    """
-    p._check_compatible(f)
-    terms: dict[Monomial, Fraction] = {}
-    for ep, cp in p._terms.items():
-        for ef, cf in f._terms.items():
-            coeff = cp * cf
-            target = []
-            for df, dp in zip(ef, ep):
-                if dp:
-                    if df < dp:
-                        coeff = Fraction(0)
-                        break
-                    coeff *= perm(df, dp)  # falling factorial from d^k/dx^k
-                target.append(df - dp)
-            if not coeff:
-                continue
-            expo = tuple(target)
-            s = terms.get(expo, Fraction(0)) + coeff
-            if s:
-                terms[expo] = s
-            else:
-                terms.pop(expo, None)
-    return Poly._of(p.nvars, terms)
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:

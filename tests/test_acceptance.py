@@ -27,10 +27,10 @@ from lefkit.lefschetz import (
     verify_theorem,
 )
 from lefkit.macaulay import catalecticant, hilbert_function
-from lefkit.polyring import Poly, contract, poly_mul, poly_pow
+from lefkit.polyring import Poly, poly_mul, poly_pow
 from lefkit.exactmath import mat_rank
 
-from _oracles import narayana, perm_det_poly, q_mu, weyl_sum_hilbert
+from _oracles import naive_contract, narayana, perm_det_poly, q_mu, weyl_sum_hilbert
 
 SEED = 7
 
@@ -167,7 +167,7 @@ def test_criterion_6_representation_prediction():
 
 def test_criterion_7_q_mu_cutoff():
     ok = True
-    for d in (1, 2, 4, 3, 2):
+    for d in (1, 2, 3, 4):
         for r in range(1, 5):
             for ks in product(range(5), repeat=r):
                 for s in range(1, 5):
@@ -184,11 +184,11 @@ def test_criterion_8_annihilator_structure():
         spec = _spec("sym-det", n, s)
         f, _ = _invariant_and_table("sym-det", n, s)
         corner = Poly.variable(spec.nvars, spec.var_index(n, n))
-        ok = ok and contract(poly_pow(corner, s + 1), f).is_zero()
-        ok = ok and not contract(poly_pow(corner, s), f).is_zero()
+        ok = ok and naive_contract(poly_pow(corner, s + 1), f).is_zero()
+        ok = ok and not naive_contract(poly_pow(corner, s), f).is_zero()
         for i in range(f.homogeneous_degree() + 1):
             for p in annihilator_basis(f, i):
-                ok = ok and contract(p, f).is_zero()
+                ok = ok and naive_contract(p, f).is_zero()
     _criterion(8, "corner-variable powers and annihilator bases behave", ok)
 
 
@@ -224,5 +224,5 @@ def test_criterion_9_structural_invariants():
 
     for _ in range(100):
         p, q, f = small_poly(), small_poly(), small_poly()
-        ok = ok and contract(poly_mul(p, q), f) == contract(p, contract(q, f))
+        ok = ok and naive_contract(poly_mul(p, q), f) == naive_contract(p, naive_contract(q, f))
     _criterion(9, "Gorenstein symmetry, duality, Pf^2=det, composition law", ok)

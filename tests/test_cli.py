@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 
+import lefkit.cli
 import lefkit.exactmath
 import lefkit.families
 import lefkit.macaulay
@@ -221,12 +222,6 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
-def test_budget_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("LEFKIT_BUDGET", "10")
-    code, _, _ = run(capsys, "hilbert", "--family", "sym-det", "--n", "3")
-    assert code == 3
-
-
 def test_asymmetric_hilbert_function_exit_code(monkeypatch, capsys):
     # column counts of sym-det n=2, i = 0, 1, 2: (6, 3, 1)
     monkeypatch.setattr(lefkit.macaulay, "mat_rank", lambda m: m.cols)
@@ -263,6 +258,25 @@ def test_weights_override_keeps_hilbert(capsys):
                        "--weights", '{"x12": "2"}')
     assert code == 0
     assert "(1, 3, 1)" in out
+
+
+def test_weights_file_read_once(capsys, monkeypatch, tmp_path):
+    # hilbert uses the weights for F and for its path choice, and predict
+    # checks them before it builds F: each reads the file once
+    reads = []
+
+    def counting_open(file, *args, **kwargs):
+        reads.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(lefkit.cli, "open", counting_open, raising=False)
+    for cmd, weights in (("hilbert", '{"x12": "2"}'), ("predict", '{"x12": "1"}')):
+        path = tmp_path / f"{cmd}.json"
+        path.write_text(weights)
+        reads.clear()
+        code, _, _ = run(capsys, cmd, "--family", "sym-det", "--n", "2",
+                         "--weights", str(path))
+        assert code == 0 and reads == [str(path)], cmd
 
 
 def test_weights_zero_denominator(capsys):

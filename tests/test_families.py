@@ -23,9 +23,9 @@ from lefkit.families import (
     orbit_test,
     pfaffian_poly,
 )
-from lefkit.polyring import Poly, contract, poly_mul, poly_pow
+from lefkit.polyring import Poly, poly_mul, poly_pow
 
-from _oracles import corner_minor, naive_evaluate, perm_det_poly
+from _oracles import corner_minor, naive_contract, naive_evaluate, perm_det_poly
 
 
 def sym(n, s=1):
@@ -63,7 +63,7 @@ def test_nvars_and_degrees():
     ]
     for spec, nvars, c0, c in grid:
         assert spec.nvars == nvars
-        assert spec.basic_degree == c0
+        assert spec.rank_r == c0
         assert spec.socle_degree == c
         assert make_invariant(spec).homogeneous_degree() == c
 
@@ -87,7 +87,7 @@ def test_rank_r_gives_basic_degree():
                  FamilySpec(FamilyKind.PFAFFIAN, 4),
                  FamilySpec(FamilyKind.QUADRIC, 4)):
         # the basic invariant sits at k = (0,...,0,1), graded degree r
-        assert spec.rank_r == spec.basic_degree
+        assert make_invariant(spec).homogeneous_degree() == spec.rank_r
 
 
 def test_sym_det_2():
@@ -269,5 +269,5 @@ def test_corner_variable_annihilation_law(n, s):
     spec = sym(n, s)
     f = make_invariant(spec)
     corner = corner_minor(spec, 1)
-    assert contract(poly_pow(corner, s + 1), f).is_zero()
-    assert not contract(poly_pow(corner, s), f).is_zero()
+    assert naive_contract(poly_pow(corner, s + 1), f).is_zero()
+    assert not naive_contract(poly_pow(corner, s), f).is_zero()
