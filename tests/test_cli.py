@@ -222,6 +222,21 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_budget_env_var_is_ignored(monkeypatch, capsys):
+    monkeypatch.setenv("LEFKIT_BUDGET", "1")
+    code, out, _ = run(capsys, "hilbert", "--family", "sym-det", "--n", "3")
+    assert code == 0 and "hilbert (1, 6, 6, 1)" in out
+    code, _, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "3",
+                       "--budget", "10")
+    assert code == 3 and "budget" in err
+
+
+def test_every_family_name_is_accepted(capsys):
+    for kind in lefkit.families.FamilyKind:
+        code, out, _ = run(capsys, "hilbert", "--family", kind.value, "--n", "2")
+        assert code == 0 and "hilbert (" in out
+
+
 def test_asymmetric_hilbert_function_exit_code(monkeypatch, capsys):
     # column counts of sym-det n=2, i = 0, 1, 2: (6, 3, 1)
     monkeypatch.setattr(lefkit.macaulay, "mat_rank", lambda m: m.cols)

@@ -43,6 +43,20 @@ def test_spec_validation():
         kind_from_name("det")
 
 
+def test_nvars_counts_the_layout():
+    for kind in FamilyKind:
+        for n in range(1, 7):
+            if kind is FamilyKind.PFAFFIAN and n % 2:
+                continue
+            spec = FamilySpec(kind, n)
+            assert spec.nvars == len(spec.layout)
+            indices = sorted(
+                spec.var_index(int(name[1]), int(name[2]) if len(name) > 2 else 0)
+                for name in spec.layout
+            )
+            assert indices == list(range(spec.nvars))
+
+
 def test_layouts():
     assert sym(2).layout == ("x11", "x12", "x22")
     assert FamilySpec(FamilyKind.PFAFFIAN, 4).layout == (

@@ -18,6 +18,7 @@ from lefkit.errors import (
 from lefkit.exactmath import RatMatrix, mat_rank
 from lefkit.families import FamilyKind, FamilySpec, family_symmetry, make_invariant
 from lefkit.macaulay import (
+    DEFAULT_CELL_BUDGET,
     annihilator_basis,
     catalecticant,
     ensure_within_budget,
@@ -306,6 +307,15 @@ def test_budget_guard():
     ensure_within_budget(3, 2, budget=9)
     with pytest.raises(ValueError):
         resolve_budget(0)
+
+
+def test_budget_env_var_is_ignored(monkeypatch):
+    # the budget is the explicit value, else the default; the environment
+    # plays no part
+    monkeypatch.setenv("LEFKIT_BUDGET", "1")
+    assert resolve_budget() == DEFAULT_CELL_BUDGET
+    assert resolve_budget(9) == 9
+    ensure_within_budget(3, 2)
 
 
 def test_report_rows(capsys):
