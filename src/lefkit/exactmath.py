@@ -12,9 +12,11 @@ value is a minor of the input and the verdict is exact.
 The pivots are the ones a whole-matrix elimination would choose: its
 entries factor over the blocks, so its shortest-entry order is replayed
 block by block.  ``mat_rank`` sums the block ranks; on each block a modular
-probe at one fixed 62-bit prime gives a cheap rank lower bound that
+probe at one fixed prime below 2^30 gives a cheap rank lower bound that
 short-circuits full-rank confirmations, and only the blocks it cannot
-confirm are eliminated.  Floats are never used anywhere in this module.
+confirm are eliminated.  Below 2^30 every residue is a single CPython digit,
+so the probe's elimination runs on one-digit ints.  Floats are never used
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -120,9 +122,11 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-# The probe prime of mat_rank: the least prime above 2^61.  A fixed prime
-# keeps the rank path, like the verdict, a function of the input alone.
-PROBE_PRIME = (1 << 61) + 15
+# The probe prime of mat_rank: the largest prime below 2^30, so that every
+# residue is one 30-bit CPython digit and products of two stay small ints.
+# A fixed prime keeps the rank path, like the verdict, a function of the
+# input alone.
+PROBE_PRIME = (1 << 30) - 35
 
 
 def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
@@ -140,7 +144,9 @@ def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
             continue
         if den % prime == 0:
             raise BadPrimeError(f"denominator divisible by {prime}")
-        a[row_at[i]][col_at[j]] = v.numerator * pow(den, prime - 2, prime) % prime
+        a[row_at[i]][col_at[j]] = v.numerator * pow(den, -1, prime) % prime
+    # Columns left of c are never read again, so each update touches only
+    # the columns after the pivot.
     rank = 0
     for c in range(len(col_at)):
         pivot_row = None
@@ -151,12 +157,14 @@ def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
         if pivot_row is None:
             continue
         a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = pow(a[rank][c], prime - 2, prime)
+        tail = a[rank][c + 1:]
+        inv = pow(a[rank][c], -1, prime)
         for i in range(rank + 1, len(a)):
-            f = a[i][c]
+            row = a[i]
+            f = row[c]
             if f:
                 mult = f * inv % prime
-                a[i] = [(x - mult * y) % prime for x, y in zip(a[i], a[rank])]
+                row[c + 1:] = [(x - mult * y) % prime for x, y in zip(row[c + 1:], tail)]
         rank += 1
         if rank == len(a):
             break
@@ -168,22 +176,36 @@ def _blocks(m: RatMatrix) -> list[dict[tuple[int, int], int | Fraction]]:
     nonzero entries, each as its entries keyed by their original (row,
     column).  Permuting ``m`` into block-diagonal form leaves its rank
     unchanged, so the rank of ``m`` is the sum of the block ranks; empty
-    rows and columns belong to no block."""
-    parent = list(range(m.rows + m.cols))  # rows, then columns offset by m.rows
+    rows and columns belong to no block.
 
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j), _ in m.items():
-        a, b = root(i), root(m.rows + j)
-        if a != b:
-            parent[b] = a
+    Each block is keyed by the row that opened it.  Every row i and column
+    j (as ~j) records its block's key, and when an entry joins two blocks
+    the smaller one's members are relabelled into the larger."""
+    key: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+    for i, j in m._entries:
+        a, b = key.get(i), key.get(~j)
+        if a is None and b is None:
+            key[i] = key[~j] = i
+            members[i] = [i, ~j]
+        elif a is None:
+            key[i] = b
+            members[b].append(i)
+        elif b is None:
+            key[~j] = a
+            members[a].append(~j)
+        elif a != b:
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for x in members[b]:
+                key[x] = a
+            members[a] += members.pop(b)
     grouped: dict[int, dict] = {}
     for (i, j), v in m.items():
-        grouped.setdefault(root(i), {})[(i, j)] = v
+        block = grouped.get(key[i])
+        if block is None:
+            block = grouped[key[i]] = {}
+        block[(i, j)] = v
     return list(grouped.values())
 
 

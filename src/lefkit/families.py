@@ -29,7 +29,7 @@ from .errors import (
     VarMismatchError,
 )
 from .exactmath import RatMatrix, mat_rank
-from .macaulay import HilbertFn, Symmetry, resolve_budget
+from .macaulay import HilbertFn, Symmetry, count_text, resolve_budget
 from .polyring import Poly, poly_mul, poly_pow
 
 
@@ -168,7 +168,9 @@ def predicted_hilbert(spec: FamilySpec, budget: int | None = None) -> HilbertFn:
     count = comb(r + s, r)
     limit = resolve_budget(budget)
     if count > limit:
-        raise TooLargeError(f"{count} partitions exceed the budget {limit}")
+        raise TooLargeError(
+            f"{count_text(count)} partitions exceed the budget {count_text(limit)}"
+        )
     a = spec.d_value / 2
     factor = {(0, t): Fraction(1) for t in range(1, r)}
     for t in range(1, r):

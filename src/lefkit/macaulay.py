@@ -31,6 +31,7 @@ generic path is the oracle the symmetric one is tested against.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, perm
@@ -56,10 +57,20 @@ def resolve_budget(budget: int | None = None) -> int:
 
 
 def max_catalecticant_cells(nvars: int, socle_degree: int) -> int:
-    return max(
-        dim_of_degree(nvars, i) * dim_of_degree(nvars, socle_degree - i)
-        for i in range(socle_degree + 1)
-    )
+    """Cells of the middle catalecticant, the largest: the ratio of
+    consecutive dimensions, (nvars + i - 1) / i, falls as i grows, so
+    dim_i * dim_(c-i) grows toward i = c // 2."""
+    i = socle_degree // 2
+    return dim_of_degree(nvars, i) * dim_of_degree(nvars, socle_degree - i)
+
+
+def count_text(n: int) -> str:
+    """n in decimal, or, when it has more digits than Python's int-to-str
+    limit lets ``str`` print, as the power of two it reaches."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits or n < 10**digits:
+        return str(n)
+    return f"at least 2^{n.bit_length() - 1}"
 
 
 def ensure_within_budget(
@@ -71,12 +82,13 @@ def ensure_within_budget(
     worst = max_catalecticant_cells(nvars, socle_degree)
     if worst > limit:
         raise TooLargeError(
-            f"largest catalecticant needs {worst} cells, budget is {limit}"
+            f"largest catalecticant needs {count_text(worst)} cells, "
+            f"budget is {count_text(limit)}"
         )
     if samples * worst > limit:
         raise TooLargeError(
-            f"{samples} samples of the largest catalecticant need "
-            f"{samples * worst} cells, budget is {limit}"
+            f"{count_text(samples)} samples of the largest catalecticant need "
+            f"{count_text(samples * worst)} cells, budget is {count_text(limit)}"
         )
 
 

@@ -2,7 +2,10 @@
 
 These deliberately use different algorithms than the package: plain
 division-based Gaussian elimination (rank and determinant) instead of
-block-split Bareiss, a whole-matrix Bareiss elimination on a dense copy
+block-split Bareiss, a dense elimination mod p over every column with
+Fermat inverses instead of the package's modular probe, a breadth-first
+search for the connected components of a matrix instead of its block
+split, a whole-matrix Bareiss elimination on a dense copy
 instead of the package's block-by-block one (the pivot oracle: it defines
 the pivot rows and kernel vectors the package must reproduce),
 permutation-sum determinants instead of products of block pivots, a direct
@@ -53,6 +56,53 @@ def naive_rank(rows):
         if rank == nrows:
             break
     return rank
+
+
+def naive_rank_mod_p(rows, p):
+    """Rank of the rows reduced mod the prime p, by dense elimination that
+    clears every other row over every column, with Fermat inverses.  Each
+    entry is an int or a Fraction whose denominator p does not divide."""
+    m = [[Fraction(x).numerator * pow(Fraction(x).denominator, p - 2, p) % p
+          for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def connected_components(positions):
+    """The connected components of the bipartite graph joining row i to
+    column j for each (i, j) in positions, found by breadth-first search,
+    each as the set of its positions."""
+    at_row, at_col = {}, {}
+    for i, j in positions:
+        at_row.setdefault(i, []).append((i, j))
+        at_col.setdefault(j, []).append((i, j))
+    seen, components = set(), []
+    for start in positions:
+        if start in seen:
+            continue
+        seen.add(start)
+        component, queue = set(), [start]
+        while queue:
+            i, j = queue.pop(0)
+            component.add((i, j))
+            for nxt in at_row[i] + at_col[j]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        components.append(component)
+    return components
 
 
 def identity_matrix(n):

@@ -222,6 +222,16 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_huge_instances_exit_too_large(capsys):
+    # the cell counts have more digits than str() may print; still exit 3
+    for argv in (("hilbert", "--family", "generic-det", "--n", "2000"),
+                 ("verify", "--family", "sym-det", "--n", "2000", "--samples", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: largest catalecticant needs at least 2^")
+
+
 def test_budget_env_var_is_ignored(monkeypatch, capsys):
     monkeypatch.setenv("LEFKIT_BUDGET", "1")
     code, out, _ = run(capsys, "hilbert", "--family", "sym-det", "--n", "3")

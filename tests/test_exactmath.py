@@ -20,10 +20,12 @@ from lefkit.exactmath import (
 )
 
 from _oracles import (
+    connected_components,
     identity_matrix,
     is_prime,
     mul_vector,
     naive_rank,
+    naive_rank_mod_p,
     oracle_kernel,
     oracle_pivot_rows,
     perm_det_frac,
@@ -90,9 +92,12 @@ def test_probe_bad_prime():
         mat_rank_modular_probe(m, 5)
 
 
-def test_fixed_probe_prime_is_62_bit_prime():
-    assert (1 << 61) <= PROBE_PRIME < (1 << 62)
+def test_fixed_probe_prime_is_one_digit_prime():
+    # Below 2^30 every residue is one 30-bit CPython digit; the prime is the
+    # largest there.
+    assert PROBE_PRIME < (1 << 30)
     assert is_prime(PROBE_PRIME)
+    assert not any(is_prime(n) for n in range(PROBE_PRIME + 1, 1 << 30))
 
 
 def test_rank_sums_blocks_with_bad_prime_block():
@@ -290,6 +295,59 @@ def test_block_elimination_matches_whole_matrix_oracle(rows):
     m = RatMatrix.from_rows(rows)
     assert pivot_rows(m) == oracle_pivot_rows(m)
     assert mat_kernel(m) == oracle_kernel(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_prone_block_diagonal())
+def test_blocks_are_the_connected_components(rows):
+    m = RatMatrix.from_rows(rows)
+    blocks = [set(b) for b in _blocks(m)]
+    nonzero = {pos for pos, _ in m.items()}
+    # every nonzero entry lies in exactly one block, with its value
+    assert sorted(pos for b in blocks for pos in b) == sorted(nonzero)
+    assert all(v == m.entry(*pos) for b in _blocks(m) for pos, v in b.items())
+    # no two blocks share a row or a column
+    block_rows = [{i for i, _ in b} for b in blocks]
+    block_cols = [{j for _, j in b} for b in blocks]
+    assert sum(map(len, block_rows)) == len(set().union(*block_rows))
+    assert sum(map(len, block_cols)) == len(set().union(*block_cols))
+    # each block is connected, so the blocks are the BFS components
+    assert all(len(connected_components(b)) == 1 for b in blocks)
+    assert sorted(map(sorted, blocks)) == sorted(
+        map(sorted, connected_components(nonzero))
+    )
+
+
+MOD_PRIMES = (PROBE_PRIME, (1 << 61) - 1, 7)
+
+
+@st.composite
+def probe_case(draw):
+    """A prime and a matrix for it: often a thin product (rank-deficient),
+    with entries that are negative, at least p, or Fractions."""
+    p = draw(st.sampled_from(MOD_PRIMES))
+    entry = st.one_of(
+        st.integers(-9, 9),
+        st.builds(lambda k, q: k + q * p, st.integers(-3, 3), st.integers(-2, 2)),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    )
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, min(rows, cols)))
+        left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+        right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+        return p, [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                   for row in left]
+    return p, [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(probe_case())
+def test_probe_matches_rank_mod_p_oracle(case):
+    p, rows = case
+    probe = mat_rank_modular_probe(RatMatrix.from_rows(rows), p)
+    assert probe == naive_rank_mod_p(rows, p)
+    assert probe <= naive_rank(rows)
 
 
 @settings(max_examples=150, deadline=None)

@@ -309,6 +309,28 @@ def test_budget_guard():
         resolve_budget(0)
 
 
+def test_largest_catalecticant_is_the_middle_one():
+    for nvars in range(1, 7):
+        for c in range(11):
+            assert max_catalecticant_cells(nvars, c) == max(
+                dim_of_degree(nvars, i) * dim_of_degree(nvars, c - i)
+                for i in range(c + 1)
+            )
+
+
+def test_budget_message_for_unprintable_counts():
+    # str() refuses ints past the int-to-str limit (4300 digits by default);
+    # such a count is given by its bit length instead
+    with pytest.raises(TooLargeError, match=r"^largest catalecticant needs 36 cells"):
+        ensure_within_budget(3, 4, budget=9)
+    with pytest.raises(TooLargeError, match=r"needs at least 2\^\d+ cells, budget is 9$"):
+        ensure_within_budget(4 * 10**6, 2000, budget=9)
+    with pytest.raises(TooLargeError, match=r"^1000* samples .* need at least 2\^\d+ cells"):
+        ensure_within_budget(10**4, 1000, budget=10**4000, samples=10**3000)
+    with pytest.raises(TooLargeError, match=r"^largest .* budget is at least 2\^\d+$"):
+        ensure_within_budget(4 * 10**6, 20000, budget=10**5000)
+
+
 def test_budget_env_var_is_ignored(monkeypatch):
     # the budget is the explicit value, else the default; the environment
     # plays no part

@@ -155,6 +155,13 @@ def test_predicted_hilbert_budget_boundary():
     assert predicted_hilbert(spec, budget=6).values == (1, 3, 6, 3, 1)
 
 
+def test_predicted_hilbert_budget_message_for_unprintable_counts():
+    # C(40000, 20000) has more digits than str() may print
+    message = r"^at least 2\^\d+ partitions exceed the budget 4000000$"
+    with pytest.raises(TooLargeError, match=message):
+        predicted_hilbert(FamilySpec(FamilyKind.SYM_DET, 20000, 20000))
+
+
 def test_prediction_matches_catalecticant_ranks():
     for kind, n, s in CATALECTICANT_GRID:
         spec = FamilySpec(kind, n, s)
