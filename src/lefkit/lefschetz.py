@@ -14,10 +14,13 @@ m'!/k!.  Those rows are a per-F table (SlpTable) built once from F's terms
 and reused for every L.
 
 The higher-Hessian determinants evaluated at L's coefficient point give an
-independent route to the same verdict: the entries of the i-th higher
-Hessian over a quotient basis b are built from F's terms at the rows b_j b_k
-only, evaluated once each at L's point cleared to integers, and never read
-from SlpTable or a rank, so a fault in one route cannot hide in the other.
+independent route to the same verdict.  The quotient basis b is the pivot
+rows of the degree-i catalecticant, placed at their graded-lex positions.
+Then one walk over F's terms sums each row b_j b_k of the i-th higher
+Hessian at L's point as an integer: F is cleared over one scale D (the lcm
+of its coefficient denominators), the point to integers, and only the
+determinant is divided back.  That walk never reads SlpTable or a rank, so
+a fault in one route cannot hide in the other.
 verify_theorem cross-validates the slp_check verdict (not the Hessian one)
 against open-orbit membership on seeded samples plus deterministic
 rank-deficient candidates.  Everything here uses the plain apolarity
@@ -31,8 +34,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, perm, prod
-from operator import add
-from typing import Iterator, Sequence
+from operator import add, getitem, sub
+from typing import Sequence
 
 from .errors import NotLinearError, OutOfRangeError, VarMismatchError
 from .exactmath import RatMatrix, mat_det, mat_rank, pivot_rows
@@ -48,9 +51,10 @@ from .macaulay import (
     _entries,
     _key,
     _monomial,
+    _placed_catalecticant,
     _require_homogeneous,
+    _scale,
     _steps,
-    catalecticant,
     ensure_within_budget,
     hilbert_function,
 )
@@ -203,23 +207,42 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
 
 def default_degree_basis(f: Poly, i: int) -> list[Monomial]:
     """Monomials whose catalecticant rows are pivot rows of the deterministic
-    elimination: a canonical basis of the degree-i quotient piece."""
-    cat = catalecticant(f, i)
-    return [cat.row_monomials[r] for r in pivot_rows(cat.matrix)]
+    elimination: a canonical basis of the degree-i quotient piece.  The
+    matrix is the public catalecticant's, rows and columns at the same
+    graded-lex positions, but built from keys without its label lists."""
+    c = _require_homogeneous(f)
+    matrix, key_at = _placed_catalecticant(f, c, i)
+    return [_monomial(key_at[r], c + 1, f.nvars) for r in pivot_rows(matrix)]
 
 
-def _divisors_of_degree(expo: Monomial, i: int) -> Iterator[Monomial]:
-    """Every exponent tuple d <= expo (entrywise) of total degree i: the
-    Hessian route's own divisor walk, kept apart from macaulay's keyed
-    enumerator so that the route it checks shares no code with it."""
-    if len(expo) == 1:
-        if i <= expo[0]:
-            yield (i,)
-        return
-    rest = sum(expo[1:])
-    for d in range(min(expo[0], i), max(0, i - rest) - 1, -1):
-        for tail in _divisors_of_degree(expo[1:], i - d):
-            yield (d,) + tail
+def _divisors_of_degree(expo: Monomial, i: int) -> list[tuple[Monomial, int]]:
+    """(d, prod perm(e_k, d_k)) for every exponent tuple d <= expo
+    (entrywise) of total degree i: the Hessian route's own divisor walk,
+    kept apart from macaulay's keyed enumerator so that the route it checks
+    shares no code with it.  Divisors grow one variable at a time, and a
+    partial one that can no longer reach degree i is dropped."""
+    parts = [((), 0, 1)]  # (partial divisor, its degree, its perm product)
+    left = sum(expo)  # degree still available after this variable
+    for e in expo:
+        left -= e
+        parts = [
+            (d + (k,), deg + k, v * perm(e, k))
+            for d, deg, v in parts
+            for k in range(max(0, i - deg - left), min(e, i - deg) + 1)
+        ]
+    return [(d, v) for d, _, v in parts]
+
+
+def _products(basis: list[Monomial]) -> tuple[dict[Monomial, int], list[list[int]]]:
+    """The distinct monomials b_j * b_k, each with its index, and the
+    matrix of those indices: entries (j, k) and (k, j) share one."""
+    index: dict[Monomial, int] = {}
+    cells = [[0] * len(basis) for _ in basis]
+    for j, bj in enumerate(basis):
+        for k in range(j, len(basis)):
+            mu = tuple(map(add, bj, basis[k]))
+            cells[j][k] = cells[k][j] = index.setdefault(mu, len(index))
+    return index, cells
 
 
 def higher_hessian(f: Poly, i: int) -> list[list[Poly]]:
@@ -230,81 +253,81 @@ def higher_hessian(f: Poly, i: int) -> list[list[Poly]]:
     are built, straight from F's terms by the catalecticant's entry rule: a
     term coeff*x^e and a divisor x^mu of it give coeff * prod perm(e_k, mu_k)
     at x^(e - mu).  Each distinct monomial gets one Poly, so entries (j, k)
-    and (k, j) are the same object."""
+    and (k, j) are the same object.  hessian_determinants_at walks the same
+    rows but sums them at a point instead of building them."""
     c = _require_homogeneous(f)
     if not 0 <= i <= c // 2:
         raise OutOfRangeError(f"Hessian order {i} outside 0..{c // 2}")
-    basis = default_degree_basis(f, i)
-    products = [[()] * len(basis) for _ in basis]  # the monomials b_j * b_k
-    for j, bj in enumerate(basis):
-        for k in range(j, len(basis)):
-            products[j][k] = products[k][j] = tuple(map(add, bj, basis[k]))
-    rows: dict[Monomial, dict] = {mu: {} for row in products for mu in row}
+    index, cells = _products(default_degree_basis(f, i))
+    rows: list[dict] = [{} for _ in index]
     for expo, coeff in f.terms():
-        for mu in _divisors_of_degree(expo, 2 * i):
-            row = rows.get(mu)
-            if row is not None:
-                rest = tuple(e - d for e, d in zip(expo, mu))
-                row[rest] = coeff * prod(perm(e, d) for e, d in zip(expo, mu))
-    entries = {mu: Poly._of(f.nvars, row) for mu, row in rows.items()}
-    return [[entries[mu] for mu in row] for row in products]
+        for mu, p in _divisors_of_degree(expo, 2 * i):
+            r = index.get(mu)
+            if r is not None:
+                rows[r][tuple(map(sub, expo, mu))] = coeff * p
+    entries = [Poly._of(f.nvars, row) for row in rows]
+    return [[entries[r] for r in row] for row in cells]
 
 
 def hessian_determinants_at(
     f: Poly,
     L: Poly,
-    hessians: Sequence[Sequence[Sequence[Poly]]] | None = None,
+    bases: Sequence[Sequence[Monomial]] | None = None,
 ) -> list[Fraction]:
     """Determinant of each higher Hessian (i = 0..floor(c/2)) evaluated at
-    L's coefficient point l; `hessians` is that list of higher_hessian(f, i)
-    (default: built here).
+    L's coefficient point l; `bases` is the list of default_degree_basis(f,
+    i), the per-F part (default: built here), so callers checking many L
+    against one F should build it once.
 
-    l is cleared to integers n = D*l over one common denominator D > 0, and
-    each distinct entry (by identity) is evaluated once at n from a table of
-    the powers n_k^e.  An entry is homogeneous of degree c - 2i, so its value
-    at n is D^(c-2i) times its value at l, and the determinant of the i-th
-    Hessian at n is divided exactly by D^((c-2i) h_i) at the end."""
+    Everything is an integer: l is cleared to n = denom*l, and F to D*F
+    (D the lcm of its coefficient denominators).  One walk over the
+    degree-2i divisors of F's terms sums, for each row b_j*b_k, D * coeff *
+    prod perm(e_k, d_k) * prod n_k^(e_k - d_k).  An entry is homogeneous of
+    degree c - 2i, so that sum is D * denom^(c-2i) times its value at l,
+    and the determinant of the integer matrix is divided exactly by
+    (D * denom^(c-2i))^(h_i) at the end.  No Poly entry is built."""
     c = _validate_slp_inputs(f, L)
-    if hessians is None:
-        hessians = [higher_hessian(f, i) for i in range(c // 2 + 1)]
+    if bases is None:
+        bases = [default_degree_basis(f, i) for i in range(c // 2 + 1)]
+    scale = _scale(f)
+    terms = [
+        (expo, coeff.numerator * (scale // coeff.denominator))
+        for expo, coeff in f.terms()
+    ]
     coeffs = L.linear_coefficients()
     denom = lcm(*(x.denominator for x in coeffs))
     powers = [
         [(x.numerator * (denom // x.denominator)) ** e for e in range(c + 1)]
         for x in coeffs
     ]
-    done: dict[int, int | Fraction] = {}  # id(entry) -> its value at n
-
-    def evaluate(entry: Poly) -> int | Fraction:
-        v = done.get(id(entry))
-        if v is None:
-            terms = list(entry.terms())
-            s = lcm(*(coeff.denominator for _, coeff in terms))
-            total = sum(
-                coeff.numerator * (s // coeff.denominator)
-                * prod(powers[k][e] for k, e in enumerate(expo) if e)
-                for expo, coeff in terms
-            )
-            v = done[id(entry)] = total if s == 1 else Fraction(total, s)
-        return v
-
     dets = []
-    for i, matrix in enumerate(hessians):
-        evaluated = RatMatrix.from_rows(
-            [[evaluate(entry) for entry in row] for row in matrix]
-        )
-        dets.append(mat_det(evaluated) / denom ** ((c - 2 * i) * len(matrix)))
+    for i, basis in enumerate(bases):
+        index, cells = _products(basis)
+        values = [0] * len(index)
+        for expo, a in terms:
+            for mu, p in _divisors_of_degree(expo, 2 * i):
+                r = index.get(mu)
+                if r is not None:
+                    values[r] += a * p * prod(map(getitem, powers, map(sub, expo, mu)))
+        h = len(basis)
+        matrix = RatMatrix._of(h, h, {
+            (j, k): values[r]
+            for j, row in enumerate(cells)
+            for k, r in enumerate(row)
+            if values[r]
+        })
+        dets.append(mat_det(matrix) / (scale * denom ** (c - 2 * i)) ** h)
     return dets
 
 
 def hessian_criterion_at(
     f: Poly,
     L: Poly,
-    hessians: Sequence[Sequence[Sequence[Poly]]] | None = None,
+    bases: Sequence[Sequence[Monomial]] | None = None,
 ) -> bool:
     """True iff every higher-Hessian determinant is nonzero at the point dual
     to L: an independent oracle for the slp_check verdict."""
-    return all(hessian_determinants_at(f, L, hessians))
+    return all(hessian_determinants_at(f, L, bases))
 
 
 # ---------------------------------------------------------------------------

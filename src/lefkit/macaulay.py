@@ -13,9 +13,11 @@ One enumerator makes every catalecticant entry, here and in
 and gives integer entries over one recorded scale D (the lcm of F's
 coefficient denominators), with monomials as mixed-radix integer keys.  The
 rank path (``hilbert_function``) ranks those integers with rows and columns
-numbered by key, and never lists monomial labels; only the public
-``catalecticant`` attaches graded-lex labels and divides by D (when D > 1),
-so its entries are the exact rationals.  Each degree is an independent rank
+numbered by key, and never lists monomial labels.  The public
+``catalecticant`` and ``lefschetz.default_degree_basis`` share one matrix
+with each row and column at its graded-lex position (computed from the key,
+not looked up in a label list) and the entries divided by D (when D > 1),
+so they are the exact rationals.  Each degree is an independent rank
 computation: no elimination state is shared between i and c-i, so
 transpose-rank duality stays a genuine cross-check.  The cell budget still
 counts the dense cells of the largest catalecticant.
@@ -43,7 +45,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exactmath import RatMatrix, mat_kernel, mat_rank
-from .polyring import Monomial, Poly, dim_of_degree, monomials_of_degree
+from .polyring import Monomial, Poly, dim_of_degree, glex_rank, monomials_of_degree
 
 DEFAULT_CELL_BUDGET = 4_000_000
 
@@ -191,6 +193,39 @@ def _entries(f: Poly, steps: list[int], low: int, high: int):
             yield mu, deg, whole - mu, entry
 
 
+def _placed_catalecticant(f: Poly, c: int, i: int) -> tuple[RatMatrix, dict[int, int]]:
+    """The degree-i catalecticant of F (degree c) with every row and column
+    at its graded-lex position (``glex_rank``), rows numbered over all
+    degree-i monomials and columns over all degree c-i ones, zero ones
+    included; and the key of each nonzero row by its position.  Entries are
+    the enumerator's integers divided by its scale D (when D > 1)."""
+    if not 0 <= i <= c:
+        raise OutOfRangeError(f"degree {i} outside 0..{c}")
+    base, nvars = c + 1, f.nvars
+    rows: dict[int, int] = {}  # key -> graded-lex position
+    cols: dict[int, int] = {}
+
+    def place(at: dict[int, int], key: int) -> int:
+        r = at.get(key)
+        if r is None:
+            r = at[key] = glex_rank(_monomial(key, base, nvars))
+        return r
+
+    entries = {
+        (place(rows, mu), place(cols, rest)): entry
+        for mu, _, rest, entry in _entries(f, _steps(base, nvars), i, i)
+    }
+    shape = dim_of_degree(nvars, i), dim_of_degree(nvars, c - i)
+    scale = _scale(f)
+    if scale > 1:  # back to F's own entries; RatMatrix keeps integral ones as int
+        matrix = RatMatrix(*shape, {
+            cell: Fraction(entry, scale) for cell, entry in entries.items()
+        })
+    else:
+        matrix = RatMatrix._of(*shape, entries)
+    return matrix, {r: key for key, r in rows.items()}
+
+
 def catalecticant(f: Poly, i: int) -> CatMatrix:
     """Rows: degree-i monomials acting by contraction; columns: the degree
     c-i monomial basis; entry = coefficient of the column monomial in
@@ -199,29 +234,12 @@ def catalecticant(f: Poly, i: int) -> CatMatrix:
     degree-i divisor x^d of it, at (row d, column e-d): the enumerator's
     integer entry divided by its scale D."""
     c = _require_homogeneous(f)
-    if not 0 <= i <= c:
-        raise OutOfRangeError(f"degree {i} outside 0..{c}")
-    base = c + 1
-    rows = monomials_of_degree(f.nvars, i)
-    cols = monomials_of_degree(f.nvars, c - i)
-    row_index = {_key(m, base): k for k, m in enumerate(rows)}
-    col_index = {_key(m, base): k for k, m in enumerate(cols)}
-    entries = {
-        (row_index[mu], col_index[rest]): entry
-        for mu, _, rest, entry in _entries(f, _steps(base, f.nvars), i, i)
-    }
-    scale = _scale(f)
-    if scale > 1:  # back to F's own entries; RatMatrix keeps integral ones as int
-        matrix = RatMatrix(len(rows), len(cols), {
-            cell: Fraction(entry, scale) for cell, entry in entries.items()
-        })
-    else:
-        matrix = RatMatrix._of(len(rows), len(cols), entries)
+    matrix, _ = _placed_catalecticant(f, c, i)
     return CatMatrix(
         degree=i,
         matrix=matrix,
-        row_monomials=tuple(rows),
-        col_monomials=tuple(cols),
+        row_monomials=tuple(monomials_of_degree(f.nvars, i)),
+        col_monomials=tuple(monomials_of_degree(f.nvars, c - i)),
     )
 
 

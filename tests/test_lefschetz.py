@@ -283,11 +283,9 @@ def test_hessian_determinants_match_evaluated_oracle(kind, n, s):
     deficient = deficient_candidates(spec)[:1]  # quadrics have none
     for g in (f, scale_variables(f, weights)):
         c = g.homogeneous_degree()
+        bases = [default_degree_basis(g, i) for i in range(c // 2 + 1)]
         hessians = [higher_hessian(g, i) for i in range(c // 2 + 1)]
-        naive = [
-            naive_higher_hessian(g, default_degree_basis(g, i))
-            for i in range(c // 2 + 1)
-        ]
+        naive = [naive_higher_hessian(g, basis) for basis in bases]
         for matrix in hessians:
             for j, row in enumerate(matrix):
                 for k, entry in enumerate(row):
@@ -300,7 +298,7 @@ def test_hessian_determinants_match_evaluated_oracle(kind, n, s):
                 for matrix in naive
             ]
             assert hessian_determinants_at(g, L) == expected
-            assert hessian_determinants_at(g, L, hessians) == expected
+            assert hessian_determinants_at(g, L, bases) == expected
             if L in deficient:
                 assert not all(expected)
 
@@ -318,6 +316,43 @@ def test_hessian_criterion_matches_slp():
     for _ in range(25):
         L = random_linear_form(3, rng)
         assert hessian_criterion_at(DET2, L) == slp_check(DET2, L, table).verdict
+
+
+def test_hessian_route_shares_no_code_with_the_routes_it_checks(monkeypatch):
+    """default_degree_basis never builds the labelled catalecticant, and with
+    its bases supplied hessian_determinants_at uses neither macaulay's entry
+    enumerator and divisor walk, nor SlpTable, nor a rank."""
+    import lefkit.exactmath as exactmath
+    import lefkit.lefschetz as lefschetz
+    import lefkit.macaulay as macaulay
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Hessian route called a shared function")
+
+    spec = FamilySpec(FamilyKind.GENERIC_DET, 2, 2)
+    f = make_invariant(spec)
+    weighted = scale_variables(f, [Fraction(1, 2), 3, 1, Fraction(2, 3)])
+    forms = [
+        canonical_lefschetz(spec),
+        linear(spec, {0: Fraction(3, 2), 2: -1, 3: Fraction(2, 5)}),
+        deficient_candidates(spec)[0],
+    ]
+    cases = [(g, L, hessian_determinants_at(g, L)) for g in (f, weighted)
+             for L in forms]
+    monkeypatch.setattr(macaulay, "catalecticant", refuse)
+    bases = {id(g): [default_degree_basis(g, i) for i in range(3)]
+             for g in (f, weighted)}
+    for module, name in [
+        (macaulay, "_entries"), (lefschetz, "_entries"),
+        (macaulay, "_divisors"), (lefschetz, "_divisors"),
+        (lefschetz, "SlpTable"),
+        (exactmath, "mat_rank"), (lefschetz, "mat_rank"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for g, L, expected in cases:
+        assert hessian_determinants_at(g, L, bases[id(g)]) == expected
+        assert hessian_criterion_at(g, L, bases[id(g)]) == all(expected)
+    assert not all(cases[-1][2])  # the deficient L reaches a zero determinant
 
 
 # --- theorem-level -----------------------------------------------------------
