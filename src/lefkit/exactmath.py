@@ -12,11 +12,18 @@ value is a minor of the input and the verdict is exact.
 The pivots are the ones a whole-matrix elimination would choose: its
 entries factor over the blocks, so its shortest-entry order is replayed
 block by block.  ``mat_rank`` sums the block ranks; on each block a modular
-probe at one fixed prime below 2^30 gives a cheap rank lower bound that
+probe at one fixed prime p below 2^30 gives a cheap rank lower bound that
 short-circuits full-rank confirmations, and only the blocks it cannot
-confirm are eliminated.  Below 2^30 every residue is a single CPython digit,
-so the probe's elimination runs on one-digit ints.  Floats are never used
-anywhere in this module.
+confirm are eliminated.  A probe rank is only ever a lower bound: a minor
+that is nonzero mod p is nonzero, but a nonzero minor can vanish mod p.
+
+The probe packs each row into one int, each column a slot of fixed width:
+the bit length of (min(rows, cols) + 1) * p^2.  A row update is then one
+big-int multiply-add over the whole row, and a pivot row is reduced mod p
+once, when it is chosen.  A slot starts below p and gains less than p^2 at
+each of at most min(rows, cols) updates, so it never carries into its
+neighbour.  ``lefschetz`` feeds the same kernel its own residues.  Floats
+are never used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterator, Sequence
+from operator import lshift
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadPrimeError, InvariantError
 
@@ -122,65 +130,98 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-# The probe prime of mat_rank: the largest prime below 2^30, so that every
-# residue is one 30-bit CPython digit and products of two stay small ints.
+# The probe prime of mat_rank and of slp_check: the largest prime below 2^30.
 # A fixed prime keeps the rank path, like the verdict, a function of the
-# input alone.
+# input alone.  Below 2^30 the multiplier of a row update and the divisor
+# that reduces a slot are single 30-bit CPython digits, so each is one
+# linear pass, and a slot takes about 60 bits plus the bit length of
+# min(rows, cols) + 1.
 PROBE_PRIME = (1 << 30) - 35
+
+
+def _rank_mod_p(rows: Sequence[tuple[Sequence[int], Iterable[int]]],
+                ncols: int, prime: int) -> int:
+    """Rank mod ``prime`` of the matrix whose row r, given as rows[r] =
+    (columns, residues), holds each residue (0 <= v < prime) at its column
+    (0 <= j < ncols); absent entries are zero.
+
+    Each row is packed into one int, column j in the slot of ``width`` bits
+    at bit j * width.  Columns go in order, the current one always in the
+    lowest slot.  A pivot row is reduced mod p once, when it is chosen, and
+    scaled so that its update of row R is R >> width plus (R's lowest slot
+    mod p) times the pivot's remaining slots: one big-int multiply-add,
+    whose shift drops the lowest slot (now 0 mod p).  The other slots are
+    only ever added to.  A slot starts below p and gains less than p^2 at
+    each of at most min(rows, ncols) updates, so it stays below
+    (min(rows, ncols) + 1) * p^2 and never carries into its neighbour."""
+    width = ((min(len(rows), ncols) + 1) * prime * prime).bit_length()
+    mask = (1 << width) - 1
+    at = list(range(0, ncols * width, width))
+    live = [row for row in (
+        sum(map(lshift, values, map(at.__getitem__, cols))) for cols, values in rows
+    ) if row]
+    rank = 0
+    for _ in range(ncols):
+        if not live:
+            break
+        for k, row in enumerate(live):
+            if (row & mask) % prime:
+                break
+        else:  # no pivot in this column
+            live = [row >> width for row in live]
+            continue
+        pivot = live.pop(k)
+        neg_inv = prime - pow(pivot & mask, -1, prime)
+        tail, shift, packed = pivot >> width, 0, 0
+        while tail:
+            packed |= (tail & mask) * neg_inv % prime << shift
+            tail >>= width
+            shift += width
+        live = [new for row in live
+                if (new := (row >> width) + (row & mask) % prime * packed)]
+        rank += 1
+    return rank
 
 
 def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
     """Rank of ``m`` reduced mod ``prime``: a lower bound for the exact rank,
-    never the final verdict.  Raises BadPrimeError if a stored denominator
-    vanishes mod ``prime``.  Only the rows and columns holding an entry are
-    laid out, in their original order."""
-    row_at = {i: k for k, i in enumerate(sorted({i for i, _ in m._entries}))}
-    col_at = {j: k for k, j in enumerate(sorted({j for _, j in m._entries}))}
-    a = [[0] * len(col_at) for _ in row_at]
-    for (i, j), v in m.items():
+    never the final verdict (a minor that is nonzero mod p is nonzero, not
+    conversely).  Raises BadPrimeError if a stored denominator vanishes mod
+    ``prime``.  Only the rows and columns holding a nonzero residue are laid
+    out, each column numbered when first met."""
+    rows: dict[int, tuple[list[int], list[int]]] = {}
+    col_at: dict[int, int] = {}
+    for (i, j), v in m._entries.items():
         den = v.denominator
         if den == 1:
-            a[row_at[i]][col_at[j]] = v % prime
-            continue
-        if den % prime == 0:
+            v %= prime
+        elif den % prime == 0:
             raise BadPrimeError(f"denominator divisible by {prime}")
-        a[row_at[i]][col_at[j]] = v.numerator * pow(den, -1, prime) % prime
-    # Columns left of c are never read again, so each update touches only
-    # the columns after the pivot.
-    rank = 0
-    for c in range(len(col_at)):
-        pivot_row = None
-        for i in range(rank, len(a)):
-            if a[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        tail = a[rank][c + 1:]
-        inv = pow(a[rank][c], -1, prime)
-        for i in range(rank + 1, len(a)):
-            row = a[i]
-            f = row[c]
-            if f:
-                mult = f * inv % prime
-                row[c + 1:] = [(x - mult * y) % prime for x, y in zip(row[c + 1:], tail)]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+        else:
+            v = v.numerator * pow(den, -1, prime) % prime
+        if v:
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = ([], [])
+            row[0].append(col_at.setdefault(j, len(col_at)))
+            row[1].append(v)
+    return _rank_mod_p(list(rows.values()), len(col_at), prime)
 
 
-def _blocks(m: RatMatrix) -> list[dict[tuple[int, int], int | Fraction]]:
+_Block = tuple[dict[tuple[int, int], int | Fraction], list[int], list[int]]
+
+
+def _blocks(m: RatMatrix) -> list[_Block]:
     """The connected components of the bipartite row/column graph of the
-    nonzero entries, each as its entries keyed by their original (row,
-    column).  Permuting ``m`` into block-diagonal form leaves its rank
-    unchanged, so the rank of ``m`` is the sum of the block ranks; empty
-    rows and columns belong to no block.
+    nonzero entries, each as (its entries keyed by their original (row,
+    column), its rows, its columns).  Permuting ``m`` into block-diagonal
+    form leaves its rank unchanged, so the rank of ``m`` is the sum of the
+    block ranks; empty rows and columns belong to no block.
 
     Each block is keyed by the row that opened it.  Every row i and column
     j (as ~j) records its block's key, and when an entry joins two blocks
-    the smaller one's members are relabelled into the larger."""
+    the smaller one's members are relabelled into the larger; the member
+    lists give each block's rows and columns."""
     key: dict[int, int] = {}
     members: dict[int, list[int]] = {}
     for i, j in m._entries:
@@ -200,13 +241,13 @@ def _blocks(m: RatMatrix) -> list[dict[tuple[int, int], int | Fraction]]:
             for x in members[b]:
                 key[x] = a
             members[a] += members.pop(b)
-    grouped: dict[int, dict] = {}
+    grouped: dict[int, dict] = {k: {} for k in members}
     for (i, j), v in m.items():
-        block = grouped.get(key[i])
-        if block is None:
-            block = grouped[key[i]] = {}
-        block[(i, j)] = v
-    return list(grouped.values())
+        grouped[key[i]][(i, j)] = v
+    return [
+        (grouped[k], [x for x in mem if x >= 0], [~x for x in mem if x < 0])
+        for k, mem in members.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +263,7 @@ class _Echelon:
     scale: int  # product of the positive per-row denominators cleared
 
 
-def _echelon(blocks: list[dict[tuple[int, int], int | Fraction]]) -> _Echelon:
+def _echelon(blocks: list[_Block]) -> _Echelon:
     """Bareiss elimination of the matrix made of ``blocks``, on sparse
     integer rows (a row holding a Fraction is scaled by the lcm of its
     denominators, which changes neither rank nor right kernel; an all-int
@@ -244,7 +285,7 @@ def _echelon(blocks: list[dict[tuple[int, int], int | Fraction]]) -> _Echelon:
     live: list[dict[int, dict[int, int]]] = []  # per block: unused row -> entries
     col_block: dict[int, int] = {}
     scale = 1
-    for b, entries in enumerate(blocks):
+    for b, (entries, _, _) in enumerate(blocks):
         by_row: dict[int, dict[int, int | Fraction]] = {}
         for (i, j), v in entries.items():
             by_row.setdefault(i, {})[j] = v
@@ -301,12 +342,11 @@ def _echelon(blocks: list[dict[tuple[int, int], int | Fraction]]) -> _Echelon:
     return _Echelon(pivots, col_block, last, sign, scale)
 
 
-def _block_rank(entries: dict[tuple[int, int], int | Fraction]) -> int:
+def _block_rank(entries: dict[tuple[int, int], int | Fraction],
+                rows: list[int], cols: list[int]) -> int:
     # Probe rank is a lower bound, so reaching min(rows, cols) is conclusive;
     # anything less falls through to fraction-free elimination.  The probe
     # reads the block's own entries, wrapped without a copy.
-    rows = {i for i, _ in entries}
-    cols = {j for _, j in entries}
     full = min(len(rows), len(cols))
     block = RatMatrix._of(max(rows) + 1, max(cols) + 1, entries)
     try:
@@ -314,14 +354,14 @@ def _block_rank(entries: dict[tuple[int, int], int | Fraction]) -> int:
             return full
     except BadPrimeError:
         pass
-    return len(_echelon([entries]).pivots)
+    return len(_echelon([(entries, rows, cols)]).pivots)
 
 
 def mat_rank(m: RatMatrix) -> int:
     """Exact rank over the rationals: the sum of the exact ranks of the
     blocks of ``m``.  Each block is confirmed full rank by the modular probe
     or else ranked by fraction-free elimination."""
-    return sum(_block_rank(b) for b in _blocks(m))
+    return sum(_block_rank(*b) for b in _blocks(m))
 
 
 def pivot_rows(m: RatMatrix) -> list[int]:

@@ -10,8 +10,14 @@ Illinois J. Math. 53 (2009)), for k = c - 2i and l the coefficient vector
 of L, (L^k m m')(F) = k! (m m' F)(l).  So slp_check evaluates the rows of
 the degree-2i catalecticant of F at l, each row m + m' filling the cells
 (m, m'), and ranks that matrix: it is Cat_i(L^k F) with column m' scaled by
-m'!/k!.  Those rows are a per-F table (SlpTable) built once from F's terms
-and reused for every L.
+m'!/k!.  Those rows, and which row sits at each cell, are a per-F table
+(SlpTable) built once from F's terms and reused for every L.  For each L
+the row values go mod PROBE_PRIME straight into exactmath's packed rank
+kernel, with no RatMatrix and no block split; that lower bound settles the
+rank only when it reaches the number of rows of N that are nonzero over
+the integers, and otherwise N is built and ranked exactly by mat_rank.
+The rank of N is at most h_i, so when N has more nonzero rows than that
+(possible only where Ann(F)_i is not zero) the probe is skipped.
 
 The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict.  The quotient basis b is the pivot
@@ -38,7 +44,7 @@ from operator import add, getitem, sub
 from typing import Sequence
 
 from .errors import NotLinearError, OutOfRangeError, VarMismatchError
-from .exactmath import RatMatrix, mat_det, mat_rank, pivot_rows
+from .exactmath import PROBE_PRIME, RatMatrix, _rank_mod_p, mat_det, mat_rank, pivot_rows
 from .families import (
     FamilySpec,
     canonical_lefschetz,
@@ -102,9 +108,9 @@ class SlpTable:
     term coeff*x^e and a degree-2i divisor x^mu give the entry
     coeff * prod perm(e_k, mu_k) at column x^(e - mu) of row mu, all
     scaled by one positive integer (the lcm of F's denominators).  Read as
-    a polynomial, row mu is mu contracted against F.  Build the table once
-    per F and pass it to each slp_check of that F; the cells of a row are
-    added when it is first used, so keep it no longer than one loop over L."""
+    a polynomial, row mu is mu contracted against F.  Each degree also lays
+    out its matrix N once: which row mu sits at each cell (m, m').  Build
+    the table once per F and pass it to each slp_check of that F."""
 
     def __init__(self, f: Poly):
         self.f = f
@@ -115,23 +121,26 @@ class SlpTable:
         for mu, deg, rest, entry in _entries(f, _steps(base, f.nvars), 0, c - 1):
             if deg % 2 == 0:
                 self.degrees[deg // 2].add(mu, rest, entry)
+        for d in self.degrees:
+            d.lay_out()
 
 
 class _CatRows:
     """The rows of Cat_2i(F) in an SlpTable, keyed as in macaulay: row mu
     is a list of (entry, residual id), and residual r is the column monomial
-    x^(e - mu) as its nonzero (variable, exponent) pairs."""
+    x^(e - mu) as its nonzero (variable, exponent) pairs.
+
+    The layout of N over the degree-i monomials m that meet some row
+    (N is symmetric, so its nonzero rows and columns are the same
+    monomials): `labels[r]` is the index of the r-th such m, and
+    `cells[r]` = (columns, row ids) lists, for each m' with m + m' a row,
+    the position of m' and the id of that row (its place in `terms`)."""
 
     def __init__(self, nvars: int, base: int, i: int):
         self.nvars, self.base, self.i = nvars, base, i
-        self.steps = _steps(base, nvars)
         self.rows: dict[int, list[tuple[int, int]]] = {}
         self.residual_id: dict[int, int] = {}
         self.residuals: list[tuple[tuple[int, int], ...]] = []
-        self.index = {  # degree-i monomial -> its row and column of N
-            _key(m, base): k for k, m in enumerate(monomials_of_degree(nvars, i))
-        }
-        self.cells: dict[int, list[tuple[int, int]]] = {}
 
     def add(self, mu: int, rest: int, entry: int) -> None:
         r = self.residual_id.get(rest)
@@ -141,29 +150,60 @@ class _CatRows:
             self.residuals.append(tuple((k, e) for k, e in enumerate(expo) if e))
         self.rows.setdefault(mu, []).append((entry, r))
 
-    def _cells(self, mu: int) -> list[tuple[int, int]]:
-        # (m, mu - m) over the degree-i divisors m of mu
-        cells = self.cells.get(mu)
-        if cells is None:
-            index = self.index
+    def lay_out(self) -> None:
+        """Fix the cells of N, (m, mu - m) over the degree-i divisors m of
+        each row mu; called once, after every row is added."""
+        index = {  # degree-i monomial -> its row and column of N
+            _key(m, self.base): k
+            for k, m in enumerate(monomials_of_degree(self.nvars, self.i))
+        }
+        self.size = len(index)
+        self.terms = list(self.rows.values())
+        steps = _steps(self.base, self.nvars)
+        by_row: dict[int, list[tuple[int, int]]] = {}
+        for k, mu in enumerate(self.rows):
             expo = _monomial(mu, self.base, self.nvars)
-            cells = self.cells[mu] = [
-                (index[m], index[mu - m])
-                for m, _, _ in _divisors(expo, self.steps, self.i, self.i)
-            ]
-        return cells
+            for m, _, _ in _divisors(expo, steps, self.i, self.i):
+                by_row.setdefault(index[m], []).append((index[mu - m], k))
+        self.labels = sorted(by_row)
+        at = {m: r for r, m in enumerate(self.labels)}
+        self.cells = [
+            ([at[m2] for m2, _ in by_row[m]], [k for _, k in by_row[m]])
+            for m in self.labels
+        ]
 
-    def matrix_at(self, powers: list[list[int]]) -> RatMatrix:
-        """N[m, m'] = row m + m' evaluated at the point whose coordinate
-        powers are `powers`."""
+    def values_at(self, powers: list[list[int]]) -> list[int]:
+        """Each row's value at the point whose coordinate powers are
+        `powers`, in `terms` order."""
         at = [prod(powers[k][e] for k, e in r) for r in self.residuals]
-        entries = {}
-        for mu, row in self.rows.items():
-            value = sum(entry * at[r] for entry, r in row)
-            if value:
-                for cell in self._cells(mu):
-                    entries[cell] = value
-        return RatMatrix._of(len(self.index), len(self.index), entries)
+        return [sum(entry * at[r] for entry, r in row) for row in self.terms]
+
+    def matrix_at(self, values: list[int]) -> RatMatrix:
+        """N[m, m'] = the value of row m + m'."""
+        labels, entries = self.labels, {}
+        for m, (cols, ids) in zip(labels, self.cells):
+            for c, k in zip(cols, ids):
+                if values[k]:
+                    entries[(m, labels[c])] = values[k]
+        return RatMatrix._of(self.size, self.size, entries)
+
+    def rank_at(self, powers: list[list[int]], most: int) -> int:
+        """The exact rank of N at the point; `most` is h_i, which bounds it
+        (N is Cat_i of L^k F, and Ann(F)_i annihilates L^k F).  When N has
+        no more nonzero rows than that, counted exactly (a row can vanish
+        mod p and not over the integers), its rank mod PROBE_PRIME, a lower
+        bound taken from the values' residues on the fixed layout, settles
+        the rank if it reaches that count.  Otherwise N is built and ranked
+        by mat_rank."""
+        values = self.values_at(powers)
+        nonzero = sum(1 for _, ids in self.cells if any(map(values.__getitem__, ids)))
+        if nonzero <= most:
+            p = PROBE_PRIME
+            residues = [v % p for v in values]
+            rows = [(cols, map(residues.__getitem__, ids)) for cols, ids in self.cells]
+            if _rank_mod_p(rows, len(rows), p) == nonzero:
+                return nonzero
+        return mat_rank(self.matrix_at(values))
 
 
 def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
@@ -191,7 +231,7 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
     point = [x.numerator * (mult // x.denominator) for x in coeffs]
     g = gcd(*point)
     powers = [[(x // g) ** e for e in range(c + 1)] for x in point]
-    achieved = [mat_rank(d.matrix_at(powers)) for d in table.degrees]
+    achieved = [d.rank_at(powers, h) for d, h in zip(table.degrees, table.required)]
     if c % 2 == 0:
         achieved.append(table.required[c // 2])
     rows = tuple(
@@ -371,14 +411,11 @@ def random_linear_form(nvars: int, rng: random.Random) -> Poly:
     while True:
         coeffs = [rng.randint(-5, 5) for _ in range(nvars)]
         if any(coeffs):
-            return Poly(
-                nvars,
-                {
-                    tuple(1 if k == idx else 0 for k in range(nvars)): Fraction(v)
-                    for idx, v in enumerate(coeffs)
-                    if v
-                },
-            )
+            return Poly._of(nvars, {
+                (0,) * idx + (1,) + (0,) * (nvars - 1 - idx): Fraction(v)
+                for idx, v in enumerate(coeffs)
+                if v
+            })
 
 
 def verify_theorem(

@@ -12,6 +12,7 @@ from lefkit.exactmath import (
     RatMatrix,
     _blocks,
     _echelon,
+    _rank_mod_p,
     mat_det,
     mat_kernel,
     mat_rank,
@@ -93,8 +94,8 @@ def test_probe_bad_prime():
 
 
 def test_fixed_probe_prime_is_one_digit_prime():
-    # Below 2^30 every residue is one 30-bit CPython digit; the prime is the
-    # largest there.
+    # Below 2^30 every residue and multiplier is one 30-bit CPython digit;
+    # the prime is the largest there.
     assert PROBE_PRIME < (1 << 30)
     assert is_prime(PROBE_PRIME)
     assert not any(is_prime(n) for n in range(PROBE_PRIME + 1, 1 << 30))
@@ -301,11 +302,15 @@ def test_block_elimination_matches_whole_matrix_oracle(rows):
 @given(tie_prone_block_diagonal())
 def test_blocks_are_the_connected_components(rows):
     m = RatMatrix.from_rows(rows)
-    blocks = [set(b) for b in _blocks(m)]
+    blocks = [set(b) for b, _, _ in _blocks(m)]
     nonzero = {pos for pos, _ in m.items()}
     # every nonzero entry lies in exactly one block, with its value
     assert sorted(pos for b in blocks for pos in b) == sorted(nonzero)
-    assert all(v == m.entry(*pos) for b in _blocks(m) for pos, v in b.items())
+    assert all(v == m.entry(*pos) for b, _, _ in _blocks(m) for pos, v in b.items())
+    # each block lists its rows and its columns, each once
+    for b, block_rows, block_cols in _blocks(m):
+        assert sorted(block_rows) == sorted({i for i, _ in b})
+        assert sorted(block_cols) == sorted({j for _, j in b})
     # no two blocks share a row or a column
     block_rows = [{i for i, _ in b} for b in blocks]
     block_cols = [{j for _, j in b} for b in blocks]
@@ -364,3 +369,50 @@ def test_pivot_rows_replay_a_foreign_pivot():
     # block's own entries 3 and 2 tie in bit length.
     m = RatMatrix.from_rows([[3, 0], [0, 3], [0, 2]])
     assert pivot_rows(m) == oracle_pivot_rows(m) == [0, 2]
+
+
+KERNEL_PRIMES = (2, 7, PROBE_PRIME, (1 << 61) - 1)
+
+
+def _kernel_rank(dense, p):
+    """The packed kernel's rank of a dense matrix of residues, given it row
+    by row as its nonzero (columns, residues)."""
+    rows = [([j for j, v in enumerate(row) if v], [v for v in row if v])
+            for row in dense]
+    return _rank_mod_p(rows, len(dense[0]), p)
+
+
+def _max_growth(r, p):
+    """r + 1 rows, each column's pivot chosen in turn: r pivot rows of ones
+    on and above the diagonal, then a row that every pivot updates with the
+    largest multiplier p - 1 times tail residues p - 1.  So its last slot
+    gains (p - 1)^2 at each of the r updates, the most any slot can, and
+    ends at 0 mod p: a slot too narrow for it turns the rank r into r + 1."""
+    pivots = [[0] * k + [1] * (r + 1 - k) for k in range(r)]
+    return pivots + [[(-1 - k) % p for k in range(r)] + [-r % p]]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_packed_kernel_matches_rank_mod_p_oracle(p):
+    rng = random.Random(p)
+    shapes = [(1, 1), (3, 5), (6, 6), (21, 21), (40, 40), (37, 32),
+              (40, 3), (39, 1), (40, 8), (4, 40)]
+    for nrows, ncols in shapes:
+        inner = rng.randint(1, min(nrows, ncols))  # rank at most inner
+        left = [[rng.randrange(p) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(inner)]
+        cases = [
+            [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)],
+            [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+             for row in left],
+            # every entry p - 1, and p - 1 on a random support
+            [[p - 1] * ncols for _ in range(nrows)],
+            [[rng.choice((0, p - 1)) for _ in range(ncols)] for _ in range(nrows)],
+            [[0] * ncols for _ in range(nrows)],
+        ]
+        for dense in cases:
+            assert _kernel_rank(dense, p) == naive_rank_mod_p(dense, p)
+    for r in range(1, 13):
+        dense = _max_growth(r, p)
+        assert _kernel_rank(dense, p) == naive_rank_mod_p(dense, p) == r
+        assert mat_rank_modular_probe(RatMatrix.from_rows(dense), p) == r

@@ -12,7 +12,8 @@ from lefkit.errors import (
     VarMismatchError,
     ZeroPolynomialError,
 )
-from lefkit.exactmath import mat_rank
+from lefkit import lefschetz
+from lefkit.exactmath import PROBE_PRIME, _rank_mod_p, mat_rank
 from lefkit.families import (
     FamilyKind,
     FamilySpec,
@@ -138,9 +139,11 @@ RATIONAL_FORMS = {
     (FamilyKind.PFAFFIAN, 4, 2),
     (FamilyKind.QUADRIC, 4, 2),
 ])
-def test_achieved_ranks_match_power_oracle(kind, n, s):
+def test_achieved_ranks_match_power_oracle(kind, n, s, monkeypatch):
     # Every form runs through one shared table, as in verify_theorem, for F
     # and for a weighted F(w*x), against which L(x/w) has the ranks of L.
+    # At the small primes 7 and 2, which slp_check reads at call time, the
+    # residue probe often falls short and the exact fallback decides.
     spec = FamilySpec(kind, n, s)
     f = make_invariant(spec)
     rng = random.Random(n * 10 + s)
@@ -160,10 +163,57 @@ def test_achieved_ranks_match_power_oracle(kind, n, s):
         passes.append([])
         for L in forms:
             L = L if shift is None else scale_variables(L, shift)
-            achieved = [row.achieved for row in slp_check(g, L, table).rows]
-            assert achieved == naive_achieved_ranks(g, L)
+            expected = naive_achieved_ranks(g, L)
+            for prime in (PROBE_PRIME, 7, 2):
+                monkeypatch.setattr(lefschetz, "PROBE_PRIME", prime)
+                achieved = [row.achieved for row in slp_check(g, L, table).rows]
+                assert achieved == expected
             passes[-1].append(achieved)
     assert passes[0] == passes[1]
+
+
+def test_probe_is_skipped_where_the_rank_cannot_reach_the_rows(monkeypatch):
+    # det^3 on 3x3 symmetric matrices has h_4 = 81 but 126 monomials of
+    # degree 4.  The rank of N is at most h_4, so for a random L the i = 4
+    # matrix, with all 126 rows nonzero, goes straight to mat_rank.
+    probed = []
+
+    def recording(rows, ncols, prime):
+        probed.append(ncols)
+        return _rank_mod_p(rows, ncols, prime)
+
+    monkeypatch.setattr(lefschetz, "_rank_mod_p", recording)
+    f = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3, 3))
+    report = slp_check(f, random_linear_form(6, random.Random(5)))
+    assert [(r.required, r.achieved) for r in report.rows] == [
+        (1, 1), (6, 6), (21, 21), (56, 56), (81, 81)]
+    assert probed == [1, 6, 21, 56]
+
+
+def test_row_vanishing_mod_p_is_still_counted(monkeypatch):
+    # L = 7 x11 + 7 x22 + x33 is nonsingular, so Lefschetz for det on 3x3
+    # symmetric matrices.  Mod 7 its i = 0 matrix (det at l, times 3!) is
+    # 0, and at i = 1 the rows of x33, x13 and x23 (second derivatives of
+    # det, here (x22, x11, -2 x12) and -2 x22, -2 x11 times constants) are
+    # zero mod 7 but not over the integers.  The residue rank, 0 and then
+    # 3, equals the count of rows with a nonzero residue, so counting rows
+    # by their residues would confirm it; the exact count does not, and
+    # both degrees go to mat_rank.
+    monkeypatch.setattr(lefschetz, "PROBE_PRIME", 7)
+    L = linear(SYM3, {SYM3.var_index(1, 1): 7, SYM3.var_index(2, 2): 7,
+                      SYM3.var_index(3, 3): 1})
+    table = SlpTable(DET3)
+    powers = [[int(x) ** e for e in range(4)] for x in L.linear_coefficients()]
+    for d, exact_rows in zip(table.degrees, (1, 6)):
+        values = d.values_at(powers)
+        residues = [v % 7 for v in values]
+        rows = [(cols, [residues[k] for k in ids]) for cols, ids in d.cells]
+        residue_rows = sum(any(r) for _, r in rows)
+        assert _rank_mod_p(rows, len(rows), 7) == residue_rows < exact_rows
+        assert sum(any(values[k] for k in ids) for _, ids in d.cells) == exact_rows
+    report = slp_check(DET3, L, table)
+    assert [row.achieved for row in report.rows] == naive_achieved_ranks(DET3, L) == [1, 6]
+    assert report.verdict and orbit_test(SYM3, L)
 
 
 @pytest.mark.parametrize("kind,n,s", [
