@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", default="text",
                         choices=["json", "csv", "text"])
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=50)
     common.add_argument("--budget", type=int, default=None,
                         help="cell budget for catalecticants and predicted "
                              "partitions (default 4e6)")
@@ -73,13 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     lef.add_argument("--lefschetz", default="canonical", choices=["canonical", "random"])
     lef.add_argument("--lefschetz-file", default=None,
                      help="JSON file mapping layout variable names to rationals")
+    lef.add_argument("--seed", type=int, default=0, help="seed of --lefschetz random")
 
     sub.add_parser("hilbert", parents=[common],
                    help="Hilbert function via catalecticant ranks")
     sub.add_parser("slp", parents=[common, lef],
                    help="per-degree strong Lefschetz check for one linear form")
-    sub.add_parser("verify", parents=[common],
-                   help="cross-check Lefschetz verdicts against open-orbit membership")
+    verify = sub.add_parser("verify", parents=[common],
+                            help="cross-check Lefschetz verdicts against "
+                                 "open-orbit membership")
+    verify.add_argument("--seed", type=int, default=0, help="seed of the random samples")
+    verify.add_argument("--samples", type=int, default=50)
     sub.add_parser("predict", parents=[common],
                    help="Jordan-algebra predicted vs computed Hilbert function "
                         "(every family)")

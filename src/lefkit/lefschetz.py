@@ -21,12 +21,13 @@ The rank of N is at most h_i, so when N has more nonzero rows than that
 
 The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict.  The quotient basis b is the pivot
-rows of the degree-i catalecticant, placed at their graded-lex positions.
-Then one walk over F's terms sums each row b_j b_k of the i-th higher
-Hessian at L's point as an integer: F is cleared over one scale D (the lcm
-of its coefficient denominators), the point to integers, and only the
-determinant is divided back.  That walk never reads SlpTable or a rank, so
-a fault in one route cannot hide in the other.
+rows of the degree-i catalecticant, placed at their graded-lex positions;
+the bases and F's terms cleared over one scale D (the lcm of its coefficient
+denominators) are a per-F table (HessianTable).  For each L, one walk over
+F's terms sums each row b_j b_k of the i-th higher Hessian at L's point as
+an integer, the point cleared to integers, and only the determinant is
+divided back.  That walk never reads SlpTable or a rank, so a fault in one
+route cannot hide in the other.
 verify_theorem cross-validates the slp_check verdict (not the Hessian one)
 against open-orbit membership on seeded samples plus deterministic
 rank-deficient candidates.  Everything here uses the plain apolarity
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, perm, prod
 from operator import add, getitem, sub
-from typing import Sequence
 
 from .errors import NotLinearError, OutOfRangeError, VarMismatchError
 from .exactmath import PROBE_PRIME, RatMatrix, _rank_mod_p, mat_det, mat_rank, pivot_rows
@@ -273,67 +273,56 @@ def _divisors_of_degree(expo: Monomial, i: int) -> list[tuple[Monomial, int]]:
     return [(d, v) for d, _, v in parts]
 
 
-def _products(basis: list[Monomial]) -> tuple[dict[Monomial, int], list[list[int]]]:
-    """The distinct monomials b_j * b_k, each with its index, and the
-    matrix of those indices: entries (j, k) and (k, j) share one."""
-    index: dict[Monomial, int] = {}
-    cells = [[0] * len(basis) for _ in basis]
-    for j, bj in enumerate(basis):
-        for k in range(j, len(basis)):
-            mu = tuple(map(add, bj, basis[k]))
-            cells[j][k] = cells[k][j] = index.setdefault(mu, len(index))
-    return index, cells
+class HessianTable:
+    """Per-F data of hessian_determinants_at: F's terms as integers over
+    one scale D (the lcm of its coefficient denominators) and, for each
+    i = 0..c//2, the basis b of default_degree_basis(f, i), the distinct
+    monomials b_j * b_k each with its index, and the matrix of those indices
+    (entries (j, k) and (k, j) share one).  Build the table once per F and
+    pass it to each hessian_determinants_at of that F."""
 
-
-def higher_hessian(f: Poly, i: int) -> list[list[Poly]]:
-    """The i-th higher Hessian of F, for 0 <= i <= c//2: entry (j, k) is
-    (b_j * b_k) contracted against F, homogeneous of degree c - 2i, over the
-    basis b of default_degree_basis.  That contraction is the row of the
-    degree-2i catalecticant at the monomial b_j * b_k, and only those rows
-    are built, straight from F's terms by the catalecticant's entry rule: a
-    term coeff*x^e and a divisor x^mu of it give coeff * prod perm(e_k, mu_k)
-    at x^(e - mu).  Each distinct monomial gets one Poly, so entries (j, k)
-    and (k, j) are the same object.  hessian_determinants_at walks the same
-    rows but sums them at a point instead of building them."""
-    c = _require_homogeneous(f)
-    if not 0 <= i <= c // 2:
-        raise OutOfRangeError(f"Hessian order {i} outside 0..{c // 2}")
-    index, cells = _products(default_degree_basis(f, i))
-    rows: list[dict] = [{} for _ in index]
-    for expo, coeff in f.terms():
-        for mu, p in _divisors_of_degree(expo, 2 * i):
-            r = index.get(mu)
-            if r is not None:
-                rows[r][tuple(map(sub, expo, mu))] = coeff * p
-    entries = [Poly._of(f.nvars, row) for row in rows]
-    return [[entries[r] for r in row] for row in cells]
+    def __init__(self, f: Poly):
+        self.f = f
+        c = _require_homogeneous(f)
+        self.scale = _scale(f)
+        self.terms = [
+            (expo, coeff.numerator * (self.scale // coeff.denominator))
+            for expo, coeff in f.terms()
+        ]
+        self.degrees = []
+        for i in range(c // 2 + 1):
+            basis = default_degree_basis(f, i)
+            index: dict[Monomial, int] = {}
+            cells = [[0] * len(basis) for _ in basis]
+            for j, bj in enumerate(basis):
+                for k in range(j, len(basis)):
+                    mu = tuple(map(add, bj, basis[k]))
+                    cells[j][k] = cells[k][j] = index.setdefault(mu, len(index))
+            self.degrees.append((basis, index, cells))
 
 
 def hessian_determinants_at(
-    f: Poly,
-    L: Poly,
-    bases: Sequence[Sequence[Monomial]] | None = None,
+    f: Poly, L: Poly, table: HessianTable | None = None
 ) -> list[Fraction]:
     """Determinant of each higher Hessian (i = 0..floor(c/2)) evaluated at
-    L's coefficient point l; `bases` is the list of default_degree_basis(f,
-    i), the per-F part (default: built here), so callers checking many L
-    against one F should build it once.
+    L's coefficient point l: entry (j, k) of the i-th is (b_j * b_k)
+    contracted against F, over the basis b of default_degree_basis.  That
+    contraction is the row of the degree-2i catalecticant at b_j * b_k.
+    `table` is HessianTable(f) (default: built here); callers checking many
+    L against one F should build it once.
 
-    Everything is an integer: l is cleared to n = denom*l, and F to D*F
-    (D the lcm of its coefficient denominators).  One walk over the
-    degree-2i divisors of F's terms sums, for each row b_j*b_k, D * coeff *
-    prod perm(e_k, d_k) * prod n_k^(e_k - d_k).  An entry is homogeneous of
-    degree c - 2i, so that sum is D * denom^(c-2i) times its value at l,
-    and the determinant of the integer matrix is divided exactly by
-    (D * denom^(c-2i))^(h_i) at the end.  No Poly entry is built."""
+    Everything is an integer: l is cleared to n = denom*l, and F to D*F.
+    One walk over the degree-2i divisors of F's terms sums, for each row
+    b_j*b_k, D * coeff * prod perm(e_k, d_k) * prod n_k^(e_k - d_k).  An
+    entry is homogeneous of degree c - 2i, so that sum is D * denom^(c-2i)
+    times its value at l, and the determinant of the integer matrix is
+    divided exactly by (D * denom^(c-2i))^(h_i) at the end.  No Poly entry
+    is built."""
     c = _validate_slp_inputs(f, L)
-    if bases is None:
-        bases = [default_degree_basis(f, i) for i in range(c // 2 + 1)]
-    scale = _scale(f)
-    terms = [
-        (expo, coeff.numerator * (scale // coeff.denominator))
-        for expo, coeff in f.terms()
-    ]
+    if table is None:
+        table = HessianTable(f)
+    elif table.f != f:
+        raise ValueError("HessianTable was built for a different F")
     coeffs = L.linear_coefficients()
     denom = lcm(*(x.denominator for x in coeffs))
     powers = [
@@ -341,10 +330,9 @@ def hessian_determinants_at(
         for x in coeffs
     ]
     dets = []
-    for i, basis in enumerate(bases):
-        index, cells = _products(basis)
+    for i, (basis, index, cells) in enumerate(table.degrees):
         values = [0] * len(index)
-        for expo, a in terms:
+        for expo, a in table.terms:
             for mu, p in _divisors_of_degree(expo, 2 * i):
                 r = index.get(mu)
                 if r is not None:
@@ -356,18 +344,8 @@ def hessian_determinants_at(
             for k, r in enumerate(row)
             if values[r]
         })
-        dets.append(mat_det(matrix) / (scale * denom ** (c - 2 * i)) ** h)
+        dets.append(mat_det(matrix) / (table.scale * denom ** (c - 2 * i)) ** h)
     return dets
-
-
-def hessian_criterion_at(
-    f: Poly,
-    L: Poly,
-    bases: Sequence[Sequence[Monomial]] | None = None,
-) -> bool:
-    """True iff every higher-Hessian determinant is nonzero at the point dual
-    to L: an independent oracle for the slp_check verdict."""
-    return all(hessian_determinants_at(f, L, bases))
 
 
 # ---------------------------------------------------------------------------

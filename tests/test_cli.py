@@ -323,6 +323,15 @@ def test_usage_error_is_input_error(capsys):
     assert main(["nonsense"]) == 2
 
 
+def test_seed_and_samples_only_on_the_commands_that_read_them(capsys):
+    code, out, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "2",
+                         "--samples", "3")
+    assert code == 2 and out == "" and "--samples" in err
+    code, out, err = run(capsys, "annihilator", "--family", "sym-det", "--n", "2",
+                         "--degree", "1", "--seed", "1")
+    assert code == 2 and out == "" and "--seed" in err
+
+
 def test_random_lefschetz_deterministic(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

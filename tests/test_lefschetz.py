@@ -24,11 +24,10 @@ from lefkit.families import (
     orbit_test,
 )
 from lefkit.lefschetz import (
+    HessianTable,
     SlpTable,
     default_degree_basis,
-    hessian_criterion_at,
     hessian_determinants_at,
-    higher_hessian,
     random_linear_form,
     slp_check,
     verify_theorem,
@@ -248,24 +247,19 @@ def test_report_rows_invariant_under_scaling():
 
 def test_hessian_diagonal_quadric():
     f = Poly(2, {(2, 0): 1, (0, 2): 1})
-    matrix = higher_hessian(f, 1)
-    values = [[entry.constant_term() for entry in row] for row in matrix]
-    assert values == [[2, 0], [0, 2]]
+    # the i = 1 Hessian is the constant matrix [[2, 0], [0, 2]]
+    assert hessian_determinants_at(f, Poly.variable(2, 0)) == [1, 4]
 
 
 def test_hessian_det2_classical():
-    matrix = higher_hessian(DET2, 1)  # basis x11, x12, x22
-    values = [[entry.constant_term() for entry in row] for row in matrix]
-    assert values == [[0, 0, 1], [0, -2, 0], [1, 0, 0]]
+    # basis x11, x12, x22: the i = 1 Hessian is [[0, 0, 1], [0, -2, 0], [1, 0, 0]]
     dets = hessian_determinants_at(DET2, canonical_lefschetz(SYM2))
     assert dets[1] == 2
 
 
 def test_hessian_det3_nonvanishing_at_trace():
-    matrix = higher_hessian(DET3, 1)
-    assert len(matrix) == 6
     dets = hessian_determinants_at(DET3, canonical_lefschetz(SYM3))
-    assert all(dets)
+    assert len(dets) == 2 and all(dets)
 
 
 def test_default_basis_spans():
@@ -273,14 +267,6 @@ def test_default_basis_spans():
     assert len(basis) == 6
     f = make_invariant(FamilySpec(FamilyKind.SYM_DET, 2, 2))
     assert len(default_degree_basis(f, 2)) == 6
-
-
-def test_hessian_order_out_of_range():
-    f = make_invariant(FamilySpec(FamilyKind.SYM_DET, 2, 2))  # c = 4
-    assert len(higher_hessian(f, 2)) == 6
-    for i in (-1, 3):
-        with pytest.raises(OutOfRangeError):
-            higher_hessian(f, i)
 
 
 @pytest.mark.parametrize("kind,n,s", [
@@ -307,7 +293,6 @@ def test_hessian_matches_product_oracle(kind, n, s):
             assert basis == [
                 labels[r] for r in oracle_pivot_rows(naive_catalecticant(g, i))
             ]
-            assert higher_hessian(g, i) == naive_higher_hessian(g, basis)
 
 
 def _oracle_det(rows):
@@ -333,13 +318,11 @@ def test_hessian_determinants_match_evaluated_oracle(kind, n, s):
     deficient = deficient_candidates(spec)[:1]  # quadrics have none
     for g in (f, scale_variables(f, weights)):
         c = g.homogeneous_degree()
-        bases = [default_degree_basis(g, i) for i in range(c // 2 + 1)]
-        hessians = [higher_hessian(g, i) for i in range(c // 2 + 1)]
-        naive = [naive_higher_hessian(g, basis) for basis in bases]
-        for matrix in hessians:
-            for j, row in enumerate(matrix):
-                for k, entry in enumerate(row):
-                    assert entry is matrix[k][j]
+        table = HessianTable(g)
+        naive = [
+            naive_higher_hessian(g, default_degree_basis(g, i))
+            for i in range(c // 2 + 1)
+        ]
         for L in forms + deficient:
             point = L.linear_coefficients()
             expected = [
@@ -348,30 +331,41 @@ def test_hessian_determinants_match_evaluated_oracle(kind, n, s):
                 for matrix in naive
             ]
             assert hessian_determinants_at(g, L) == expected
-            assert hessian_determinants_at(g, L, bases) == expected
+            assert hessian_determinants_at(g, L, table) == expected
             if L in deficient:
                 assert not all(expected)
 
 
 def test_hessian_criterion_examples():
-    assert hessian_criterion_at(DET2, canonical_lefschetz(SYM2))
-    assert not hessian_criterion_at(DET2, Poly.variable(3, 0))
+    assert all(hessian_determinants_at(DET2, canonical_lefschetz(SYM2)))
+    assert not all(hessian_determinants_at(DET2, Poly.variable(3, 0)))
     quadric = FamilySpec(FamilyKind.QUADRIC, 3)
-    assert hessian_criterion_at(make_invariant(quadric), Poly.variable(3, 0))
+    assert all(hessian_determinants_at(make_invariant(quadric), Poly.variable(3, 0)))
 
 
 def test_hessian_criterion_matches_slp():
     rng = random.Random(9)
-    table = SlpTable(DET2)
+    table, hessians = SlpTable(DET2), HessianTable(DET2)
     for _ in range(25):
         L = random_linear_form(3, rng)
-        assert hessian_criterion_at(DET2, L) == slp_check(DET2, L, table).verdict
+        verdict = slp_check(DET2, L, table).verdict
+        assert all(hessian_determinants_at(DET2, L, hessians)) == verdict
+
+
+def test_hessian_table_of_another_f_is_refused():
+    """The bases of det3 cover two Hessians; det3^2 has four."""
+    det3_squared = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3, 2))
+    L = canonical_lefschetz(SYM3)
+    assert len(hessian_determinants_at(det3_squared, L)) == 4
+    with pytest.raises(ValueError, match="different F"):
+        hessian_determinants_at(det3_squared, L, HessianTable(DET3))
 
 
 def test_hessian_route_shares_no_code_with_the_routes_it_checks(monkeypatch):
     """default_degree_basis never builds the labelled catalecticant, and with
-    its bases supplied hessian_determinants_at uses neither macaulay's entry
-    enumerator and divisor walk, nor SlpTable, nor a rank."""
+    its HessianTable supplied hessian_determinants_at uses neither macaulay's
+    entry enumerator and divisor walk, nor SlpTable, nor a rank, nor the
+    basis and its pivot rows again."""
     import lefkit.exactmath as exactmath
     import lefkit.lefschetz as lefschetz
     import lefkit.macaulay as macaulay
@@ -390,18 +384,18 @@ def test_hessian_route_shares_no_code_with_the_routes_it_checks(monkeypatch):
     cases = [(g, L, hessian_determinants_at(g, L)) for g in (f, weighted)
              for L in forms]
     monkeypatch.setattr(macaulay, "catalecticant", refuse)
-    bases = {id(g): [default_degree_basis(g, i) for i in range(3)]
-             for g in (f, weighted)}
+    tables = {id(g): HessianTable(g) for g in (f, weighted)}
     for module, name in [
         (macaulay, "_entries"), (lefschetz, "_entries"),
         (macaulay, "_divisors"), (lefschetz, "_divisors"),
         (lefschetz, "SlpTable"),
         (exactmath, "mat_rank"), (lefschetz, "mat_rank"),
+        (exactmath, "pivot_rows"), (lefschetz, "pivot_rows"),
+        (lefschetz, "default_degree_basis"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     for g, L, expected in cases:
-        assert hessian_determinants_at(g, L, bases[id(g)]) == expected
-        assert hessian_criterion_at(g, L, bases[id(g)]) == all(expected)
+        assert hessian_determinants_at(g, L, tables[id(g)]) == expected
     assert not all(cases[-1][2])  # the deficient L reaches a zero determinant
 
 
