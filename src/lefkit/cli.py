@@ -34,7 +34,7 @@ from .lefschetz import (
     slp_check,
     verify_theorem,
 )
-from .macaulay import annihilator_basis, ensure_within_budget, hilbert_function
+from .macaulay import annihilator_basis, count_text, ensure_within_budget, hilbert_function
 from .polyring import Poly, dim_of_degree, format_poly, scale_variables
 
 EXIT_PASS = 0
@@ -350,13 +350,27 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return EXIT_PASS if match else EXIT_FALSE
 
 
+def _det_text(i: int, det: Fraction) -> str:
+    """det in decimal; one longer than Python's int-to-str limit is a
+    resource limit (exit 3), not an input error."""
+    try:
+        return str(det)
+    except ValueError:
+        size = count_text(max(abs(det.numerator), det.denominator))
+        raise TooLargeError(
+            f"Hessian determinant at degree {i} is too long to print in "
+            f"decimal (numerator or denominator {size})"
+        ) from None
+
+
 def cmd_hessian(args: argparse.Namespace) -> int:
     spec = _spec(args)
     f, _ = _invariant(spec, args.budget, args.weights)
     L = _lefschetz_from(args, spec)
     dets = hessian_determinants_at(f, L)
     rows = [
-        {"i": i, "det": str(d), "nonzero": bool(d)} for i, d in enumerate(dets)
+        {"i": i, "det": _det_text(i, d), "nonzero": bool(d)}
+        for i, d in enumerate(dets)
     ]
     all_nonzero = all(r["nonzero"] for r in rows)
     payload = {

@@ -9,15 +9,18 @@ contraction by L is formed: by the higher-Hessian identity (Maeno-Watanabe,
 Illinois J. Math. 53 (2009)), for k = c - 2i and l the coefficient vector
 of L, (L^k m m')(F) = k! (m m' F)(l).  So slp_check evaluates the rows of
 the degree-2i catalecticant of F at l, each row m + m' filling the cells
-(m, m'), and ranks that matrix: it is Cat_i(L^k F) with column m' scaled by
-m'!/k!.  Those rows, and which row sits at each cell, are a per-F table
+(m, m'), and ranks that matrix N: it is Cat_i(L^k F) with column m' scaled
+by m'!/k!.  Those rows, and which row sits at each cell, are a per-F table
 (SlpTable) built once from F's terms and reused for every L.  For each L
 the row values go mod PROBE_PRIME straight into exactmath's packed rank
-kernel, with no RatMatrix and no block split; that lower bound settles the
-rank only when it reaches the number of rows of N that are nonzero over
-the integers, and otherwise N is built and ranked exactly by mat_rank.
-The rank of N is at most h_i, so when N has more nonzero rows than that
-(possible only where Ann(F)_i is not zero) the probe is skipped.
+kernel, with no RatMatrix and no block split.  The rank of N has two
+upper bounds: h_i, since Ann(F)_i annihilates L^k F too (contraction
+commutes), so the rows of Cat_i(L^k F) span at most R_i / Ann(F)_i; and
+the number of rows of N that are nonzero over the integers.  The probe's
+rank is a lower bound, so it settles the rank when it reaches the smaller
+of the two; otherwise N is built and ranked exactly by mat_rank.  Since
+h_i is part of that certificate, an exact rank above h_i raises
+InvariantError.
 
 The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict.  The quotient basis b is the pivot
@@ -43,7 +46,7 @@ from fractions import Fraction
 from math import gcd, lcm, perm, prod
 from operator import add, getitem, sub
 
-from .errors import NotLinearError, OutOfRangeError, VarMismatchError
+from .errors import InvariantError, NotLinearError, OutOfRangeError, VarMismatchError
 from .exactmath import PROBE_PRIME, RatMatrix, _rank_mod_p, mat_det, mat_rank, pivot_rows
 from .families import (
     FamilySpec,
@@ -188,21 +191,20 @@ class _CatRows:
         return RatMatrix._of(self.size, self.size, entries)
 
     def rank_at(self, powers: list[list[int]], most: int) -> int:
-        """The exact rank of N at the point; `most` is h_i, which bounds it
-        (N is Cat_i of L^k F, and Ann(F)_i annihilates L^k F).  When N has
-        no more nonzero rows than that, counted exactly (a row can vanish
-        mod p and not over the integers), its rank mod PROBE_PRIME, a lower
-        bound taken from the values' residues on the fixed layout, settles
-        the rank if it reaches that count.  Otherwise N is built and ranked
-        by mat_rank."""
+        """The exact rank of N at the point.  It is at most `most` (h_i) and
+        at most the number of rows of N that are nonzero over the integers
+        (a row can vanish mod p and not over the integers).  Its rank mod
+        PROBE_PRIME on the fixed layout is a lower bound, so it settles the
+        rank when it reaches the smaller bound; otherwise N is built and
+        ranked by mat_rank."""
         values = self.values_at(powers)
         nonzero = sum(1 for _, ids in self.cells if any(map(values.__getitem__, ids)))
-        if nonzero <= most:
-            p = PROBE_PRIME
-            residues = [v % p for v in values]
-            rows = [(cols, map(residues.__getitem__, ids)) for cols, ids in self.cells]
-            if _rank_mod_p(rows, len(rows), p) == nonzero:
-                return nonzero
+        p = PROBE_PRIME
+        residues = [v % p for v in values]
+        rows = [(cols, map(residues.__getitem__, ids)) for cols, ids in self.cells]
+        bound = min(most, nonzero)
+        if _rank_mod_p(rows, len(rows), p) == bound:
+            return bound
         return mat_rank(self.matrix_at(values))
 
 
@@ -220,7 +222,9 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
     is Cat_i(L^k F) with column m' scaled by m'!/k!, times the table's
     positive scale, and has the same rank.  The Hessian route never uses
     this table, so it stays an independent check.  For even c the middle
-    row (k = 0, the identity) is h_i, taken from the table unranked."""
+    row (k = 0, the identity) is h_i, taken from the table unranked.  A
+    rank above h_i (which Ann(F)_i rules out, and which the probe's
+    certificate relies on) raises InvariantError."""
     c = _validate_slp_inputs(f, L)
     if table is None:
         table = SlpTable(f)
@@ -234,6 +238,11 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
     achieved = [d.rank_at(powers, h) for d, h in zip(table.degrees, table.required)]
     if c % 2 == 0:
         achieved.append(table.required[c // 2])
+    for i, (a, h) in enumerate(zip(achieved, table.required)):
+        if a > h:
+            raise InvariantError(
+                f"x L^{c - 2 * i} has rank {a} at degree {i}, above h_{i} = {h}"
+            )
     rows = tuple(
         SlpRow(i=i, required=table.required[i], achieved=a)
         for i, a in enumerate(achieved)

@@ -374,21 +374,24 @@ def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
     # time.  Either way each degree is ranked on its own.
     walks = [(0, c)] if symmetry is not None else [(i, i) for i in range(c + 1)]
     for low, high in walks:
-        blocks: list[dict[int, tuple[dict, dict, dict]]] = [{} for _ in range(c + 1)]
+        # blocks[deg - low]: the blocks of degree deg, low <= deg <= high
+        blocks: list[dict[int, tuple[dict, dict, dict]]] = [
+            {} for _ in range(low, high + 1)
+        ]
         for mu, deg, rest, entry in _entries(f, steps, low, high):
             w = mu >> shift
             size = table.get(w)
             if size is None:
                 size = close(w)
             if size:
-                block = blocks[deg].get(w)
+                block = blocks[deg - low].get(w)
                 if block is None:
-                    block = blocks[deg][w] = ({}, {}, {})
+                    block = blocks[deg - low][w] = ({}, {}, {})
                 row_at, col_at, entries = block
                 r = row_at.setdefault(mu, len(row_at))
                 entries[(r, col_at.setdefault(rest, len(col_at)))] = entry
-        for deg in range(low, high + 1):
-            for w, (rows, cols, entries) in blocks[deg].items():
+        for deg, by_weight in enumerate(blocks, low):
+            for w, (rows, cols, entries) in by_weight.items():
                 matrix = RatMatrix._of(len(rows), len(cols), entries)
                 values[deg] += table[w] * mat_rank(matrix)
     fn = HilbertFn(c, tuple(values))

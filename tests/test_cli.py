@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import sys
+
+import pytest
 
 import lefkit.cli
 import lefkit.exactmath
@@ -230,6 +233,19 @@ def test_huge_instances_exit_too_large(capsys):
         assert code == 3 and out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: largest catalecticant needs at least 2^")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int-to-str limit")
+def test_hessian_determinant_too_long_to_print_exits_too_large(capsys):
+    # x11 with 2,000 digits makes the degree-1 determinant far longer than
+    # str() may print: a resource limit (exit 3), not an input error
+    point = json.dumps({"x11": "9" * 2000, "x22": "1", "x33": "1"})
+    code, out, err = run(capsys, "hessian", "--family", "sym-det", "--n", "3",
+                         "--power", "2", "--lefschetz-file", point)
+    assert code == 3 and out == ""
+    assert err.startswith("error: Hessian determinant at degree 1 is too long")
+    assert err.count("\n") == 1
 
 
 def test_budget_env_var_is_ignored(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from lefkit.cli import main
 from lefkit.errors import (
+    InvariantError,
     NotLinearError,
     OutOfRangeError,
     TooLargeError,
@@ -171,22 +172,69 @@ def test_achieved_ranks_match_power_oracle(kind, n, s, monkeypatch):
     assert passes[0] == passes[1]
 
 
-def test_probe_is_skipped_where_the_rank_cannot_reach_the_rows(monkeypatch):
+DET3_CUBED = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3, 3))
+
+
+def test_probe_settles_a_lefschetz_l_at_h_i(monkeypatch):
     # det^3 on 3x3 symmetric matrices has h_4 = 81 but 126 monomials of
-    # degree 4.  The rank of N is at most h_4, so for a random L the i = 4
-    # matrix, with all 126 rows nonzero, goes straight to mat_rank.
+    # degree 4, 117 of which meet a row of the table.  For a random L all
+    # 117 of those rows of the i = 4 matrix are nonzero, so h_4 is the
+    # smaller bound on its rank, and the probe reaches it: no degree goes
+    # to mat_rank.
     probed = []
 
     def recording(rows, ncols, prime):
-        probed.append(ncols)
+        probed.append(len(rows))
         return _rank_mod_p(rows, ncols, prime)
 
+    def refuse(matrix):
+        raise AssertionError("mat_rank was called")
+
     monkeypatch.setattr(lefschetz, "_rank_mod_p", recording)
-    f = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3, 3))
-    report = slp_check(f, random_linear_form(6, random.Random(5)))
+    monkeypatch.setattr(lefschetz, "mat_rank", refuse)
+    table = SlpTable(DET3_CUBED)
+    report = slp_check(DET3_CUBED, random_linear_form(6, random.Random(5)), table)
     assert [(r.required, r.achieved) for r in report.rows] == [
         (1, 1), (6, 6), (21, 21), (56, 56), (81, 81)]
-    assert probed == [1, 6, 21, 56]
+    assert [d.size for d in table.degrees] == [1, 6, 21, 56, 126]
+    assert probed == [1, 6, 21, 56, 117]
+
+
+def test_probe_short_of_both_bounds_goes_to_mat_rank(monkeypatch):
+    # The deficient candidates of det^3 are not Lefschetz: at i = 4 their N
+    # has 101 and 117 nonzero rows against h_4 = 81, the probe falls short
+    # of 81, and mat_rank gives the rank, 57 and 66.
+    table = SlpTable(DET3_CUBED)
+    d = table.degrees[4]
+    ranked = []
+
+    def recording(matrix):
+        ranked.append(mat_rank(matrix))
+        return ranked[-1]
+
+    monkeypatch.setattr(lefschetz, "mat_rank", recording)
+    candidates = deficient_candidates(FamilySpec(FamilyKind.SYM_DET, 3, 3))
+    for L, nonzero, rank in zip(candidates, (101, 117), (57, 66)):
+        powers = [[int(x) ** e for e in range(10)] for x in L.linear_coefficients()]
+        values = d.values_at(powers)
+        assert sum(any(values[k] for k in ids) for _, ids in d.cells) == nonzero
+        achieved = [row.achieved for row in slp_check(DET3_CUBED, L, table).rows]
+        assert achieved[4] == ranked[-1] == rank
+        assert achieved == naive_achieved_ranks(DET3_CUBED, L)
+
+
+def test_rank_above_required_is_an_invariant_failure():
+    # h_i is part of the probe's certificate, so a `required` one too low
+    # at any ranked degree must raise, not report a failing row.
+    table = SlpTable(DET3_CUBED)
+    L = random_linear_form(6, random.Random(5))
+    required = table.required
+    for i in range(len(table.degrees)):
+        table.required = required[:i] + (required[i] - 1,) + required[i + 1:]
+        with pytest.raises(InvariantError, match=f"above h_{i} = {required[i] - 1}"):
+            slp_check(DET3_CUBED, L, table)
+    table.required = required
+    assert slp_check(DET3_CUBED, L, table).verdict
 
 
 def test_row_vanishing_mod_p_is_still_counted(monkeypatch):
