@@ -25,12 +25,15 @@ InvariantError.
 The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict.  The quotient basis b is the pivot
 rows of the degree-i catalecticant, placed at their graded-lex positions;
-the bases and F's terms cleared over one scale D (the lcm of its coefficient
-denominators) are a per-F table (HessianTable).  For each L, one walk over
-F's terms sums each row b_j b_k of the i-th higher Hessian at L's point as
-an integer, the point cleared to integers, and only the determinant is
-divided back.  That walk never reads SlpTable or a rank, so a fault in one
-route cannot hide in the other.
+one placed build gives the catalecticant of every degree i = 0..c//2.  The
+bases, as macaulay's additive monomial keys (so the key of b_j b_k is a sum),
+and F's terms cleared over one scale D (the lcm of its coefficient
+denominators) are a per-F table (HessianTable).  For each L, the route's
+own divisor walk over F's terms yields each divisor's key with its value at
+L's point, the point cleared to integers, and sums each row b_j b_k of the
+i-th higher Hessian as an integer; only the determinant is divided back.
+That walk never reads SlpTable, macaulay's enumerator or a rank, so a fault
+in one route cannot hide in the other.
 verify_theorem cross-validates the slp_check verdict (not the Hessian one)
 against open-orbit membership on seeded samples plus deterministic
 rank-deficient candidates.  Everything here uses the plain apolarity
@@ -44,7 +47,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, perm, prod
-from operator import add, getitem, sub
 
 from .errors import InvariantError, NotLinearError, OutOfRangeError, VarMismatchError
 from .exactmath import PROBE_PRIME, RatMatrix, _rank_mod_p, mat_det, mat_rank, pivot_rows
@@ -260,53 +262,85 @@ def default_degree_basis(f: Poly, i: int) -> list[Monomial]:
     matrix is the public catalecticant's, rows and columns at the same
     graded-lex positions, but built from keys without its label lists."""
     c = _require_homogeneous(f)
-    matrix, key_at = _placed_catalecticant(f, c, i)
+    [(matrix, key_at)] = _placed_catalecticant(f, c, i, i)
     return [_monomial(key_at[r], c + 1, f.nvars) for r in pivot_rows(matrix)]
 
 
-def _divisors_of_degree(expo: Monomial, i: int) -> list[tuple[Monomial, int]]:
-    """(d, prod perm(e_k, d_k)) for every exponent tuple d <= expo
-    (entrywise) of total degree i: the Hessian route's own divisor walk,
-    kept apart from macaulay's keyed enumerator so that the route it checks
-    shares no code with it.  Divisors grow one variable at a time, and a
-    partial one that can no longer reach degree i is dropped."""
-    parts = [((), 0, 1)]  # (partial divisor, its degree, its perm product)
-    left = sum(expo)  # degree still available after this variable
-    for e in expo:
+def _point_factors(point: list[int], c: int) -> list[list[list[int]]]:
+    """factors[k][e][d] = perm(e, d) * n_k^(e - d) for the integer point n,
+    0 <= d <= e <= c: what variable k contributes to a divisor x^d of x^e."""
+    factors = []
+    for n in point:
+        powers = [n**e for e in range(c + 1)]
+        factors.append([
+            [perm(e, d) * powers[e - d] for d in range(e + 1)] for e in range(c + 1)
+        ])
+    return factors
+
+
+def _point_divisors(
+    term: tuple[tuple[int, int, int], ...], degree: int, factors: list[list[list[int]]]
+) -> list[tuple[int, int, int]]:
+    """(key of d, its degree, its value) for every divisor x^d of x^e of
+    total degree `degree` whose value prod_k factors[k][e_k][d_k] =
+    prod_k perm(e_k, d_k) * n_k^(e_k - d_k) (see _point_factors) is
+    nonzero.  `term` lists the nonzero exponents of x^e as (e_k, key step
+    of variable k, k).  The Hessian route's own divisor walk, kept apart
+    from macaulay's enumerator so that the route it checks shares no code
+    with it.  Divisors grow one variable at a time, multiplying in that
+    variable's factor; a partial one that can no longer reach `degree`, or
+    whose value is zero (d_k < e_k where n_k = 0), is dropped."""
+    left = sum(e for e, _, _ in term)  # degree still available after this variable
+    if degree > left:
+        return []
+    parts = [(0, 0, 1)]  # (key of the partial divisor, its degree, its value)
+    for e, step, k in term:
         left -= e
+        row = factors[k][e]
         parts = [
-            (d + (k,), deg + k, v * perm(e, k))
-            for d, deg, v in parts
-            for k in range(max(0, i - deg - left), min(e, i - deg) + 1)
+            (key + d * step, deg + d, v * row[d])
+            for key, deg, v in parts
+            for d in range(max(0, degree - deg - left), min(e, degree - deg) + 1)
+            if row[d]
         ]
-    return [(d, v) for d, _, v in parts]
+    return parts
 
 
 class HessianTable:
-    """Per-F data of hessian_determinants_at: F's terms as integers over
-    one scale D (the lcm of its coefficient denominators) and, for each
-    i = 0..c//2, the basis b of default_degree_basis(f, i), the distinct
-    monomials b_j * b_k each with its index, and the matrix of those indices
-    (entries (j, k) and (k, j) share one).  Build the table once per F and
-    pass it to each hessian_determinants_at of that F."""
+    """Per-F data of hessian_determinants_at, with monomials as the additive
+    keys of macaulay (key of x^e = sum e_k * (c+1)^k, so the key of
+    b_j * b_k is key(b_j) + key(b_k)): F's terms as integers over one scale
+    D (the lcm of its coefficient denominators), each with its nonzero
+    (exponent, key step, variable) triples; and, for each i = 0..c//2, the
+    keys of the basis b of default_degree_basis(f, i), the index of each
+    distinct product key b_j * b_k, and the matrix of those indices
+    (entries (j, k) and (k, j) share one).  The catalecticants of every
+    degree come from one placed build, each basis is its pivot rows.  Build
+    the table once per F and pass it to each hessian_determinants_at of
+    that F."""
 
     def __init__(self, f: Poly):
         self.f = f
         c = _require_homogeneous(f)
         self.scale = _scale(f)
+        steps = _steps(c + 1, f.nvars)
         self.terms = [
-            (expo, coeff.numerator * (self.scale // coeff.denominator))
+            (
+                coeff.numerator * (self.scale // coeff.denominator),
+                tuple((e, steps[k], k) for k, e in enumerate(expo) if e),
+            )
             for expo, coeff in f.terms()
         ]
         self.degrees = []
-        for i in range(c // 2 + 1):
-            basis = default_degree_basis(f, i)
-            index: dict[Monomial, int] = {}
+        for matrix, key_at in _placed_catalecticant(f, c, 0, c // 2):
+            basis = [key_at[r] for r in pivot_rows(matrix)]
+            index: dict[int, int] = {}
             cells = [[0] * len(basis) for _ in basis]
             for j, bj in enumerate(basis):
                 for k in range(j, len(basis)):
-                    mu = tuple(map(add, bj, basis[k]))
-                    cells[j][k] = cells[k][j] = index.setdefault(mu, len(index))
+                    cells[j][k] = cells[k][j] = index.setdefault(
+                        bj + basis[k], len(index)
+                    )
             self.degrees.append((basis, index, cells))
 
 
@@ -321,8 +355,10 @@ def hessian_determinants_at(
     L against one F should build it once.
 
     Everything is an integer: l is cleared to n = denom*l, and F to D*F.
-    One walk over the degree-2i divisors of F's terms sums, for each row
-    b_j*b_k, D * coeff * prod perm(e_k, d_k) * prod n_k^(e_k - d_k).  An
+    One walk over the degree-2i divisors of F's terms yields each divisor's
+    key with prod perm(e_k, d_k) * n_k^(e_k - d_k), multiplied in one
+    variable at a time from a per-L table of those factors, and a divisor
+    whose key is a product b_j*b_k adds D * coeff times it to that row.  An
     entry is homogeneous of degree c - 2i, so that sum is D * denom^(c-2i)
     times its value at l, and the determinant of the integer matrix is
     divided exactly by (D * denom^(c-2i))^(h_i) at the end.  No Poly entry
@@ -334,18 +370,17 @@ def hessian_determinants_at(
         raise ValueError("HessianTable was built for a different F")
     coeffs = L.linear_coefficients()
     denom = lcm(*(x.denominator for x in coeffs))
-    powers = [
-        [(x.numerator * (denom // x.denominator)) ** e for e in range(c + 1)]
-        for x in coeffs
-    ]
+    factors = _point_factors(
+        [x.numerator * (denom // x.denominator) for x in coeffs], c
+    )
     dets = []
     for i, (basis, index, cells) in enumerate(table.degrees):
         values = [0] * len(index)
-        for expo, a in table.terms:
-            for mu, p in _divisors_of_degree(expo, 2 * i):
-                r = index.get(mu)
+        for a, term in table.terms:
+            for key, _, v in _point_divisors(term, 2 * i, factors):
+                r = index.get(key)
                 if r is not None:
-                    values[r] += a * p * prod(map(getitem, powers, map(sub, expo, mu)))
+                    values[r] += a * v
         h = len(basis)
         matrix = RatMatrix._of(h, h, {
             (j, k): values[r]

@@ -14,13 +14,14 @@ and gives integer entries over one recorded scale D (the lcm of F's
 coefficient denominators), with monomials as mixed-radix integer keys.  The
 rank path (``hilbert_function``) ranks those integers with rows and columns
 numbered by key, and never lists monomial labels.  The public
-``catalecticant`` and ``lefschetz.default_degree_basis`` share one matrix
-with each row and column at its graded-lex position (computed from the key,
-not looked up in a label list) and the entries divided by D (when D > 1),
-so they are the exact rationals.  Each degree is an independent rank
-computation: no elimination state is shared between i and c-i, so
-transpose-rank duality stays a genuine cross-check.  The cell budget still
-counts the dense cells of the largest catalecticant.
+``catalecticant``, ``lefschetz.default_degree_basis`` and
+``lefschetz.HessianTable`` share one builder, which places a range of
+degrees from one walk: each row and column at its graded-lex position
+(computed from the key, not looked up in a label list) and the entries
+divided by D (when D > 1), so they are the exact rationals.  Each degree
+is an independent rank computation: no elimination state is shared
+between i and c-i, so transpose-rank duality stays a genuine cross-check.
+The cell budget still counts the dense cells of the largest catalecticant.
 
 Given a Symmetry (the family invariants' torus weights and signed variable
 permutations, from ``families.family_symmetry``), ``hilbert_function``
@@ -193,37 +194,42 @@ def _entries(f: Poly, steps: list[int], low: int, high: int):
             yield mu, deg, whole - mu, entry
 
 
-def _placed_catalecticant(f: Poly, c: int, i: int) -> tuple[RatMatrix, dict[int, int]]:
-    """The degree-i catalecticant of F (degree c) with every row and column
-    at its graded-lex position (``glex_rank``), rows numbered over all
-    degree-i monomials and columns over all degree c-i ones, zero ones
-    included; and the key of each nonzero row by its position.  Entries are
-    the enumerator's integers divided by its scale D (when D > 1)."""
-    if not 0 <= i <= c:
-        raise OutOfRangeError(f"degree {i} outside 0..{c}")
+def _placed_catalecticant(
+    f: Poly, c: int, low: int, high: int
+) -> list[tuple[RatMatrix, dict[int, int]]]:
+    """The degree-i catalecticant of F (degree c) for each i = low..high,
+    from one walk of the entry enumerator: every row and column at its
+    graded-lex position (``glex_rank``), rows numbered over all degree-i
+    monomials and columns over all degree c-i ones, zero ones included;
+    and the key of each nonzero row by its position.  Entries are the
+    enumerator's integers divided by its scale D (when D > 1)."""
+    for i in (low, high):
+        if not 0 <= i <= c:
+            raise OutOfRangeError(f"degree {i} outside 0..{c}")
     base, nvars = c + 1, f.nvars
-    rows: dict[int, int] = {}  # key -> graded-lex position
-    cols: dict[int, int] = {}
-
-    def place(at: dict[int, int], key: int) -> int:
-        r = at.get(key)
+    # per degree: key -> graded-lex position of rows and of columns, entries
+    degrees = [({}, {}, {}) for _ in range(low, high + 1)]
+    for mu, deg, rest, entry in _entries(f, _steps(base, nvars), low, high):
+        rows, cols, entries = degrees[deg - low]
+        r = rows.get(mu)
         if r is None:
-            r = at[key] = glex_rank(_monomial(key, base, nvars))
-        return r
-
-    entries = {
-        (place(rows, mu), place(cols, rest)): entry
-        for mu, _, rest, entry in _entries(f, _steps(base, nvars), i, i)
-    }
-    shape = dim_of_degree(nvars, i), dim_of_degree(nvars, c - i)
+            r = rows[mu] = glex_rank(_monomial(mu, base, nvars))
+        col = cols.get(rest)
+        if col is None:
+            col = cols[rest] = glex_rank(_monomial(rest, base, nvars))
+        entries[(r, col)] = entry
     scale = _scale(f)
-    if scale > 1:  # back to F's own entries; RatMatrix keeps integral ones as int
-        matrix = RatMatrix(*shape, {
-            cell: Fraction(entry, scale) for cell, entry in entries.items()
-        })
-    else:
-        matrix = RatMatrix._of(*shape, entries)
-    return matrix, {r: key for key, r in rows.items()}
+    placed = []
+    for i, (rows, _, entries) in enumerate(degrees, low):
+        shape = dim_of_degree(nvars, i), dim_of_degree(nvars, c - i)
+        if scale > 1:  # back to F's own entries; RatMatrix keeps integral ones as int
+            matrix = RatMatrix(*shape, {
+                cell: Fraction(entry, scale) for cell, entry in entries.items()
+            })
+        else:
+            matrix = RatMatrix._of(*shape, entries)
+        placed.append((matrix, {r: key for key, r in rows.items()}))
+    return placed
 
 
 def catalecticant(f: Poly, i: int) -> CatMatrix:
@@ -234,7 +240,7 @@ def catalecticant(f: Poly, i: int) -> CatMatrix:
     degree-i divisor x^d of it, at (row d, column e-d): the enumerator's
     integer entry divided by its scale D."""
     c = _require_homogeneous(f)
-    matrix, _ = _placed_catalecticant(f, c, i)
+    [(matrix, _)] = _placed_catalecticant(f, c, i, i)
     return CatMatrix(
         degree=i,
         matrix=matrix,

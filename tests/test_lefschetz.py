@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 from fractions import Fraction
+from math import perm, prod
 
 import pytest
 
@@ -33,7 +35,12 @@ from lefkit.lefschetz import (
     slp_check,
     verify_theorem,
 )
-from lefkit.macaulay import catalecticant, hilbert_function
+from lefkit.macaulay import (
+    _monomial,
+    _placed_catalecticant,
+    catalecticant,
+    hilbert_function,
+)
 from lefkit.polyring import Poly, monomials_of_degree, scale_variables
 
 from _oracles import (
@@ -343,6 +350,64 @@ def test_hessian_matches_product_oracle(kind, n, s):
             ]
 
 
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.GENERIC_DET, 2, 2),
+    (FamilyKind.PFAFFIAN, 4, 2),
+    (FamilyKind.QUADRIC, 4, 2),
+])
+def test_one_placed_build_gives_every_degree(kind, n, s):
+    """One walk over a range of degrees places the same matrices as the
+    public catalecticant, degree by degree, and HessianTable's basis keys
+    decode to default_degree_basis."""
+    f = make_invariant(FamilySpec(kind, n, s))
+    weights = [Fraction(k % 3 + 1, k % 2 + 2) for k in range(f.nvars)]
+    weighted = scale_variables(f, weights)
+    assert any(coeff.denominator > 1 for _, coeff in weighted.terms())  # D > 1
+    for g in (f, weighted):
+        c = g.homogeneous_degree()
+        base = c + 1
+        table = HessianTable(g)
+        assert len(table.degrees) == c // 2 + 1
+        placed = zip(_placed_catalecticant(g, c, 0, c // 2), table.degrees)
+        for i, ((matrix, key_at), (basis, _, _)) in enumerate(placed):
+            cat = catalecticant(g, i)
+            assert matrix == cat.matrix
+            assert {r: _monomial(key, base, g.nvars) for r, key in key_at.items()} == {
+                r: cat.row_monomials[r] for (r, _), _ in cat.matrix.items()
+            }
+            assert [_monomial(b, base, g.nvars) for b in basis] == default_degree_basis(g, i)
+        # a range that starts above degree 0 and runs to c
+        for i, (matrix, _) in enumerate(_placed_catalecticant(g, c, 1, c), 1):
+            assert matrix == catalecticant(g, i).matrix
+
+
+def test_point_divisor_walk_matches_brute_force():
+    """The Hessian route's keyed walk against every exponent tuple d <= e of
+    the degree: each decoded divisor once, with value prod perm(e_k, d_k) *
+    n_k^(e_k - d_k), and no divisor whose value is zero."""
+    rng = random.Random(18)
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        expo = tuple(rng.choice([0, 0, 1, 2, 3, 5]) for _ in range(nvars))
+        c = sum(expo) + rng.randint(0, 2)  # the key base c + 1 exceeds every exponent
+        point = [rng.choice([0, 0, 1, -1, 2, -3, 7, -12]) for _ in range(nvars)]
+        degree = rng.randint(0, sum(expo) + 1)
+        steps = [(c + 1) ** k for k in range(nvars)]
+        term = tuple((e, steps[k], k) for k, e in enumerate(expo) if e)
+        walked = lefschetz._point_divisors(
+            term, degree, lefschetz._point_factors(point, c)
+        )
+        decoded = {_monomial(key, c + 1, nvars): (deg, v) for key, deg, v in walked}
+        assert len(decoded) == len(walked)
+        expected = {}
+        for d in itertools.product(*(range(e + 1) for e in expo)):
+            value = prod(perm(e, k) * x ** (e - k) for e, k, x in zip(expo, d, point))
+            if sum(d) == degree and value:
+                expected[d] = (degree, value)
+        assert decoded == expected
+
+
 def _oracle_det(rows):
     # permutation expansion while it is cheap, elimination beyond
     return perm_det_frac(rows) if len(rows) <= 6 else naive_det(rows)
@@ -410,13 +475,15 @@ def test_hessian_table_of_another_f_is_refused():
 
 
 def test_hessian_route_shares_no_code_with_the_routes_it_checks(monkeypatch):
-    """default_degree_basis never builds the labelled catalecticant, and with
-    its HessianTable supplied hessian_determinants_at uses neither macaulay's
-    entry enumerator and divisor walk, nor SlpTable, nor a rank, nor the
-    basis and its pivot rows again."""
+    """HessianTable and default_degree_basis never build the labelled
+    catalecticant, and with its HessianTable supplied
+    hessian_determinants_at uses neither macaulay's entry enumerator and
+    divisor walk, nor SlpTable, nor a rank, nor the placed catalecticants,
+    graded-lex ranks, basis and pivot rows again."""
     import lefkit.exactmath as exactmath
     import lefkit.lefschetz as lefschetz
     import lefkit.macaulay as macaulay
+    import lefkit.polyring as polyring
 
     def refuse(*args, **kwargs):
         raise AssertionError("the Hessian route called a shared function")
@@ -433,6 +500,9 @@ def test_hessian_route_shares_no_code_with_the_routes_it_checks(monkeypatch):
              for L in forms]
     monkeypatch.setattr(macaulay, "catalecticant", refuse)
     tables = {id(g): HessianTable(g) for g in (f, weighted)}
+    for g in (f, weighted):
+        for i in range(len(tables[id(g)].degrees)):
+            default_degree_basis(g, i)
     for module, name in [
         (macaulay, "_entries"), (lefschetz, "_entries"),
         (macaulay, "_divisors"), (lefschetz, "_divisors"),
@@ -440,6 +510,8 @@ def test_hessian_route_shares_no_code_with_the_routes_it_checks(monkeypatch):
         (exactmath, "mat_rank"), (lefschetz, "mat_rank"),
         (exactmath, "pivot_rows"), (lefschetz, "pivot_rows"),
         (lefschetz, "default_degree_basis"),
+        (macaulay, "_placed_catalecticant"), (lefschetz, "_placed_catalecticant"),
+        (polyring, "glex_rank"), (macaulay, "glex_rank"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     for g, L, expected in cases:
