@@ -29,6 +29,7 @@ from .families import (
     predicted_hilbert,
 )
 from .lefschetz import (
+    SlpTable,
     hessian_determinants_at,
     random_linear_form,
     slp_check,
@@ -246,9 +247,11 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 def cmd_slp(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    f, _ = _invariant(spec, args.budget, args.weights)
+    f, weights = _invariant(spec, args.budget, args.weights)
     L = _lefschetz_from(args, spec)
-    report = slp_check(f, L)
+    # as in cmd_hilbert: F(w*x) is not fixed by the family's permutations
+    table = SlpTable(f, family_symmetry(spec) if weights is None else None)
+    report = slp_check(f, L, table)
     rows = [
         {"i": r.i, "required": r.required, "achieved": r.achieved, "pass": r.passed}
         for r in report.rows

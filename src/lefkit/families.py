@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm
 
 from .errors import (
     InvalidSpecError,
@@ -28,7 +28,7 @@ from .errors import (
     TooLargeError,
     VarMismatchError,
 )
-from .exactmath import RatMatrix, mat_rank
+from .exactmath import RatMatrix
 from .macaulay import HilbertFn, Symmetry, count_text, resolve_budget
 from .polyring import Poly, poly_mul, poly_pow
 
@@ -341,17 +341,13 @@ def _linear_coeffs(spec: FamilySpec, L: Poly) -> tuple[Fraction, ...]:
     return L.linear_coefficients()
 
 
-def coeffs_to_matrix(spec: FamilySpec, L: Poly):
-    """Fill the matrix (or coordinate vector, for quadrics) whose entries are
-    L's coefficients under the family layout.  Symmetric layouts place the
-    coefficient of x_ij at both (i,j) and (j,i); alternating layouts add the
-    sign."""
-    coeffs = _linear_coeffs(spec, L)
-    n = spec.size
-    if spec.kind is FamilyKind.QUADRIC:
-        return coeffs
-    entries: dict[tuple[int, int], Fraction] = {}
-    for k, (i, j) in enumerate(_positions(spec.kind, n)):
+def _matrix_entries(spec: FamilySpec, coeffs) -> dict[tuple[int, int], Fraction | int]:
+    """The nonzero entries, by 0-based (row, column), of the matrix whose
+    layout coefficients are ``coeffs``: symmetric layouts place the
+    coefficient of x_ij at both (i,j) and (j,i); alternating layouts add
+    the sign."""
+    entries = {}
+    for k, (i, j) in enumerate(_positions(spec.kind, spec.size)):
         a = coeffs[k]
         if not a:
             continue
@@ -360,22 +356,59 @@ def coeffs_to_matrix(spec: FamilySpec, L: Poly):
             entries[(j - 1, i - 1)] = a
         elif spec.kind is FamilyKind.PFAFFIAN:
             entries[(j - 1, i - 1)] = -a
-    return RatMatrix(n, n, entries)
+    return entries
+
+
+def coeffs_to_matrix(spec: FamilySpec, L: Poly):
+    """Fill the matrix (or coordinate vector, for quadrics) whose entries are
+    L's coefficients under the family layout (``_matrix_entries``)."""
+    coeffs = _linear_coeffs(spec, L)
+    if spec.kind is FamilyKind.QUADRIC:
+        return coeffs
+    return RatMatrix(spec.size, spec.size, _matrix_entries(spec, coeffs))
+
+
+def _nonsingular(rows: list[list[int]]) -> bool:
+    """det != 0 for a square integer matrix (its rows are overwritten), by
+    dense fraction-free (Bareiss) elimination: after step k every entry is
+    a (k+1)-minor, so each division by the previous pivot is exact."""
+    prev = 1
+    for k in range(len(rows)):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k]), None)
+        if pivot is None:
+            return False
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        p = top[k]
+        for r in range(k + 1, len(rows)):
+            row, a = rows[r], rows[r][k]
+            rows[r] = [0] * (k + 1) + [
+                (p * row[j] - a * top[j]) // prev for j in range(k + 1, len(row))
+            ]
+        prev = p
+    return True
 
 
 def orbit_test(spec: FamilySpec, L: Poly) -> bool:
     """Is the matrix/vector of L in the open orbit?
 
-    Full rank for the determinant families, nonsingular (nonzero Pfaffian)
-    for the alternating family, and nonzero sum of squared coefficients for
-    quadrics.  Over the rationals every nonzero vector is non-isotropic, so
-    the quadric test never sees the complex isotropic locus.
+    Nonzero determinant of the matrix, cleared to integers, for the
+    determinant families and the alternating one (nonzero Pfaffian), and
+    nonzero sum of squared coefficients for quadrics.  Over the rationals
+    every nonzero vector is non-isotropic, so the quadric test never sees
+    the complex isotropic locus.  The determinant is this module's own
+    elimination, not exactmath's rank kernel, which the SLP verdict this
+    test cross-checks runs on.
     """
+    coeffs = _linear_coeffs(spec, L)
     if spec.kind is FamilyKind.QUADRIC:
-        coeffs = _linear_coeffs(spec, L)
         return bool(sum(a * a for a in coeffs))
-    matrix = coeffs_to_matrix(spec, L)
-    return mat_rank(matrix) == spec.size
+    scale = lcm(*(a.denominator for a in coeffs))
+    cleared = [a.numerator * (scale // a.denominator) for a in coeffs]
+    rows = [[0] * spec.size for _ in range(spec.size)]
+    for (i, j), a in _matrix_entries(spec, cleared).items():
+        rows[i][j] = a
+    return _nonsingular(rows)
 
 
 def _canonical_pairs(spec: FamilySpec) -> list[tuple[int, int]]:

@@ -54,10 +54,12 @@ from .families import (
     FamilySpec,
     canonical_lefschetz,
     deficient_candidates,
+    family_symmetry,
     make_invariant,
     orbit_test,
 )
 from .macaulay import (
+    Symmetry,
     _divisors,
     _entries,
     _key,
@@ -107,7 +109,9 @@ def _validate_slp_inputs(f: Poly, L: Poly) -> int:
 
 
 class SlpTable:
-    """Per-F data of slp_check: the Hilbert function of F (`required`) and,
+    """Per-F data of slp_check: the Hilbert function of F (`required`,
+    from ``hilbert_function(f, symmetry)``; pass F's family symmetry, when
+    it has one, to rank one weight block per orbit) and,
     for each degree i with c - 2i > 0, the rows of the degree-2i
     catalecticant of F as integer data from macaulay's entry enumerator: a
     term coeff*x^e and a degree-2i divisor x^mu give the entry
@@ -117,10 +121,10 @@ class SlpTable:
     out its matrix N once: which row mu sits at each cell (m, m').  Build
     the table once per F and pass it to each slp_check of that F."""
 
-    def __init__(self, f: Poly):
+    def __init__(self, f: Poly, symmetry: Symmetry | None = None):
         self.f = f
         c = _require_homogeneous(f)
-        self.required = hilbert_function(f).values
+        self.required = hilbert_function(f, symmetry).values
         base = c + 1
         self.degrees = [_CatRows(f.nvars, base, i) for i in range((c + 1) // 2)]
         for mu, deg, rest, entry in _entries(f, _steps(base, f.nvars), 0, c - 1):
@@ -454,7 +458,7 @@ def verify_theorem(
         raise OutOfRangeError(f"samples must be non-negative, got {samples}")
     ensure_within_budget(spec.nvars, spec.socle_degree, budget, samples)
     f = make_invariant(spec)
-    table = SlpTable(f)
+    table = SlpTable(f, family_symmetry(spec))
     rng = random.Random(seed)
     candidates: list[tuple[Poly, bool]] = [
         (L, True) for L in deficient_candidates(spec)

@@ -27,7 +27,15 @@ Given a Symmetry (the family invariants' torus weights and signed variable
 permutations, from ``families.family_symmetry``), ``hilbert_function``
 ranks one torus-weight block per symmetry orbit and counts its rank times
 the orbit size.  The symmetry is checked exactly on F first, and any
-failure raises InvariantError (exit code 4) with no fallback.  Without one
+failure raises InvariantError (exit code 4) with no fallback.  The walk
+makes few rows of the other blocks at all: for each coordinate
+transposition (a b), a < b, found in the generated coordinate group, the
+least key of an orbit has w_a >= w_b (else swapping a and b lowers
+coordinate b, which outranks a in the key).  Weights are non-negative, so
+once no later variable touches coordinate a, w_b only grows: a partial
+divisor with w_a < w_b is dropped where a becomes final, and variable k's
+exponent is held to (w_a - w_b) // weight_k[b] after that.  The orbit
+table still decides every row, so no block changes.  Without one
 (a weighted F(w*x), a quadric, any other F) it ranks every block; that
 generic path is the oracle the symmetric one is tested against.
 """
@@ -37,6 +45,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, perm
 
 from .errors import (
@@ -155,20 +164,45 @@ def _steps(base: int, nvars: int) -> list[int]:
     return [base**k for k in range(nvars)]
 
 
-def _divisors(expo: Monomial, steps: list[int], low: int, high: int, value: int = 1):
+def _divisors(
+    expo: Monomial, steps: list[int], low: int, high: int, value: int = 1,
+    caps=None,
+):
     """(key, degree, value * prod perm(e_k, d_k)) for every divisor x^d of
     x^expo of degree low..high; a partial divisor that can no longer reach
     that range is pruned.  The key of d is sum d_k * steps[k], additive, so
-    the key of x^(e - d) is key(e) - key(d)."""
+    the key of x^(e - d) is key(e) - key(d).
+
+    ``caps``, the symmetric path's (``_walk_plan``), gives each variable k
+    a (cap, check) pair, w read from the partial key's weight bits: d_k is
+    held to at most (w_a - w_b) // wb for each (bit of w_a, bit of w_b, wb,
+    mask) in cap, and when e_k > 0 a partial stays after variable k only
+    if w_a >= w_b for each (bit of w_a, bit of w_b, mask) in check."""
     parts = [(0, 0, value)]
     left = sum(expo)  # degree still available after this variable
-    for e, step in zip(expo, steps):
+    for e, step, (cap, check) in zip(expo, steps, caps or repeat(((), ()))):
         left -= e
-        if e:
+        if e and cap:
+            parts = [
+                (key + d * step, deg + d, v * perm(e, d))
+                for key, deg, v in parts
+                for d in range(max(0, low - deg - left), min(e, high - deg, *[
+                    (((key >> a) & m) - ((key >> b) & m)) // wb
+                    for a, b, wb, m in cap
+                ]) + 1)
+            ]
+        elif e:
             parts = [
                 (key + d * step, deg + d, v * perm(e, d))
                 for key, deg, v in parts
                 for d in range(max(0, low - deg - left), min(e, high - deg) + 1)
+            ]
+        if check and e:
+            parts = [
+                part for part in parts
+                if all([
+                    ((part[0] >> a) & m) >= ((part[0] >> b) & m) for a, b, m in check
+                ])
             ]
     return parts
 
@@ -179,7 +213,7 @@ def _scale(f: Poly) -> int:
     return lcm(*(coeff.denominator for _, coeff in f.terms()))
 
 
-def _entries(f: Poly, steps: list[int], low: int, high: int):
+def _entries(f: Poly, steps: list[int], low: int, high: int, caps=None):
     """The catalecticant entry enumerator: for every term coeff*x^e of F and
     divisor x^mu of degree low..high, (key mu, degree, key(e) - key(mu),
     entry) with the integer entry D * coeff * prod perm(e_k, mu_k), D =
@@ -190,7 +224,7 @@ def _entries(f: Poly, steps: list[int], low: int, high: int):
     for expo, coeff in f.terms():
         whole = sum(e * step for e, step in zip(expo, steps))
         value = coeff.numerator * (scale // coeff.denominator)
-        for mu, deg, entry in _divisors(expo, steps, low, high, value):
+        for mu, deg, entry in _divisors(expo, steps, low, high, value, caps):
             yield mu, deg, whole - mu, entry
 
 
@@ -304,13 +338,15 @@ def _coordinate_perm(
 
 
 def _weight_orbits(f: Poly, c: int, symmetry: Symmetry):
-    """Each variable's additive weight key and the orbit table: a row
-    weight key maps to its orbit's size when it is the least key of its
-    orbit under the generated coordinate group, else to 0; ``close`` fills
-    the table for a new key's whole orbit and returns its entry.  The
-    symmetry is checked exactly first: F must be weight-homogeneous and
-    each generator a signed variable permutation that permutes the weight
-    coordinates and maps F to +F or -F."""
+    """Each variable's additive weight key, the bits of one weight
+    coordinate in a key, the orbit table, its ``close``, and the coordinate
+    transpositions found in the group.  A row weight key maps to its
+    orbit's size when it is the least key of its orbit under the generated
+    coordinate group, else to 0; ``close`` fills the table for a new key's
+    whole orbit and returns its entry.  The symmetry is checked exactly
+    first: F must be weight-homogeneous and each generator a signed
+    variable permutation that permutes the weight coordinates and maps F
+    to +F or -F."""
     weights = symmetry.weights
     if (
         len(weights) != f.nvars
@@ -323,7 +359,8 @@ def _weight_orbits(f: Poly, c: int, symmetry: Symmetry):
         )
     dims = len(weights[0])
     # a degree <= c monomial's weight has coordinates below wbase
-    wbase = c * max(max(w) for w in weights) + 1
+    bits = (c * max(max(w) for w in weights)).bit_length()
+    wbase = 1 << bits
     keys = [_key(w, wbase) for w in weights]
     terms = dict(f.terms())
     if len({sum(e * k for e, k in zip(expo, keys)) for expo in terms}) > 1:
@@ -348,7 +385,74 @@ def _weight_orbits(f: Poly, c: int, symmetry: Symmetry):
         table[min(orbit)] = len(orbit)
         return table[key]
 
-    return keys, table, close
+    # The generators' transpositions, closed under conjugation by the
+    # generators (tau (a b) tau^-1 = (tau a, tau b)): each is in the group.
+    swaps = set()
+    for tau in taus:
+        moved = [a for a, b in enumerate(tau) if a != b]
+        if len(moved) == 2:
+            swaps.add(tuple(moved))
+    todo = list(swaps)
+    while todo:
+        a, b = todo.pop()
+        for tau in taus:
+            swap = tuple(sorted((tau[a], tau[b])))
+            if swap not in swaps:
+                swaps.add(swap)
+                todo.append(swap)
+    return keys, bits, table, close, sorted(swaps)
+
+
+def _walk_plan(f: Poly, c: int, symmetry: Symmetry | None):
+    """What ``hilbert_function`` walks with: the variables' key steps, the
+    shift of the row weight bits in a key (mu >> shift), the orbit table
+    and its ``close``, and the walk's per-variable (cap, check) pair.
+
+    Without a symmetry the steps are monomial keys, the table {0: 1} keeps
+    every row, and there are no caps.  With one, a step also carries the
+    variable's weight key above ``shift``, and the cut is the one the
+    module docstring argues for, coordinate a being final at variable k
+    when no variable after k touches it.  check[k] lists the
+    transpositions (a b) whose a variable k makes final; the walk tests
+    them after variable k when the term has it (a separate pass costs
+    more than it saves otherwise).  cap[k] holds d_k to
+    (w_a - w_b) // weight_k[b] for each b that variable k raises and each
+    a final before k, keeping only those a with no transposition (a a2) to
+    another such a2, as the checks have mostly made w_a >= w_a2 already.
+    Any subset of these cuts is sound.  Entries are (bit of w_a, bit of
+    w_b, weight_k[b], coordinate mask) and (bit of w_a, bit of w_b, mask)."""
+    steps = _steps(c + 1, f.nvars)
+    # keys carry the row weight above the monomial bits: mu >> shift
+    shift = ((c + 1) ** f.nvars).bit_length()
+    if symmetry is None:
+        return steps, shift, {0: 1}, None, None
+    weight_keys, bits, table, close, swaps = _weight_orbits(f, c, symmetry)
+    steps = [s + (k << shift) for s, k in zip(steps, weight_keys)]
+    weights, mask = symmetry.weights, (1 << bits) - 1
+    dims = len(weights[0])
+    last = [  # the last variable touching each weight coordinate
+        max((k for k, w in enumerate(weights) if w[a]), default=-1)
+        for a in range(dims)
+    ]
+    ordered = set(swaps)
+    caps = []
+    for k, w in enumerate(weights):
+        cap = []
+        for b in range(dims):
+            if w[b]:
+                tops = [a for a in range(dims) if last[a] < k and (a, b) in ordered]
+                cap += [
+                    (shift + a * bits, shift + b * bits, w[b], mask)
+                    for a in tops
+                    if not any((a, a2) in ordered for a2 in tops)
+                ]
+        check = [
+            (shift + a * bits, shift + b * bits, mask)
+            for a, b in swaps
+            if last[a] == k
+        ]
+        caps.append((tuple(cap), tuple(check)))
+    return steps, shift, table, close, caps
 
 
 def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
@@ -364,16 +468,11 @@ def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
     variable permutation fixing F up to sign maps the block of row weight w
     onto that of tau(w), with the same rank.  Only the block whose row
     weight has the least key of its orbit is built and ranked, and h_i sums
-    orbit size times rank.  Without it, every degree is one block."""
+    orbit size times rank.  The walk is capped (``_walk_plan``) so that it
+    makes few of the other rows at all.  Without it, every degree is one
+    block."""
     c = _require_homogeneous(f)
-    base = c + 1
-    steps = _steps(base, f.nvars)
-    # keys carry the row weight above the monomial bits: mu >> shift
-    shift = (base**f.nvars).bit_length()
-    table, close = {0: 1}, None
-    if symmetry is not None:
-        weight_keys, table, close = _weight_orbits(f, c, symmetry)
-        steps = [s + (k << shift) for s, k in zip(steps, weight_keys)]
+    steps, shift, table, close, caps = _walk_plan(f, c, symmetry)
     values = [0] * (c + 1)
     # The symmetric path keeps a small share of the entries, so one walk over
     # every degree serves them all; the generic path holds one degree at a
@@ -384,7 +483,7 @@ def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
         blocks: list[dict[int, tuple[dict, dict, dict]]] = [
             {} for _ in range(low, high + 1)
         ]
-        for mu, deg, rest, entry in _entries(f, steps, low, high):
+        for mu, deg, rest, entry in _entries(f, steps, low, high, caps):
             w = mu >> shift
             size = table.get(w)
             if size is None:

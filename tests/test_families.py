@@ -25,7 +25,13 @@ from lefkit.families import (
 )
 from lefkit.polyring import Poly, poly_mul, poly_pow
 
-from _oracles import corner_minor, naive_contract, naive_evaluate, perm_det_poly
+from _oracles import (
+    corner_minor,
+    naive_contract,
+    naive_evaluate,
+    naive_rank,
+    perm_det_poly,
+)
 
 
 def sym(n, s=1):
@@ -265,6 +271,52 @@ def test_deficient_candidates():
     assert deficient_candidates(FamilySpec(FamilyKind.QUADRIC, 4)) == []
     pf = FamilySpec(FamilyKind.PFAFFIAN, 6)
     assert all(not orbit_test(pf, L) for L in deficient_candidates(pf))
+
+
+ORBIT_SPECS = [
+    sym(2), sym(3), sym(4),
+    FamilySpec(FamilyKind.GENERIC_DET, 2), FamilySpec(FamilyKind.GENERIC_DET, 3),
+    FamilySpec(FamilyKind.PFAFFIAN, 4), FamilySpec(FamilyKind.PFAFFIAN, 6),
+]
+
+
+def _rational_forms(spec, rng, count):
+    """Seeded linear forms with small rational coefficients, some zero, so
+    that singular matrices turn up too."""
+    forms = []
+    while len(forms) < count:
+        coeffs = {
+            k: Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            for k in range(spec.nvars)
+            if rng.random() < 0.5
+        }
+        if any(coeffs.values()):
+            forms.append(sum(
+                (v * Poly.variable(spec.nvars, k) for k, v in coeffs.items() if v),
+                Poly.zero(spec.nvars),
+            ))
+    return forms
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPECS, ids=str)
+def test_orbit_test_matches_naive_rank(spec):
+    rng = random.Random(str(spec))
+    forms = _rational_forms(spec, rng, 25) + deficient_candidates(spec)
+    verdicts = [orbit_test(spec, L) for L in forms]
+    for L, verdict in zip(forms, verdicts):
+        assert verdict == (naive_rank(coeffs_to_matrix(spec, L).dense()) == spec.size)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_orbit_test_does_not_run_the_rank_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit_test ran exactmath's rank kernel")
+
+    monkeypatch.setattr("lefkit.exactmath._rank_mod_p", refuse)
+    monkeypatch.setattr("lefkit.exactmath.mat_rank", refuse)
+    for spec in ORBIT_SPECS:
+        assert orbit_test(spec, canonical_lefschetz(spec))
+        assert not any(orbit_test(spec, L) for L in deficient_candidates(spec))
 
 
 def test_corner_minor():

@@ -23,6 +23,7 @@ from lefkit.families import (
     canonical_lefschetz,
     coeffs_to_matrix,
     deficient_candidates,
+    family_symmetry,
     make_invariant,
     orbit_test,
 )
@@ -114,6 +115,29 @@ def test_report_dict_shape(capsys):
     assert data["L"] == {"x11": "1", "x22": "1"}
     assert data["rows"][0] == {"i": 0, "required": 1, "achieved": 1, "pass": True}
     assert data["verdict"] is True
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2), (FamilyKind.GENERIC_DET, 3, 2), (FamilyKind.PFAFFIAN, 6, 1),
+])
+def test_slp_table_takes_required_from_the_symmetric_path(kind, n, s, monkeypatch):
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    symmetric = SlpTable(f, family_symmetry(spec))
+    assert symmetric.required == SlpTable(f).required
+    L = canonical_lefschetz(spec)
+    assert slp_check(f, L, symmetric) == slp_check(f, L)
+    seen = []
+    real = lefschetz.hilbert_function
+    monkeypatch.setattr(
+        lefschetz, "hilbert_function",
+        lambda g, symmetry=None: seen.append(symmetry) or real(g, symmetry),
+    )
+    verify_theorem(spec, samples=1, seed=0)
+    args = ["slp", "--family", kind.value, "--n", str(n), "--power", str(s)]
+    main(args)
+    main(args + ["--weights", '{"x12": "2"}'])
+    assert seen == [family_symmetry(spec)] * 2 + [None]
 
 
 def test_achieved_never_exceeds_required():

@@ -19,6 +19,11 @@ from lefkit.exactmath import RatMatrix, mat_rank
 from lefkit.families import FamilyKind, FamilySpec, family_symmetry, make_invariant
 from lefkit.macaulay import (
     DEFAULT_CELL_BUDGET,
+    _entries,
+    _key,
+    _monomial,
+    _walk_plan,
+    _weight_orbits,
     annihilator_basis,
     catalecticant,
     ensure_within_budget,
@@ -155,20 +160,98 @@ def test_hilbert_function_lists_no_monomial_labels(monkeypatch):
     assert hilbert_function(f, symmetry).values == (1, 6, 21, 28, 21, 6, 1)
 
 
-@pytest.mark.parametrize("kind,n,s", [
+def _within_default_budget(spec):
+    try:
+        ensure_within_budget(spec.nvars, spec.socle_degree)
+    except TooLargeError:
+        return False
+    return True
+
+
+# Every sym-det, generic-det and Pfaffian F = N^s with n <= 4 and s <= 3
+# that the default cell budget admits.
+CAPPED_GRID = [
     (kind, n, s)
-    for kind, sizes, powers in [
-        (FamilyKind.SYM_DET, (2, 3), (1, 2, 3)),
-        (FamilyKind.GENERIC_DET, (2, 3), (1, 2)),
-        (FamilyKind.PFAFFIAN, (4, 6), (1, 2)),
+    for kind, sizes in [
+        (FamilyKind.SYM_DET, (1, 2, 3, 4)),
+        (FamilyKind.GENERIC_DET, (1, 2, 3, 4)),
+        (FamilyKind.PFAFFIAN, (2, 4)),
     ]
     for n in sizes
-    for s in powers
-] + [(FamilyKind.PFAFFIAN, 4, 3), (FamilyKind.GENERIC_DET, 2, 3)])
+    for s in (1, 2, 3)
+    if _within_default_budget(FamilySpec(kind, n, s))
+]
+
+
+@pytest.mark.parametrize("kind,n,s", CAPPED_GRID + [
+    (FamilyKind.PFAFFIAN, 6, 1), (FamilyKind.PFAFFIAN, 6, 2),
+])
 def test_symmetric_hilbert_function_matches_generic(kind, n, s):
     spec = FamilySpec(kind, n, s)
     f = make_invariant(spec)
     assert hilbert_function(f, family_symmetry(spec)) == hilbert_function(f)
+
+
+def _representative_cells(plan, cells):
+    """The (row, column, entry) cells whose row weight is the least key of
+    its orbit, as the orbit table decides."""
+    _, shift, table, close, _ = plan
+    kept = set()
+    for mu, _, rest, entry in cells:
+        w = mu >> shift
+        size = table.get(w)
+        if (close(w) if size is None else size):
+            kept.add((mu, rest, entry))
+    return kept
+
+
+@pytest.mark.parametrize("kind,n,s", CAPPED_GRID)
+def test_capped_walk_keeps_every_representative_cell(kind, n, s):
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    c = spec.socle_degree
+    plan = _walk_plan(f, c, family_symmetry(spec))
+    steps, _, _, _, caps = plan
+    capped = list(_entries(f, steps, 0, c, caps))
+    uncapped = list(_entries(f, steps, 0, c))
+    assert len(capped) == len({(mu, rest) for mu, _, rest, _ in capped})
+    assert len(capped) <= len(uncapped)
+    assert _representative_cells(plan, capped) == _representative_cells(plan, uncapped)
+    if n >= 3:  # the cap prunes
+        assert len(capped) < len(uncapped)
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2), (FamilyKind.SYM_DET, 4, 1),
+    (FamilyKind.GENERIC_DET, 3, 2), (FamilyKind.PFAFFIAN, 6, 1),
+])
+def test_derived_transpositions_lie_in_the_orbits(kind, n, s):
+    """Each transposition the cap uses maps a sample weight into its own
+    orbit, the keys ``close`` enters in a fresh table; and the orbit's
+    least key, the one the table keeps, has w_a >= w_b for each of them."""
+    spec = FamilySpec(kind, n, s)
+    f, c, symmetry = make_invariant(spec), spec.socle_degree, family_symmetry(spec)
+    weights = symmetry.weights
+    dims = len(weights[0])
+    rng = random.Random(n * 10 + s)
+    for _ in range(12):
+        _, bits, table, close, swaps = _weight_orbits(f, c, symmetry)
+        assert swaps and all(0 <= a < b < dims for a, b in swaps)
+        wbase = 1 << bits
+        expo = [0] * spec.nvars
+        for _ in range(rng.randrange(c + 1)):
+            expo[rng.randrange(spec.nvars)] += 1
+        w = [sum(e * wk[a] for e, wk in zip(expo, weights)) for a in range(dims)]
+        close(_key(w, wbase))
+        orbit = set(table)
+        for a, b in swaps:
+            swapped = w[:]
+            swapped[a], swapped[b] = w[b], w[a]
+            assert _key(swapped, wbase) in orbit
+        [least] = [k for k, size in table.items() if size]
+        assert least == min(orbit)
+        v = _monomial(least, wbase, dims)
+        assert all(v[a] >= v[b] for a, b in swaps)
 
 
 @pytest.mark.parametrize("kind,n,s,expected", [
