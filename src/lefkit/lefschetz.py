@@ -24,14 +24,16 @@ InvariantError.
 
 The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict.  The quotient basis b is the pivot
-rows of the degree-i catalecticant, placed at their graded-lex positions;
+rows of the degree-i catalecticant, rows at their graded-lex positions;
 one placed build gives the catalecticant of every degree i = 0..c//2.  The
-bases, as macaulay's additive monomial keys (so the key of b_j b_k is a sum),
-and F's terms cleared over one scale D (the lcm of its coefficient
-denominators) are a per-F table (HessianTable).  For each L, the route's
-own divisor walk over F's terms yields each divisor's key with its value at
-L's point, the point cleared to integers, and sums each row b_j b_k of the
-i-th higher Hessian as an integer; only the determinant is divided back.
+bases, as macaulay's additive lex-order monomial keys (so the key of
+b_j b_k is a sum), and F's terms cleared over one scale D (the lcm of its
+coefficient denominators) are a per-F table (HessianTable).  For each L,
+the route's own divisor walk, once over each of F's terms, yields every
+divisor's key with its value at L's point, the point cleared to integers,
+and a divisor whose key is a product b_j b_k adds to that row of the
+higher Hessian of its degree, as an integer; only the determinant is
+divided back.
 That walk never reads SlpTable, macaulay's enumerator or a rank, so a fault
 in one route cannot hide in the other.
 verify_theorem cross-validates the slp_check verdict (not the Hessian one)
@@ -263,11 +265,12 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
 def default_degree_basis(f: Poly, i: int) -> list[Monomial]:
     """Monomials whose catalecticant rows are pivot rows of the deterministic
     elimination: a canonical basis of the degree-i quotient piece.  The
-    matrix is the public catalecticant's, rows and columns at the same
-    graded-lex positions, but built from keys without its label lists."""
+    matrix is the public catalecticant's, rows at the same graded-lex
+    positions and its nonzero columns in the same order, but built from
+    lex-order keys without its label lists."""
     c = _require_homogeneous(f)
-    [(matrix, key_at)] = _placed_catalecticant(f, c, i, i)
-    return [_monomial(key_at[r], c + 1, f.nvars) for r in pivot_rows(matrix)]
+    [(matrix, key_at, _)] = _placed_catalecticant(f, c, i, i)
+    return [_monomial(key_at[r], c + 1, f.nvars)[::-1] for r in pivot_rows(matrix)]
 
 
 def _point_factors(point: list[int], c: int) -> list[list[list[int]]]:
@@ -283,28 +286,23 @@ def _point_factors(point: list[int], c: int) -> list[list[list[int]]]:
 
 
 def _point_divisors(
-    term: tuple[tuple[int, int, int], ...], degree: int, factors: list[list[list[int]]]
-) -> list[tuple[int, int, int]]:
-    """(key of d, its degree, its value) for every divisor x^d of x^e of
-    total degree `degree` whose value prod_k factors[k][e_k][d_k] =
-    prod_k perm(e_k, d_k) * n_k^(e_k - d_k) (see _point_factors) is
-    nonzero.  `term` lists the nonzero exponents of x^e as (e_k, key step
-    of variable k, k).  The Hessian route's own divisor walk, kept apart
-    from macaulay's enumerator so that the route it checks shares no code
-    with it.  Divisors grow one variable at a time, multiplying in that
-    variable's factor; a partial one that can no longer reach `degree`, or
-    whose value is zero (d_k < e_k where n_k = 0), is dropped."""
-    left = sum(e for e, _, _ in term)  # degree still available after this variable
-    if degree > left:
-        return []
-    parts = [(0, 0, 1)]  # (key of the partial divisor, its degree, its value)
+    term: tuple[tuple[int, int, int], ...], factors: list[list[list[int]]]
+) -> list[tuple[int, int]]:
+    """(key of d, its value) for every divisor x^d of x^e, of every degree,
+    whose value prod_k factors[k][e_k][d_k] = prod_k perm(e_k, d_k) *
+    n_k^(e_k - d_k) (see _point_factors) is nonzero.  `term` lists the
+    nonzero exponents of x^e as (e_k, key step of variable k, k).  The
+    Hessian route's own divisor walk, kept apart from macaulay's enumerator
+    so that the route it checks shares no code with it.  Divisors grow one
+    variable at a time, multiplying in that variable's factor; a partial
+    one whose value is zero (d_k < e_k where n_k = 0) is dropped."""
+    parts = [(0, 1)]  # (key of the partial divisor, its value)
     for e, step, k in term:
-        left -= e
         row = factors[k][e]
         parts = [
-            (key + d * step, deg + d, v * row[d])
-            for key, deg, v in parts
-            for d in range(max(0, degree - deg - left), min(e, degree - deg) + 1)
+            (key + d * step, v * row[d])
+            for key, v in parts
+            for d in range(e + 1)
             if row[d]
         ]
     return parts
@@ -312,12 +310,14 @@ def _point_divisors(
 
 class HessianTable:
     """Per-F data of hessian_determinants_at, with monomials as the additive
-    keys of macaulay (key of x^e = sum e_k * (c+1)^k, so the key of
-    b_j * b_k is key(b_j) + key(b_k)): F's terms as integers over one scale
-    D (the lcm of its coefficient denominators), each with its nonzero
-    (exponent, key step, variable) triples; and, for each i = 0..c//2, the
-    keys of the basis b of default_degree_basis(f, i), the index of each
-    distinct product key b_j * b_k, and the matrix of those indices
+    lex-order keys of macaulay's placed build (key of x^e =
+    sum e_k * (c+1)^(nvars-1-k), so the key of b_j * b_k is
+    key(b_j) + key(b_k)): F's terms as integers over one scale D (the lcm
+    of its coefficient denominators), each with its nonzero (exponent, key
+    step, variable) triples; the index of each distinct product key
+    b_j * b_k over every degree (keys of different degrees differ); and,
+    for each i = 0..c//2, the keys of the basis b of
+    default_degree_basis(f, i) and the matrix of its products' indices
     (entries (j, k) and (k, j) share one).  The catalecticants of every
     degree come from one placed build, each basis is its pivot rows.  Build
     the table once per F and pass it to each hessian_determinants_at of
@@ -327,7 +327,7 @@ class HessianTable:
         self.f = f
         c = _require_homogeneous(f)
         self.scale = _scale(f)
-        steps = _steps(c + 1, f.nvars)
+        steps = _steps(c + 1, f.nvars)[::-1]  # the placed build's lex-order keys
         self.terms = [
             (
                 coeff.numerator * (self.scale // coeff.denominator),
@@ -335,17 +335,17 @@ class HessianTable:
             )
             for expo, coeff in f.terms()
         ]
+        self.index: dict[int, int] = {}
         self.degrees = []
-        for matrix, key_at in _placed_catalecticant(f, c, 0, c // 2):
+        for matrix, key_at, _ in _placed_catalecticant(f, c, 0, c // 2):
             basis = [key_at[r] for r in pivot_rows(matrix)]
-            index: dict[int, int] = {}
             cells = [[0] * len(basis) for _ in basis]
             for j, bj in enumerate(basis):
                 for k in range(j, len(basis)):
-                    cells[j][k] = cells[k][j] = index.setdefault(
-                        bj + basis[k], len(index)
+                    cells[j][k] = cells[k][j] = self.index.setdefault(
+                        bj + basis[k], len(self.index)
                     )
-            self.degrees.append((basis, index, cells))
+            self.degrees.append((basis, cells))
 
 
 def hessian_determinants_at(
@@ -359,14 +359,16 @@ def hessian_determinants_at(
     L against one F should build it once.
 
     Everything is an integer: l is cleared to n = denom*l, and F to D*F.
-    One walk over the degree-2i divisors of F's terms yields each divisor's
-    key with prod perm(e_k, d_k) * n_k^(e_k - d_k), multiplied in one
-    variable at a time from a per-L table of those factors, and a divisor
-    whose key is a product b_j*b_k adds D * coeff times it to that row.  An
-    entry is homogeneous of degree c - 2i, so that sum is D * denom^(c-2i)
-    times its value at l, and the determinant of the integer matrix is
-    divided exactly by (D * denom^(c-2i))^(h_i) at the end.  No Poly entry
-    is built."""
+    One walk over the divisors of each of F's terms, for every degree at
+    once, yields each divisor's key with prod perm(e_k, d_k) *
+    n_k^(e_k - d_k), multiplied in one variable at a time from a per-L
+    table of those factors, and a divisor whose key is a product b_j*b_k
+    adds D * coeff times it to that row (a key of odd degree, or above
+    2 * (c//2), is no product and is skipped).  An entry of the i-th
+    Hessian is homogeneous of degree c - 2i, so that sum is
+    D * denom^(c-2i) times its value at l, and the determinant of the
+    integer matrix is divided exactly by (D * denom^(c-2i))^(h_i) at the
+    end.  No Poly entry is built."""
     c = _validate_slp_inputs(f, L)
     if table is None:
         table = HessianTable(f)
@@ -377,14 +379,14 @@ def hessian_determinants_at(
     factors = _point_factors(
         [x.numerator * (denom // x.denominator) for x in coeffs], c
     )
+    index, values = table.index, [0] * len(table.index)
+    for a, term in table.terms:
+        for key, v in _point_divisors(term, factors):
+            r = index.get(key)
+            if r is not None:
+                values[r] += a * v
     dets = []
-    for i, (basis, index, cells) in enumerate(table.degrees):
-        values = [0] * len(index)
-        for a, term in table.terms:
-            for key, _, v in _point_divisors(term, 2 * i, factors):
-                r = index.get(key)
-                if r is not None:
-                    values[r] += a * v
+    for i, (basis, cells) in enumerate(table.degrees):
         h = len(basis)
         matrix = RatMatrix._of(h, h, {
             (j, k): values[r]

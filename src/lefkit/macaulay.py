@@ -16,9 +16,14 @@ rank path (``hilbert_function``) ranks those integers with rows and columns
 numbered by key, and never lists monomial labels.  The public
 ``catalecticant``, ``lefschetz.default_degree_basis`` and
 ``lefschetz.HessianTable`` share one builder, which places a range of
-degrees from one walk: each row and column at its graded-lex position
-(computed from the key, not looked up in a label list) and the entries
-divided by D (when D > 1), so they are the exact rationals.  Each degree
+degrees from one walk with lex-order keys (x_0 the most significant digit,
+so within one degree a larger key is an earlier graded-lex monomial): each
+row at its graded-lex position (``glex_rank`` of the decoded key, not
+looked up in a label list), the nonzero columns numbered by descending key
+with nothing decoded, as elimination reads only the order of the columns,
+and the entries divided by D (when D > 1), so they are the exact
+rationals.  ``catalecticant`` puts the columns back at their graded-lex
+positions.  Each degree
 is an independent rank computation: no elimination state is shared
 between i and c-i, so transpose-rank duality stays a genuine cross-check.
 The cell budget still counts the dense cells of the largest catalecticant.
@@ -230,39 +235,50 @@ def _entries(f: Poly, steps: list[int], low: int, high: int, caps=None):
 
 def _placed_catalecticant(
     f: Poly, c: int, low: int, high: int
-) -> list[tuple[RatMatrix, dict[int, int]]]:
+) -> list[tuple[RatMatrix, dict[int, int], list[int]]]:
     """The degree-i catalecticant of F (degree c) for each i = low..high,
-    from one walk of the entry enumerator: every row and column at its
-    graded-lex position (``glex_rank``), rows numbered over all degree-i
-    monomials and columns over all degree c-i ones, zero ones included;
-    and the key of each nonzero row by its position.  Entries are the
-    enumerator's integers divided by its scale D (when D > 1)."""
+    from one walk of the entry enumerator with lex-order keys (steps
+    ``_steps(c + 1, nvars)[::-1]``, x_0 the most significant digit, so
+    within one degree a larger key is an earlier graded-lex monomial; a key
+    decodes to ``_monomial(key, c + 1, nvars)[::-1]``).  Each row sits at
+    its graded-lex position (``glex_rank``), numbered over all degree-i
+    monomials, zero ones included; only the nonzero columns are kept,
+    numbered by descending key, so in graded-lex order.  Elimination reads
+    absolute row positions (a pivot row moves to position
+    ``len(pivots)``, ties go to the lowest position) but only the order of
+    the columns, so the pivot rows are those of the full matrix.  With each
+    matrix come the key of each nonzero row by its position and the column
+    keys in column order.  Entries are the enumerator's integers divided by
+    its scale D (when D > 1)."""
     for i in (low, high):
         if not 0 <= i <= c:
             raise OutOfRangeError(f"degree {i} outside 0..{c}")
     base, nvars = c + 1, f.nvars
-    # per degree: key -> graded-lex position of rows and of columns, entries
-    degrees = [({}, {}, {}) for _ in range(low, high + 1)]
-    for mu, deg, rest, entry in _entries(f, _steps(base, nvars), low, high):
-        rows, cols, entries = degrees[deg - low]
+    # per degree: row key -> graded-lex position, column key -> its (row, entry) pairs
+    degrees = [({}, {}) for _ in range(low, high + 1)]
+    for mu, deg, rest, entry in _entries(f, _steps(base, nvars)[::-1], low, high):
+        rows, cols = degrees[deg - low]
         r = rows.get(mu)
         if r is None:
-            r = rows[mu] = glex_rank(_monomial(mu, base, nvars))
+            r = rows[mu] = glex_rank(_monomial(mu, base, nvars)[::-1])
         col = cols.get(rest)
         if col is None:
-            col = cols[rest] = glex_rank(_monomial(rest, base, nvars))
-        entries[(r, col)] = entry
+            cols[rest] = [(r, entry)]
+        else:
+            col.append((r, entry))
     scale = _scale(f)
     placed = []
-    for i, (rows, _, entries) in enumerate(degrees, low):
-        shape = dim_of_degree(nvars, i), dim_of_degree(nvars, c - i)
+    for i, (rows, cols) in enumerate(degrees, low):
+        order = sorted(cols, reverse=True)
+        entries = {(r, j): v for j, key in enumerate(order) for r, v in cols[key]}
+        shape = dim_of_degree(nvars, i), len(order)
         if scale > 1:  # back to F's own entries; RatMatrix keeps integral ones as int
             matrix = RatMatrix(*shape, {
                 cell: Fraction(entry, scale) for cell, entry in entries.items()
             })
         else:
             matrix = RatMatrix._of(*shape, entries)
-        placed.append((matrix, {r: key for key, r in rows.items()}))
+        placed.append((matrix, {r: key for key, r in rows.items()}, order))
     return placed
 
 
@@ -274,10 +290,13 @@ def catalecticant(f: Poly, i: int) -> CatMatrix:
     degree-i divisor x^d of it, at (row d, column e-d): the enumerator's
     integer entry divided by its scale D."""
     c = _require_homogeneous(f)
-    [(matrix, _)] = _placed_catalecticant(f, c, i, i)
+    [(matrix, _, order)] = _placed_catalecticant(f, c, i, i)
+    at = [glex_rank(_monomial(key, c + 1, f.nvars)[::-1]) for key in order]
     return CatMatrix(
         degree=i,
-        matrix=matrix,
+        matrix=RatMatrix._of(matrix.rows, dim_of_degree(f.nvars, c - i), {
+            (r, at[j]): v for (r, j), v in matrix.items()
+        }),
         row_monomials=tuple(monomials_of_degree(f.nvars, i)),
         col_monomials=tuple(monomials_of_degree(f.nvars, c - i)),
     )

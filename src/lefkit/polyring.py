@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
-from operator import sub
+from math import comb, lcm
+from operator import add, lshift, sub
 from typing import Iterator, Sequence
 
 from .errors import VarMismatchError
@@ -177,19 +177,49 @@ class Poly:
 # spec operations
 
 
+def _cleared(p: Poly, shifts: range) -> tuple[int, list[tuple[int, int]]]:
+    """D, the lcm of p's denominators, and each term of D*p as (key, integer
+    coefficient), the key of x^e being sum e_k << shifts[k]."""
+    den = lcm(*[coeff.denominator for coeff in p._terms.values()])
+    return den, [
+        (sum(map(lshift, expo, shifts)), coeff.numerator * (den // coeff.denominator))
+        for expo, coeff in p._terms.items()
+    ]
+
+
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Exact product; degrees add for homogeneous inputs."""
+    """Exact product; degrees add for homogeneous inputs.  A one-term factor
+    shifts the other's exponents.  Otherwise each factor is cleared to
+    integers over its common denominator, and each monomial x^e
+    to the additive key sum e_k << (k * bits), a field of ``bits`` bits
+    holding the product's largest exponent; so a pair of terms costs one
+    integer multiply-add, and each product term is divided back to a
+    Fraction once."""
     a._check_compatible(b)
-    terms: dict[Monomial, Fraction] = {}
-    for ea, ca in a._terms.items():
-        for eb, cb in b._terms.items():
-            expo = tuple(x + y for x, y in zip(ea, eb))
-            s = terms.get(expo, Fraction(0)) + ca * cb
-            if s:
-                terms[expo] = s
-            else:
-                terms.pop(expo, None)
-    return Poly._of(a.nvars, terms)
+    nvars = a.nvars
+    if not (a._terms and b._terms):
+        return Poly.zero(nvars)
+    if len(b._terms) == 1:
+        a, b = b, a
+    if len(a._terms) == 1:  # a monomial times b: the exponents stay distinct
+        [(ea, ca)] = a._terms.items()
+        return Poly._of(nvars, {
+            tuple(map(add, ea, eb)): ca * cb for eb, cb in b._terms.items()
+        })
+    # each factor has two or more terms, so its exponent tuples are not empty
+    bits = (max(map(max, a._terms)) + max(map(max, b._terms))).bit_length()
+    mask, shifts = (1 << bits) - 1, range(0, nvars * bits, bits)
+    (da, ia), (db, ib) = _cleared(a, shifts), _cleared(b, shifts)
+    den, sums = da * db, {}
+    for ka, ca in ia:
+        for kb, cb in ib:
+            k = ka + kb
+            sums[k] = sums.get(k, 0) + ca * cb
+    return Poly._of(nvars, {
+        tuple([key >> s & mask for s in shifts]):
+            Fraction(v) if den == 1 else Fraction(v, den)
+        for key, v in sums.items() if v
+    })
 
 
 def poly_pow(a: Poly, s: int) -> Poly:

@@ -16,7 +16,7 @@ from lefkit.errors import (
     ZeroPolynomialError,
 )
 from lefkit import lefschetz
-from lefkit.exactmath import PROBE_PRIME, _rank_mod_p, mat_rank
+from lefkit.exactmath import PROBE_PRIME, _rank_mod_p, mat_rank, pivot_rows
 from lefkit.families import (
     FamilyKind,
     FamilySpec,
@@ -381,54 +381,71 @@ def test_hessian_matches_product_oracle(kind, n, s):
     (FamilyKind.QUADRIC, 4, 2),
 ])
 def test_one_placed_build_gives_every_degree(kind, n, s):
-    """One walk over a range of degrees places the same matrices as the
-    public catalecticant, degree by degree, and HessianTable's basis keys
-    decode to default_degree_basis."""
+    """One walk over a range of degrees places each degree's catalecticant
+    with its nonzero columns only, numbered by descending lex-order key:
+    put back at their graded-lex positions they give the public
+    catalecticant (and the dense oracle), in graded-lex order, with the
+    same pivot rows.  Row keys decode to the row labels, and
+    HessianTable's basis keys to default_degree_basis."""
     f = make_invariant(FamilySpec(kind, n, s))
     weights = [Fraction(k % 3 + 1, k % 2 + 2) for k in range(f.nvars)]
     weighted = scale_variables(f, weights)
     assert any(coeff.denominator > 1 for _, coeff in weighted.terms())  # D > 1
     for g in (f, weighted):
         c = g.homogeneous_degree()
-        base = c + 1
+
+        def check(i, matrix, key_at, order):
+            cat = catalecticant(g, i)
+            assert cat.matrix == naive_catalecticant(g, i)
+            at = [
+                cat.col_monomials.index(_monomial(key, c + 1, g.nvars)[::-1])
+                for key in order
+            ]
+            assert at == sorted(set(at))  # distinct, in graded-lex order
+            assert set(at) == {j for (_, j), _ in cat.matrix.items()}
+            assert (matrix.rows, matrix.cols) == (cat.matrix.rows, len(order))
+            assert {(r, at[j]): v for (r, j), v in matrix.items()} == dict(
+                cat.matrix.items()
+            )
+            assert pivot_rows(matrix) == pivot_rows(cat.matrix)
+            assert {
+                r: _monomial(key, c + 1, g.nvars)[::-1] for r, key in key_at.items()
+            } == {r: cat.row_monomials[r] for (r, _), _ in cat.matrix.items()}
+
         table = HessianTable(g)
         assert len(table.degrees) == c // 2 + 1
         placed = zip(_placed_catalecticant(g, c, 0, c // 2), table.degrees)
-        for i, ((matrix, key_at), (basis, _, _)) in enumerate(placed):
-            cat = catalecticant(g, i)
-            assert matrix == cat.matrix
-            assert {r: _monomial(key, base, g.nvars) for r, key in key_at.items()} == {
-                r: cat.row_monomials[r] for (r, _), _ in cat.matrix.items()
-            }
-            assert [_monomial(b, base, g.nvars) for b in basis] == default_degree_basis(g, i)
+        for i, ((matrix, key_at, order), (basis, _)) in enumerate(placed):
+            check(i, matrix, key_at, order)
+            assert [
+                _monomial(b, c + 1, g.nvars)[::-1] for b in basis
+            ] == default_degree_basis(g, i)
         # a range that starts above degree 0 and runs to c
-        for i, (matrix, _) in enumerate(_placed_catalecticant(g, c, 1, c), 1):
-            assert matrix == catalecticant(g, i).matrix
+        for i, placed in enumerate(_placed_catalecticant(g, c, 1, c), 1):
+            check(i, *placed)
 
 
 def test_point_divisor_walk_matches_brute_force():
-    """The Hessian route's keyed walk against every exponent tuple d <= e of
-    the degree: each decoded divisor once, with value prod perm(e_k, d_k) *
-    n_k^(e_k - d_k), and no divisor whose value is zero."""
+    """The Hessian route's keyed walk against every exponent tuple d <= e:
+    each nonvanishing divisor of every degree once, with value
+    prod perm(e_k, d_k) * n_k^(e_k - d_k), and no divisor whose value is
+    zero.  Keys are the lex-order ones HessianTable uses."""
     rng = random.Random(18)
     for _ in range(300):
         nvars = rng.randint(1, 5)
         expo = tuple(rng.choice([0, 0, 1, 2, 3, 5]) for _ in range(nvars))
         c = sum(expo) + rng.randint(0, 2)  # the key base c + 1 exceeds every exponent
         point = [rng.choice([0, 0, 1, -1, 2, -3, 7, -12]) for _ in range(nvars)]
-        degree = rng.randint(0, sum(expo) + 1)
-        steps = [(c + 1) ** k for k in range(nvars)]
+        steps = [(c + 1) ** (nvars - 1 - k) for k in range(nvars)]
         term = tuple((e, steps[k], k) for k, e in enumerate(expo) if e)
-        walked = lefschetz._point_divisors(
-            term, degree, lefschetz._point_factors(point, c)
-        )
-        decoded = {_monomial(key, c + 1, nvars): (deg, v) for key, deg, v in walked}
+        walked = lefschetz._point_divisors(term, lefschetz._point_factors(point, c))
+        decoded = {_monomial(key, c + 1, nvars)[::-1]: v for key, v in walked}
         assert len(decoded) == len(walked)
         expected = {}
         for d in itertools.product(*(range(e + 1) for e in expo)):
             value = prod(perm(e, k) * x ** (e - k) for e, k, x in zip(expo, d, point))
-            if sum(d) == degree and value:
-                expected[d] = (degree, value)
+            if value:
+                expected[d] = value
         assert decoded == expected
 
 

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from lefkit.macaulay import (
     _entries,
     _key,
     _monomial,
+    _steps,
     _walk_plan,
     _weight_orbits,
     annihilator_basis,
@@ -34,6 +36,7 @@ from lefkit.macaulay import (
 from lefkit.polyring import (
     Poly,
     dim_of_degree,
+    glex_rank,
     monomials_of_degree,
     poly_pow,
     scale_variables,
@@ -146,6 +149,26 @@ def test_catalecticant_rank_against_naive_elimination():
     for i in range(4):
         cat = catalecticant(DET3, i)
         assert mat_rank(cat.matrix) == naive_rank(cat.matrix.dense())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lex_order_key_descends_as_graded_lex_rank_ascends(data):
+    """With x_0 the most significant digit (the placed catalecticant's
+    steps), a larger key among monomials of one degree is an earlier
+    graded-lex monomial, and the key decodes back with the order reversed."""
+    nvars, d = data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))
+    base = d + 1 + data.draw(st.integers(0, 3))  # any base above every exponent
+    steps = _steps(base, nvars)[::-1]
+    monos = data.draw(st.lists(
+        st.sampled_from(monomials_of_degree(nvars, d)), min_size=1, max_size=8,
+        unique=True,
+    ))
+    keys = [sum(map(mul, m, steps)) for m in monos]
+    assert [_monomial(k, base, nvars)[::-1] for k in keys] == monos
+    by_key = [m for _, m in sorted(zip(keys, monos), reverse=True)]
+    assert by_key == sorted(monos, key=glex_rank)
+    assert [glex_rank(m) for m in by_key] == sorted(glex_rank(m) for m in monos)
 
 
 def test_hilbert_function_lists_no_monomial_labels(monkeypatch):

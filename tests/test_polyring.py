@@ -161,6 +161,28 @@ def test_mul_matches_naive(p, q):
     assert poly_mul(p, q) == naive_mul(p, q)
 
 
+def rational_poly_strategy(nvars, max_degree=4, max_terms=5):
+    expo = st.tuples(*[st.integers(0, max_degree) for _ in range(nvars)])
+    rationals = st.fractions(-3, 3, max_denominator=6).filter(bool)
+    return st.dictionaries(expo, rationals, max_size=max_terms).map(
+        lambda terms: Poly(nvars, terms)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_poly_strategy(3), rational_poly_strategy(3), st.integers(0, 4))
+def test_mul_and_pow_match_naive_on_rational_inputs(p, q, s):
+    """Rational and inhomogeneous factors, monomials and the zero
+    polynomial among them, and a product whose cross terms cancel."""
+    for product, expected in [
+        (poly_mul(p, q), naive_mul(p, q)),
+        (poly_mul(p + q, p - q), naive_mul(p, p) - naive_mul(q, q)),
+        (poly_pow(p, s), naive_pow(p, s)),
+    ]:
+        assert product == expected
+        assert all(type(c) is Fraction and c for _, c in product.terms())
+
+
 @settings(max_examples=30, deadline=None)
 @given(poly_strategy(2, max_degree=2, max_terms=3), st.integers(0, 3), st.integers(0, 3))
 def test_pow_additivity(p, s, t):
