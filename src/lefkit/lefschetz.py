@@ -4,23 +4,24 @@ The multiplication map by L^(c-2i) on the degree-i piece of the Gorenstein
 quotient is bijective exactly when the matrix of m |-> (L^(c-2i) m)
 contracted against F has rank h_i; both sides factor through the perfect
 pairing, so comparing that rank with the degree-i catalecticant rank decides
-each degree without ever constructing quotient bases.  No power of L and no
-contraction by L is formed: by the higher-Hessian identity (Maeno-Watanabe,
-Illinois J. Math. 53 (2009)), for k = c - 2i and l the coefficient vector
-of L, (L^k m m')(F) = k! (m m' F)(l).  So slp_check evaluates the rows of
+each degree.  No power of L and no contraction by L is formed: by the
+higher-Hessian identity (Maeno-Watanabe, Illinois J. Math. 53 (2009)), for
+k = c - 2i and l the coefficient vector of L,
+(L^k m m')(F) = k! (m m' F)(l).  So slp_check evaluates the rows of
 the degree-2i catalecticant of F at l, each row m + m' filling the cells
 (m, m'), and ranks that matrix N: it is Cat_i(L^k F) with column m' scaled
-by m'!/k!.  Those rows, and which row sits at each cell, are a per-F table
-(SlpTable) built once from F's terms and reused for every L.  For each L
-the row values go mod PROBE_PRIME straight into exactmath's packed rank
-kernel, with no RatMatrix and no block split.  The rank of N has two
-upper bounds: h_i, since Ann(F)_i annihilates L^k F too (contraction
-commutes), so the rows of Cat_i(L^k F) span at most R_i / Ann(F)_i; and
-the number of rows of N that are nonzero over the integers.  The probe's
-rank is a lower bound, so it settles the rank when it reaches the smaller
-of the two; otherwise N is built and ranked exactly by mat_rank.  Since
-h_i is part of that certificate, an exact rank above h_i raises
-InvariantError.
+by m'!/k!.  Ann(F)_i annihilates L^k F too (contraction commutes), so it
+lies in the radical of the form (m, m') |-> (L^k m m')(F), and N
+restricted to the rows and columns of a monomial basis b_i of
+R_i / Ann(F)_i has the same rank: an h_i x h_i matrix, nonsingular exactly
+when L is Lefschetz in degree i (it is the higher Hessian at l in the
+basis b_i).  b_i is the pivot rows of Cat_i, and its size must be h_i.
+The rows of Cat_2i at the products b_j b_k, and which row sits at each
+cell (j, k), are a per-F table (SlpTable) built once from F's terms and
+reused for every L.  For each L the row values go mod PROBE_PRIME straight
+into exactmath's packed rank kernel, with no RatMatrix and no block split;
+the probe's rank is a lower bound, so it settles the rank when it reaches
+h_i, and otherwise the matrix is built and ranked exactly by mat_rank.
 
 The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict.  The quotient basis b is the pivot
@@ -62,9 +63,7 @@ from .families import (
 )
 from .macaulay import (
     Symmetry,
-    _divisors,
     _entries,
-    _key,
     _monomial,
     _placed_catalecticant,
     _require_homogeneous,
@@ -73,7 +72,7 @@ from .macaulay import (
     ensure_within_budget,
     hilbert_function,
 )
-from .polyring import Monomial, Poly, monomials_of_degree
+from .polyring import Monomial, Poly
 
 
 @dataclass(frozen=True)
@@ -113,107 +112,100 @@ def _validate_slp_inputs(f: Poly, L: Poly) -> int:
 class SlpTable:
     """Per-F data of slp_check: the Hilbert function of F (`required`,
     from ``hilbert_function(f, symmetry)``; pass F's family symmetry, when
-    it has one, to rank one weight block per orbit) and,
-    for each degree i with c - 2i > 0, the rows of the degree-2i
-    catalecticant of F as integer data from macaulay's entry enumerator: a
-    term coeff*x^e and a degree-2i divisor x^mu give the entry
-    coeff * prod perm(e_k, mu_k) at column x^(e - mu) of row mu, all
-    scaled by one positive integer (the lcm of F's denominators).  Read as
-    a polynomial, row mu is mu contracted against F.  Each degree also lays
-    out its matrix N once: which row mu sits at each cell (m, m').  Build
-    the table once per F and pass it to each slp_check of that F."""
+    it has one, to rank one weight block per orbit) and, for each degree i
+    with c - 2i > 0, the matrix N restricted to a basis of the quotient
+    (_Restricted).  One walk of macaulay's entry enumerator gives the
+    catalecticants as integer data: a term coeff*x^e and a divisor x^mu
+    give the entry coeff * prod perm(e_k, mu_k) at column x^(e - mu) of
+    row mu, all scaled by one positive integer (the lcm of F's
+    denominators).  Read as a polynomial, row mu is mu contracted against
+    F.  The basis b_i is the pivot rows of Cat_i; its size must be h_i,
+    else InvariantError.  Build the table once per F and pass it to each
+    slp_check of that F."""
 
     def __init__(self, f: Poly, symmetry: Symmetry | None = None):
         self.f = f
         c = _require_homogeneous(f)
         self.required = hilbert_function(f, symmetry).values
-        base = c + 1
-        self.degrees = [_CatRows(f.nvars, base, i) for i in range((c + 1) // 2)]
+        base, half = c + 1, (c + 1) // 2
+        # rows[deg]: row key mu of Cat_deg -> its (entry, column key) pairs,
+        # for the degrees of a basis (deg < c/2) and of N (deg even)
+        rows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(c + 1)]
         for mu, deg, rest, entry in _entries(f, _steps(base, f.nvars), 0, c - 1):
-            if deg % 2 == 0:
-                self.degrees[deg // 2].add(mu, rest, entry)
-        for d in self.degrees:
-            d.lay_out()
-
-
-class _CatRows:
-    """The rows of Cat_2i(F) in an SlpTable, keyed as in macaulay: row mu
-    is a list of (entry, residual id), and residual r is the column monomial
-    x^(e - mu) as its nonzero (variable, exponent) pairs.
-
-    The layout of N over the degree-i monomials m that meet some row
-    (N is symmetric, so its nonzero rows and columns are the same
-    monomials): `labels[r]` is the index of the r-th such m, and
-    `cells[r]` = (columns, row ids) lists, for each m' with m + m' a row,
-    the position of m' and the id of that row (its place in `terms`)."""
-
-    def __init__(self, nvars: int, base: int, i: int):
-        self.nvars, self.base, self.i = nvars, base, i
-        self.rows: dict[int, list[tuple[int, int]]] = {}
-        self.residual_id: dict[int, int] = {}
-        self.residuals: list[tuple[tuple[int, int], ...]] = []
-
-    def add(self, mu: int, rest: int, entry: int) -> None:
-        r = self.residual_id.get(rest)
-        if r is None:
-            r = self.residual_id[rest] = len(self.residuals)
-            expo = _monomial(rest, self.base, self.nvars)
-            self.residuals.append(tuple((k, e) for k, e in enumerate(expo) if e))
-        self.rows.setdefault(mu, []).append((entry, r))
-
-    def lay_out(self) -> None:
-        """Fix the cells of N, (m, mu - m) over the degree-i divisors m of
-        each row mu; called once, after every row is added."""
-        index = {  # degree-i monomial -> its row and column of N
-            _key(m, self.base): k
-            for k, m in enumerate(monomials_of_degree(self.nvars, self.i))
-        }
-        self.size = len(index)
-        self.terms = list(self.rows.values())
-        steps = _steps(self.base, self.nvars)
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for k, mu in enumerate(self.rows):
-            expo = _monomial(mu, self.base, self.nvars)
-            for m, _, _ in _divisors(expo, steps, self.i, self.i):
-                by_row.setdefault(index[m], []).append((index[mu - m], k))
-        self.labels = sorted(by_row)
-        at = {m: r for r, m in enumerate(self.labels)}
-        self.cells = [
-            ([at[m2] for m2, _ in by_row[m]], [k for _, k in by_row[m]])
-            for m in self.labels
+            if deg < half or deg % 2 == 0:
+                rows[deg].setdefault(mu, []).append((entry, rest))
+        self.degrees = [
+            _Restricted(rows[i], rows[2 * i], self.required[i], i, base, f.nvars)
+            for i in range(half)
         ]
 
+
+class _Restricted:
+    """N of degree i restricted to b_i x b_i, in an SlpTable.  `basis`
+    holds the keys of b_i (additive: key(m m') = key(m) + key(m')), the
+    pivot rows of Cat_i.  Only the rows of Cat_2i at the keys b_j + b_k
+    are kept: row t is a list of (entry, residual id), and residual r is
+    the column monomial x^(e - mu) as its nonzero (variable, exponent)
+    pairs.  `cells[j]` = (columns, row ids) lists, for each k with
+    b_j + b_k a row, k and the id of that row."""
+
+    def __init__(self, cat, double, h: int, i: int, base: int, nvars: int):
+        keys, col_at, entries = list(cat), {}, {}
+        for r, row in enumerate(cat.values()):
+            for entry, rest in row:
+                entries[(r, col_at.setdefault(rest, len(col_at)))] = entry
+        matrix = RatMatrix._of(len(keys), len(col_at), entries)
+        self.basis = [keys[r] for r in pivot_rows(matrix)]
+        if len(self.basis) != h:
+            raise InvariantError(
+                f"the degree-{i} quotient basis has {len(self.basis)} elements, "
+                f"h_{i} = {h}"
+            )
+        basis, row_id = self.basis, {}
+        self.cells: list[tuple[list[int], list[int]]] = [([], []) for _ in range(h)]
+        for j, bj in enumerate(basis):
+            for k in [k for k in range(j, h) if bj + basis[k] in double]:
+                t = row_id.setdefault(bj + basis[k], len(row_id))
+                self.cells[j][0].append(k)
+                self.cells[j][1].append(t)
+                if k != j:
+                    self.cells[k][0].append(j)
+                    self.cells[k][1].append(t)
+        residual_id: dict[int, int] = {}
+        self.residuals: list[tuple[tuple[int, int], ...]] = []
+        self.terms = []
+        for key in row_id:
+            row = []
+            for entry, rest in double[key]:
+                r = residual_id.get(rest)
+                if r is None:
+                    r = residual_id[rest] = len(self.residuals)
+                    expo = _monomial(rest, base, nvars)
+                    self.residuals.append(tuple((k, e) for k, e in enumerate(expo) if e))
+                row.append((entry, r))
+            self.terms.append(row)
+
     def values_at(self, powers: list[list[int]]) -> list[int]:
-        """Each row's value at the point whose coordinate powers are
+        """Each kept row's value at the point whose coordinate powers are
         `powers`, in `terms` order."""
         at = [prod(powers[k][e] for k, e in r) for r in self.residuals]
         return [sum(entry * at[r] for entry, r in row) for row in self.terms]
 
-    def matrix_at(self, values: list[int]) -> RatMatrix:
-        """N[m, m'] = the value of row m + m'."""
-        labels, entries = self.labels, {}
-        for m, (cols, ids) in zip(labels, self.cells):
-            for c, k in zip(cols, ids):
-                if values[k]:
-                    entries[(m, labels[c])] = values[k]
-        return RatMatrix._of(self.size, self.size, entries)
-
-    def rank_at(self, powers: list[list[int]], most: int) -> int:
-        """The exact rank of N at the point.  It is at most `most` (h_i) and
-        at most the number of rows of N that are nonzero over the integers
-        (a row can vanish mod p and not over the integers).  Its rank mod
-        PROBE_PRIME on the fixed layout is a lower bound, so it settles the
-        rank when it reaches the smaller bound; otherwise N is built and
-        ranked by mat_rank."""
-        values = self.values_at(powers)
-        nonzero = sum(1 for _, ids in self.cells if any(map(values.__getitem__, ids)))
-        p = PROBE_PRIME
+    def rank_at(self, powers: list[list[int]]) -> int:
+        """The exact rank of the h_i x h_i matrix at the point: h_i when its
+        rank mod PROBE_PRIME, a lower bound, reaches h_i; otherwise the
+        matrix is built and ranked by mat_rank."""
+        values, h, p = self.values_at(powers), len(self.basis), PROBE_PRIME
         residues = [v % p for v in values]
         rows = [(cols, map(residues.__getitem__, ids)) for cols, ids in self.cells]
-        bound = min(most, nonzero)
-        if _rank_mod_p(rows, len(rows), p) == bound:
-            return bound
-        return mat_rank(self.matrix_at(values))
+        if _rank_mod_p(rows, h, p) == h:
+            return h
+        return mat_rank(RatMatrix._of(h, h, {
+            (j, k): values[t]
+            for j, (cols, ids) in enumerate(self.cells)
+            for k, t in zip(cols, ids)
+            if values[t]
+        }))
 
 
 def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
@@ -228,11 +220,12 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
     the degree-2i catalecticant at m + m' read as a polynomial.  So the
     integer matrix N[m, m'] = (table row m + m')(l) over degree-i monomials
     is Cat_i(L^k F) with column m' scaled by m'!/k!, times the table's
-    positive scale, and has the same rank.  The Hessian route never uses
-    this table, so it stays an independent check.  For even c the middle
-    row (k = 0, the identity) is h_i, taken from the table unranked.  A
-    rank above h_i (which Ann(F)_i rules out, and which the probe's
-    certificate relies on) raises InvariantError."""
+    positive scale, and has the same rank.  Ann(F)_i lies in the radical
+    of that form, so N restricted to the table's basis b_i of the quotient
+    has the same rank again, at most h_i; that h_i x h_i matrix is what is
+    ranked.  The Hessian route never uses this table, so it stays an
+    independent check.  For even c the middle row (k = 0, the identity) is
+    h_i, taken from the table unranked."""
     c = _validate_slp_inputs(f, L)
     if table is None:
         table = SlpTable(f)
@@ -243,14 +236,9 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
     point = [x.numerator * (mult // x.denominator) for x in coeffs]
     g = gcd(*point)
     powers = [[(x // g) ** e for e in range(c + 1)] for x in point]
-    achieved = [d.rank_at(powers, h) for d, h in zip(table.degrees, table.required)]
+    achieved = [d.rank_at(powers) for d in table.degrees]
     if c % 2 == 0:
         achieved.append(table.required[c // 2])
-    for i, (a, h) in enumerate(zip(achieved, table.required)):
-        if a > h:
-            raise InvariantError(
-                f"x L^{c - 2 * i} has rank {a} at degree {i}, above h_{i} = {h}"
-            )
     rows = tuple(
         SlpRow(i=i, required=table.required[i], achieved=a)
         for i, a in enumerate(achieved)

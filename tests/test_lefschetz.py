@@ -15,7 +15,7 @@ from lefkit.errors import (
     VarMismatchError,
     ZeroPolynomialError,
 )
-from lefkit import lefschetz
+from lefkit import exactmath, lefschetz
 from lefkit.exactmath import PROBE_PRIME, _rank_mod_p, mat_rank, pivot_rows
 from lefkit.families import (
     FamilyKind,
@@ -37,9 +37,11 @@ from lefkit.lefschetz import (
     verify_theorem,
 )
 from lefkit.macaulay import (
+    HilbertFn,
     _monomial,
     _placed_catalecticant,
     catalecticant,
+    ensure_within_budget,
     hilbert_function,
 )
 from lefkit.polyring import Poly, monomials_of_degree, scale_variables
@@ -59,6 +61,7 @@ SYM2 = FamilySpec(FamilyKind.SYM_DET, 2)
 SYM3 = FamilySpec(FamilyKind.SYM_DET, 3)
 DET2 = make_invariant(SYM2)
 DET3 = make_invariant(SYM3)
+DET3_CUBED = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3, 3))
 
 
 def linear(spec, coeffs):
@@ -101,6 +104,16 @@ def test_slp_input_validation():
         slp_check(DET2, Poly.variable(3, 0), other)
 
 
+def test_constant_f_has_one_identity_row():
+    # c = 0: the quotient is the field, and x L^0 is its identity
+    f = Poly(2, {(0, 0): Fraction(3, 2)})
+    L = Poly.variable(2, 1)
+    report = slp_check(f, L)
+    assert [(r.i, r.required, r.achieved) for r in report.rows] == [(0, 1, 1)]
+    assert [r.achieved for r in report.rows] == naive_achieved_ranks(f, L)
+    assert report.verdict and all(hessian_determinants_at(f, L))
+
+
 def test_report_dict_shape(capsys):
     # the report is assembled by the CLI from slp_check's rows and verdict
     report = slp_check(DET2, canonical_lefschetz(SYM2))
@@ -140,6 +153,87 @@ def test_slp_table_takes_required_from_the_symmetric_path(kind, n, s, monkeypatc
     assert seen == [family_symmetry(spec)] * 2 + [None]
 
 
+def _within_default_budget(spec):
+    try:
+        ensure_within_budget(spec.nvars, spec.socle_degree)
+    except TooLargeError:
+        return False
+    return True
+
+
+SMALL_FAMILIES = [
+    (kind, n, s)
+    for kind in FamilyKind
+    for n in range(1, 5)
+    if not (kind is FamilyKind.PFAFFIAN and n % 2)
+    for s in range(1, 4)
+    if _within_default_budget(FamilySpec(kind, n, s))
+]
+
+
+def _check_slp_bases(g, table):
+    # each b_i has h_i elements, and the oracle's Cat_i rows at b_i have
+    # rank h_i (all-zero columns dropped, as they leave the rank alone)
+    c = g.homogeneous_degree()
+    assert len(table.degrees) == (c + 1) // 2
+    for i, d in enumerate(table.degrees):
+        basis = [_monomial(b, c + 1, g.nvars) for b in d.basis]
+        assert len(basis) == len(set(basis)) == table.required[i]
+        cat = naive_catalecticant(g, i).dense()
+        index = {m: r for r, m in enumerate(monomials_of_degree(g.nvars, i))}
+        picked = [cat[index[b]] for b in basis]
+        assert naive_rank([col for col in zip(*picked) if any(col)]) == len(basis)
+
+
+@pytest.mark.parametrize("kind,n,s", SMALL_FAMILIES)
+def test_slp_basis_rows_are_independent(kind, n, s):
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    _check_slp_bases(f, SlpTable(f, family_symmetry(spec)))
+
+
+def test_slp_basis_of_a_weighted_f():
+    # F(w*x) with unlike denominators, so the table's scale D exceeds 1
+    f = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3, 2))
+    weighted = scale_variables(f, [Fraction(k % 3 + 1, k % 2 + 2) for k in range(6)])
+    assert any(coeff.denominator > 1 for _, coeff in weighted.terms())
+    _check_slp_bases(weighted, SlpTable(weighted))
+
+
+def test_slp_route_shares_no_code_with_the_hessian_route(monkeypatch):
+    """SlpTable and slp_check, on the symmetric path and the generic one,
+    never use the Hessian route's placed catalecticants, basis, table,
+    divisor walk or graded-lex ranks."""
+    import lefkit.macaulay as macaulay
+    import lefkit.polyring as polyring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the SLP route called the Hessian route")
+
+    spec = FamilySpec(FamilyKind.SYM_DET, 3, 3)
+    weighted = scale_variables(DET3_CUBED, [Fraction(1, 2), 3, 1, Fraction(2, 3), 1, 5])
+    forms = [
+        canonical_lefschetz(spec),
+        random_linear_form(6, random.Random(3)),
+        *deficient_candidates(spec),
+    ]
+    cases = [(DET3_CUBED, family_symmetry(spec)), (DET3_CUBED, None), (weighted, None)]
+    expected = [[slp_check(g, L, SlpTable(g, sym)) for L in forms] for g, sym in cases]
+    for module, name in [
+        (macaulay, "_placed_catalecticant"), (lefschetz, "_placed_catalecticant"),
+        (lefschetz, "default_degree_basis"),
+        (lefschetz, "HessianTable"),
+        (lefschetz, "_point_divisors"),
+        (polyring, "glex_rank"), (macaulay, "glex_rank"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for (g, sym), reports in zip(cases, expected):
+        table = SlpTable(g, sym)
+        assert [slp_check(g, L, table) for L in forms] == reports
+        assert [slp_check(g, L) for L in forms] == reports
+    assert [r.verdict for r in expected[0]] == [True, True, False, False]
+
+
 def test_achieved_never_exceeds_required():
     rng = random.Random(2)
     table = SlpTable(DET3)
@@ -173,8 +267,9 @@ RATIONAL_FORMS = {
 def test_achieved_ranks_match_power_oracle(kind, n, s, monkeypatch):
     # Every form runs through one shared table, as in verify_theorem, for F
     # and for a weighted F(w*x), against which L(x/w) has the ranks of L.
-    # At the small primes 7 and 2, which slp_check reads at call time, the
-    # residue probe often falls short and the exact fallback decides.
+    # At the small primes 7 and 2, which slp_check and mat_rank's own block
+    # probe read at call time, the residue probes often fall short and
+    # elimination decides.
     spec = FamilySpec(kind, n, s)
     f = make_invariant(spec)
     rng = random.Random(n * 10 + s)
@@ -197,21 +292,17 @@ def test_achieved_ranks_match_power_oracle(kind, n, s, monkeypatch):
             expected = naive_achieved_ranks(g, L)
             for prime in (PROBE_PRIME, 7, 2):
                 monkeypatch.setattr(lefschetz, "PROBE_PRIME", prime)
+                monkeypatch.setattr(exactmath, "PROBE_PRIME", prime)
                 achieved = [row.achieved for row in slp_check(g, L, table).rows]
                 assert achieved == expected
             passes[-1].append(achieved)
     assert passes[0] == passes[1]
 
 
-DET3_CUBED = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3, 3))
-
-
 def test_probe_settles_a_lefschetz_l_at_h_i(monkeypatch):
     # det^3 on 3x3 symmetric matrices has h_4 = 81 but 126 monomials of
-    # degree 4, 117 of which meet a row of the table.  For a random L all
-    # 117 of those rows of the i = 4 matrix are nonzero, so h_4 is the
-    # smaller bound on its rank, and the probe reaches it: no degree goes
-    # to mat_rank.
+    # degree 4.  Each matrix is ranked on its quotient basis, h_i rows,
+    # and for a random L the probe reaches h_i: no degree goes to mat_rank.
     probed = []
 
     def recording(rows, ncols, prime):
@@ -227,45 +318,59 @@ def test_probe_settles_a_lefschetz_l_at_h_i(monkeypatch):
     report = slp_check(DET3_CUBED, random_linear_form(6, random.Random(5)), table)
     assert [(r.required, r.achieved) for r in report.rows] == [
         (1, 1), (6, 6), (21, 21), (56, 56), (81, 81)]
-    assert [d.size for d in table.degrees] == [1, 6, 21, 56, 126]
-    assert probed == [1, 6, 21, 56, 117]
+    assert [len(d.basis) for d in table.degrees] == [1, 6, 21, 56, 81]
+    assert probed == [1, 6, 21, 56, 81]
 
 
-def test_probe_short_of_both_bounds_goes_to_mat_rank(monkeypatch):
-    # The deficient candidates of det^3 are not Lefschetz: at i = 4 their N
-    # has 101 and 117 nonzero rows against h_4 = 81, the probe falls short
-    # of 81, and mat_rank gives the rank, 57 and 66.
+def test_probe_short_of_h_i_goes_to_mat_rank(monkeypatch):
+    # The deficient candidates of det^3 are not Lefschetz: at i = 4 the
+    # probe of their 81 x 81 matrix falls short of h_4 = 81, and mat_rank
+    # gives the rank, 57 and 66.
     table = SlpTable(DET3_CUBED)
-    d = table.degrees[4]
-    ranked = []
+    probed, ranked = [], []
+
+    def probing(rows, ncols, prime):
+        probed.append(_rank_mod_p(rows, ncols, prime))
+        return probed[-1]
 
     def recording(matrix):
         ranked.append(mat_rank(matrix))
         return ranked[-1]
 
+    monkeypatch.setattr(lefschetz, "_rank_mod_p", probing)
     monkeypatch.setattr(lefschetz, "mat_rank", recording)
     candidates = deficient_candidates(FamilySpec(FamilyKind.SYM_DET, 3, 3))
-    for L, nonzero, rank in zip(candidates, (101, 117), (57, 66)):
-        powers = [[int(x) ** e for e in range(10)] for x in L.linear_coefficients()]
-        values = d.values_at(powers)
-        assert sum(any(values[k] for k in ids) for _, ids in d.cells) == nonzero
+    for L, rank in zip(candidates, (57, 66)):
         achieved = [row.achieved for row in slp_check(DET3_CUBED, L, table).rows]
+        assert probed[-1] < 81  # the i = 4 probe
         assert achieved[4] == ranked[-1] == rank
         assert achieved == naive_achieved_ranks(DET3_CUBED, L)
 
 
-def test_rank_above_required_is_an_invariant_failure():
-    # h_i is part of the probe's certificate, so a `required` one too low
-    # at any ranked degree must raise, not report a failing row.
+def test_basis_size_other_than_h_i_is_an_invariant_failure(monkeypatch):
+    # Each basis b_i must have h_i elements; a `required` off by one at any
+    # degree with a basis, or a basis short of a row, raises when the table
+    # is built, before any L.
+    required = hilbert_function(DET3_CUBED).values
+    for i in range(5):
+        for wrong in (required[i] - 1, required[i] + 1):
+            values = required[:i] + (wrong,) + required[i + 1:]
+            monkeypatch.setattr(
+                lefschetz, "hilbert_function", lambda f, symmetry=None: HilbertFn(9, values)
+            )
+            with pytest.raises(
+                InvariantError, match=f"degree-{i} quotient basis has {required[i]} "
+                f"elements, h_{i} = {wrong}"
+            ):
+                SlpTable(DET3_CUBED)
+    monkeypatch.undo()
+    monkeypatch.setattr(lefschetz, "pivot_rows", lambda m: pivot_rows(m)[:-1])
+    with pytest.raises(InvariantError, match="degree-0 quotient basis has 0 elements"):
+        SlpTable(DET3_CUBED)
+    assert main(["slp", "--family", "sym-det", "--n", "3"]) == 4
+    monkeypatch.undo()
     table = SlpTable(DET3_CUBED)
-    L = random_linear_form(6, random.Random(5))
-    required = table.required
-    for i in range(len(table.degrees)):
-        table.required = required[:i] + (required[i] - 1,) + required[i + 1:]
-        with pytest.raises(InvariantError, match=f"above h_{i} = {required[i] - 1}"):
-            slp_check(DET3_CUBED, L, table)
-    table.required = required
-    assert slp_check(DET3_CUBED, L, table).verdict
+    assert slp_check(DET3_CUBED, random_linear_form(6, random.Random(5)), table).verdict
 
 
 def test_row_vanishing_mod_p_is_still_counted(monkeypatch):
@@ -273,23 +378,20 @@ def test_row_vanishing_mod_p_is_still_counted(monkeypatch):
     # symmetric matrices.  Mod 7 its i = 0 matrix (det at l, times 3!) is
     # 0, and at i = 1 the rows of x33, x13 and x23 (second derivatives of
     # det, here (x22, x11, -2 x12) and -2 x22, -2 x11 times constants) are
-    # zero mod 7 but not over the integers.  The residue rank, 0 and then
-    # 3, equals the count of rows with a nonzero residue, so counting rows
-    # by their residues would confirm it; the exact count does not, and
-    # both degrees go to mat_rank.
+    # zero mod 7 but not over the integers.  So the probe's ranks are 0 and
+    # 3, short of h_0 = 1 and h_1 = 6, and both degrees go to mat_rank.
     monkeypatch.setattr(lefschetz, "PROBE_PRIME", 7)
+    probed = []
+
+    def probing(rows, ncols, prime):
+        probed.append(_rank_mod_p(rows, ncols, prime))
+        return probed[-1]
+
+    monkeypatch.setattr(lefschetz, "_rank_mod_p", probing)
     L = linear(SYM3, {SYM3.var_index(1, 1): 7, SYM3.var_index(2, 2): 7,
                       SYM3.var_index(3, 3): 1})
-    table = SlpTable(DET3)
-    powers = [[int(x) ** e for e in range(4)] for x in L.linear_coefficients()]
-    for d, exact_rows in zip(table.degrees, (1, 6)):
-        values = d.values_at(powers)
-        residues = [v % 7 for v in values]
-        rows = [(cols, [residues[k] for k in ids]) for cols, ids in d.cells]
-        residue_rows = sum(any(r) for _, r in rows)
-        assert _rank_mod_p(rows, len(rows), 7) == residue_rows < exact_rows
-        assert sum(any(values[k] for k in ids) for _, ids in d.cells) == exact_rows
-    report = slp_check(DET3, L, table)
+    report = slp_check(DET3, L, SlpTable(DET3))
+    assert probed == [0, 3]
     assert [row.achieved for row in report.rows] == naive_achieved_ranks(DET3, L) == [1, 6]
     assert report.verdict and orbit_test(SYM3, L)
 
@@ -546,7 +648,7 @@ def test_hessian_route_shares_no_code_with_the_routes_it_checks(monkeypatch):
             default_degree_basis(g, i)
     for module, name in [
         (macaulay, "_entries"), (lefschetz, "_entries"),
-        (macaulay, "_divisors"), (lefschetz, "_divisors"),
+        (macaulay, "_divisors"),
         (lefschetz, "SlpTable"),
         (exactmath, "mat_rank"), (lefschetz, "mat_rank"),
         (exactmath, "pivot_rows"), (lefschetz, "pivot_rows"),
