@@ -22,7 +22,13 @@ the bit length of (min(rows, cols) + 1) * p^2.  A row update is then one
 big-int multiply-add over the whole row, and a pivot row is reduced mod p
 once, when it is chosen.  A slot starts below p and gains less than p^2 at
 each of at most min(rows, cols) updates, so it never carries into its
-neighbour.  ``lefschetz`` feeds the same kernel its own residues.  Floats
+neighbour.  ``lefschetz`` feeds the same kernel its own residues.
+
+``dense_rank`` is a second, rank-only fraction-free elimination, for a
+caller that already holds one small block as dense integer rows (the
+symmetric path of ``macaulay.hilbert_function``): no block split, no probe,
+and no pivot order to replay, only the first nonzero row of each column as
+its pivot.  Its divisions are checked exact as ``_echelon``'s are.  Floats
 are never used anywhere in this module.
 """
 
@@ -362,6 +368,43 @@ def mat_rank(m: RatMatrix) -> int:
     blocks of ``m``.  Each block is confirmed full rank by the modular probe
     or else ranked by fraction-free elimination."""
     return sum(_block_rank(*b) for b in _blocks(m))
+
+
+def dense_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Exact rank of the integer matrix whose rows are ``rows`` (equal
+    lengths), by a fraction-free (Bareiss) elimination that keeps only the
+    rank.
+
+    Columns go in order, and the first row with a nonzero entry in the
+    current column becomes the pivot row.  Each finished column is dropped,
+    and so is every row that becomes all zero, so every live row is nonzero.
+    An updated entry (v * pivot - f * w) / previous pivot is a minor of the
+    input, so the division is exact; a nonzero remainder raises
+    InvariantError, as in ``_echelon``."""
+    live = [row for row in rows if any(row)]
+    rank, prev = 0, 1
+    while live:
+        for k, row in enumerate(live):
+            if row[0]:
+                break
+        else:  # no pivot in this column
+            live = [row[1:] for row in live]
+            continue
+        pivot = live.pop(k)
+        piv, tail = pivot[0], pivot[1:]
+        reduced = []
+        for row in live:
+            f, new = row[0], []
+            for v, w in zip(row[1:], tail):
+                q, rem = divmod(v * piv - f * w, prev)
+                if rem:
+                    raise InvariantError("fraction-free step lost integrality")
+                new.append(q)
+            if any(new):
+                reduced.append(new)
+        live, prev = reduced, piv
+        rank += 1
+    return rank
 
 
 def pivot_rows(m: RatMatrix) -> list[int]:

@@ -6,7 +6,7 @@ its rank is the Hilbert function value h_i of the Gorenstein quotient, and
 the left kernel is the degree-i piece of the annihilator.  The matrix is
 built straight from the terms of F, one entry per (term, degree-i divisor)
 pair, and it is very sparse: an entry only pairs monomials of matching torus
-weight, so ``mat_rank`` splits it into small blocks.
+weight, so it falls apart into small torus-weight blocks.
 
 One enumerator makes every catalecticant entry, here and in
 ``lefschetz.SlpTable``: it walks the divisors of each term, pruned by degree,
@@ -31,8 +31,11 @@ The cell budget still counts the dense cells of the largest catalecticant.
 Given a Symmetry (the family invariants' torus weights and signed variable
 permutations, from ``families.family_symmetry``), ``hilbert_function``
 ranks one torus-weight block per symmetry orbit and counts its rank times
-the orbit size.  The symmetry is checked exactly on F first, and any
-failure raises InvariantError (exit code 4) with no fallback.  The walk
+the orbit size.  It builds each such block itself and ranks it as dense
+integer rows along its shorter side by ``exactmath.dense_rank``, a
+rank-only fraction-free elimination with no block split and no modular
+probe.  The symmetry is checked exactly on F first, and any failure raises
+InvariantError (exit code 4) with no fallback.  The walk
 makes few rows of the other blocks at all: for each coordinate
 transposition (a b), a < b, found in the generated coordinate group, the
 least key of an orbit has w_a >= w_b (else swapping a and b lowers
@@ -41,8 +44,9 @@ once no later variable touches coordinate a, w_b only grows: a partial
 divisor with w_a < w_b is dropped where a becomes final, and variable k's
 exponent is held to (w_a - w_b) // weight_k[b] after that.  The orbit
 table still decides every row, so no block changes.  Without one
-(a weighted F(w*x), a quadric, any other F) it ranks every block; that
-generic path is the oracle the symmetric one is tested against.
+(a weighted F(w*x), a quadric, any other F) it ranks each whole degree by
+``mat_rank``, which splits it into its blocks itself; that generic path is
+the oracle the symmetric one, and ``dense_rank``, are tested against.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from .errors import (
     TooLargeError,
     ZeroPolynomialError,
 )
-from .exactmath import RatMatrix, mat_kernel, mat_rank
+from .exactmath import RatMatrix, dense_rank, mat_kernel, mat_rank
 from .polyring import Monomial, Poly, dim_of_degree, glex_rank, monomials_of_degree
 
 DEFAULT_CELL_BUDGET = 4_000_000
@@ -376,7 +380,6 @@ def _weight_orbits(f: Poly, c: int, symmetry: Symmetry):
         raise InvariantError(
             "symmetry weights must be one non-negative vector per variable"
         )
-    dims = len(weights[0])
     # a degree <= c monomial's weight has coordinates below wbase
     bits = (c * max(max(w) for w in weights)).bit_length()
     wbase = 1 << bits
@@ -385,17 +388,23 @@ def _weight_orbits(f: Poly, c: int, symmetry: Symmetry):
     if len({sum(e * k for e, k in zip(expo, keys)) for expo in terms}) > 1:
         raise InvariantError("F is not homogeneous for the symmetry's weights")
     taus = [_coordinate_perm(gen, weights, terms) for gen in symmetry.generators]
+    # tau on a key: the fixed coordinates' bits are kept as they are, and
+    # each moved coordinate's field is shifted from a * bits to tau(a) * bits
+    mask = wbase - 1
+    moves = [(
+        sum(mask << a * bits for a, b in enumerate(tau) if a == b),
+        [(a * bits, b * bits) for a, b in enumerate(tau) if a != b],
+    ) for tau in taus]
     table: dict[int, int] = {}
 
     def close(key: int) -> int:
         orbit, todo = {key}, [key]
         while todo:
-            v = _monomial(todo.pop(), wbase, dims)
-            for tau in taus:
-                image = [0] * dims
-                for a, b in enumerate(tau):
-                    image[b] = v[a]
-                k = _key(image, wbase)
+            v = todo.pop()
+            for keep, moved in moves:
+                k = v & keep
+                for a, b in moved:
+                    k |= (v >> a & mask) << b
                 if k not in orbit:
                     orbit.add(k)
                     todo.append(k)
@@ -474,6 +483,20 @@ def _walk_plan(f: Poly, c: int, symmetry: Symmetry | None):
     return steps, shift, table, close, caps
 
 
+def _dense_rows(nrows: int, ncols: int, entries: dict) -> list[list[int]]:
+    """The block's entries as dense rows along its shorter side: the
+    transpose when it has more rows than columns, which keeps the rank."""
+    if nrows <= ncols:
+        dense = [[0] * ncols for _ in range(nrows)]
+        for (r, j), v in entries.items():
+            dense[r][j] = v
+    else:
+        dense = [[0] * nrows for _ in range(ncols)]
+        for (r, j), v in entries.items():
+            dense[j][r] = v
+    return dense
+
+
 def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
     """h_i = rank of the degree-i catalecticant, one independent exact rank
     per degree.  Gorenstein symmetry of the result is asserted, not assumed.
@@ -486,10 +509,11 @@ def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
     the catalecticant splits into torus-weight blocks, and a signed
     variable permutation fixing F up to sign maps the block of row weight w
     onto that of tau(w), with the same rank.  Only the block whose row
-    weight has the least key of its orbit is built and ranked, and h_i sums
-    orbit size times rank.  The walk is capped (``_walk_plan``) so that it
-    makes few of the other rows at all.  Without it, every degree is one
-    block."""
+    weight has the least key of its orbit is built, and h_i sums orbit
+    size times rank.  Each such block is ranked by ``dense_rank`` on dense
+    rows along its shorter side (``_dense_rows``).  The walk is capped
+    (``_walk_plan``) so that it makes few of the other rows at all.
+    Without it, every degree is one matrix, ranked by ``mat_rank``."""
     c = _require_homogeneous(f)
     steps, shift, table, close, caps = _walk_plan(f, c, symmetry)
     values = [0] * (c + 1)
@@ -516,8 +540,11 @@ def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
                 entries[(r, col_at.setdefault(rest, len(col_at)))] = entry
         for deg, by_weight in enumerate(blocks, low):
             for w, (rows, cols, entries) in by_weight.items():
-                matrix = RatMatrix._of(len(rows), len(cols), entries)
-                values[deg] += table[w] * mat_rank(matrix)
+                if symmetry is None:
+                    rank = mat_rank(RatMatrix._of(len(rows), len(cols), entries))
+                else:
+                    rank = dense_rank(_dense_rows(len(rows), len(cols), entries))
+                values[deg] += table[w] * rank
     fn = HilbertFn(c, tuple(values))
     if not fn.is_symmetric():
         raise InvariantError(

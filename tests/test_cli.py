@@ -264,8 +264,8 @@ def test_every_family_name_is_accepted(capsys):
 
 
 def test_asymmetric_hilbert_function_exit_code(monkeypatch, capsys):
-    # column counts of sym-det n=2, i = 0, 1, 2: (6, 3, 1)
-    monkeypatch.setattr(lefkit.macaulay, "mat_rank", lambda m: m.cols)
+    # each weight block's longer side: (2, 3, 2) for sym-det n=2, h_0 != 1
+    monkeypatch.setattr(lefkit.macaulay, "dense_rank", lambda rows: len(rows[0]))
     code, out, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "2")
     assert code == 4
     assert out == "" and "Gorenstein-symmetric" in err
@@ -292,6 +292,17 @@ def test_inexact_bareiss_step_exit_code(monkeypatch, capsys):
                          "--power", "2")
     assert code == 4
     assert out == "" and "integrality" in err
+
+
+def test_inexact_dense_rank_step_exit_code(monkeypatch, capsys):
+    # the symmetric path ranks its weight blocks with dense_rank, whose
+    # divisions go through the same divmod
+    monkeypatch.setattr(lefkit.exactmath, "divmod", lambda a, b: (a // b, 1),
+                        raising=False)
+    code, out, err = run(capsys, "hilbert", "--family", "sym-det", "--n", "3",
+                         "--power", "2")
+    assert code == 4
+    assert out == "" and "lost integrality" in err
 
 
 def test_weights_override_keeps_hilbert(capsys):

@@ -13,6 +13,7 @@ from lefkit.exactmath import (
     _blocks,
     _echelon,
     _rank_mod_p,
+    dense_rank,
     mat_det,
     mat_kernel,
     mat_rank,
@@ -276,6 +277,51 @@ def _tie_prone_block(draw, rows, cols):
         return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
                 for row in left]
     return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def low_rank_products(draw):
+    """A * B for integer A (rows x inner) and B (inner x cols), so of rank
+    at most inner, with some rows of A and columns of B zeroed; factor
+    entries up to 2^20 in size, so products reach about 2^40."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    inner = draw(st.integers(0, min(rows, cols)))
+    bound = draw(st.sampled_from([1, 9, 1 << 20]))
+    entry = st.integers(-bound, bound)
+    left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    for i in draw(st.sets(st.integers(0, rows - 1))):
+        left[i] = [0] * inner
+    for j in draw(st.sets(st.integers(0, cols - 1))):
+        for row in right:
+            row[j] = 0
+    return [[sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_products())
+def test_dense_rank_matches_naive_rank(rows):
+    copy = [row[:] for row in rows]
+    rank = dense_rank(rows)
+    assert rank == naive_rank(rows)
+    assert dense_rank([list(col) for col in zip(*rows)]) == rank
+    assert rows == copy  # the input is not modified
+
+
+@pytest.mark.parametrize("rows,rank", [
+    ([], 0),
+    ([[0]], 0),
+    ([[0, 0, 0]], 0),
+    ([[0], [0], [0]], 0),
+    ([[-7]], 1),
+    ([[0, 0, 3]], 1),
+    ([[0], [2], [0]], 1),
+    ([[1 << 40, -(1 << 40)], [-(1 << 40), 1 << 40]], 1),
+    ([[1 << 40, 1], [1, 1 << 40], [1, 1]], 2),
+])
+def test_dense_rank_edge_shapes(rows, rank):
+    assert dense_rank(rows) == rank == naive_rank(rows)
 
 
 @st.composite

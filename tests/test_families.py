@@ -314,6 +314,7 @@ def test_orbit_test_does_not_run_the_rank_kernel(monkeypatch):
 
     monkeypatch.setattr("lefkit.exactmath._rank_mod_p", refuse)
     monkeypatch.setattr("lefkit.exactmath.mat_rank", refuse)
+    monkeypatch.setattr("lefkit.exactmath.dense_rank", refuse)
     for spec in ORBIT_SPECS:
         assert orbit_test(spec, canonical_lefschetz(spec))
         assert not any(orbit_test(spec, L) for L in deficient_candidates(spec))

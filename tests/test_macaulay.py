@@ -16,7 +16,7 @@ from lefkit.errors import (
     TooLargeError,
     ZeroPolynomialError,
 )
-from lefkit.exactmath import RatMatrix, mat_rank
+from lefkit.exactmath import RatMatrix, dense_rank, mat_rank
 from lefkit.families import FamilyKind, FamilySpec, family_symmetry, make_invariant
 from lefkit.macaulay import (
     DEFAULT_CELL_BUDGET,
@@ -213,6 +213,30 @@ def test_symmetric_hilbert_function_matches_generic(kind, n, s):
     spec = FamilySpec(kind, n, s)
     f = make_invariant(spec)
     assert hilbert_function(f, family_symmetry(spec)) == hilbert_function(f)
+
+
+def test_symmetric_path_ranks_densely_and_generic_path_by_mat_rank(monkeypatch):
+    spec = FamilySpec(FamilyKind.SYM_DET, 3, 2)
+    f, symmetry = make_invariant(spec), family_symmetry(spec)
+    expected = (1, 6, 21, 28, 21, 6, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hilbert_function ran the other path's rank kernel")
+
+    ranked = []
+
+    def recording(rows):
+        ranked.append(rows)
+        return dense_rank(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr("lefkit.macaulay.mat_rank", refuse)
+        patch.setattr("lefkit.exactmath._rank_mod_p", refuse)
+        patch.setattr("lefkit.macaulay.dense_rank", recording)
+        assert hilbert_function(f, symmetry).values == expected
+    assert ranked and all(len(rows) <= len(rows[0]) for rows in ranked)
+    monkeypatch.setattr("lefkit.macaulay.dense_rank", refuse)
+    assert hilbert_function(f).values == expected
 
 
 def _representative_cells(plan, cells):
