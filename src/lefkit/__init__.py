@@ -3,7 +3,6 @@ generated by determinants, symmetric determinants, Pfaffians, quadrics, and
 their powers."""
 
 from .errors import (
-    BadPrimeError,
     InvalidSpecError,
     InvariantError,
     LefkitError,
@@ -18,7 +17,6 @@ from .exactmath import (
     mat_det,
     mat_kernel,
     mat_rank,
-    mat_rank_modular_probe,
 )
 from .families import (
     FamilyKind,
@@ -64,7 +62,6 @@ from .polyring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadPrimeError",
     "CatMatrix",
     "FamilyKind",
     "FamilySpec",
@@ -100,7 +97,6 @@ __all__ = [
     "mat_det",
     "mat_kernel",
     "mat_rank",
-    "mat_rank_modular_probe",
     "monomials_of_degree",
     "orbit_test",
     "pfaffian_poly",

@@ -25,10 +25,6 @@ class InvalidSpecError(LefkitError):
     """A family descriptor violates its size/power constraints."""
 
 
-class BadPrimeError(LefkitError):
-    """A modular probe prime divides one of the stored denominators."""
-
-
 class TooLargeError(LefkitError):
     """The requested computation exceeds the configured cell budget."""
 

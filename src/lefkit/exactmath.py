@@ -5,17 +5,23 @@ Entries are exact rationals, and an integral entry is kept as a plain
 integer catalecticants of ``macaulay`` reach the probe and the elimination
 as they are, with no ``Fraction`` round-trip.  Every matrix is first split
 into the connected components of its row/column graph (sparse
-catalecticants fall apart into many small blocks), and rank, pivot rows,
-kernel and determinant come from one fraction-free (Bareiss) elimination
-that works block by block on sparse integer rows, so every intermediate
-value is a minor of the input and the verdict is exact.
+catalecticants fall apart into many small blocks), and that split is the
+one place where rationals become integers: a row holding a ``Fraction`` is
+scaled by the lcm of its denominators.  From there on only ints are seen:
+rank, pivot rows, kernel and determinant come from one fraction-free
+(Bareiss) elimination that works block by block on sparse integer rows, so
+every intermediate value is a minor of the scaled input and the verdict is
+exact.  ``Fraction`` is made only by ``_as_rational`` and in the values
+that ``mat_det`` and ``mat_kernel`` return.
 The pivots are the ones a whole-matrix elimination would choose: its
 entries factor over the blocks, so its shortest-entry order is replayed
 block by block.  ``mat_rank`` sums the block ranks; on each block a modular
-probe at one fixed prime p below 2^30 gives a cheap rank lower bound that
-short-circuits full-rank confirmations, and only the blocks it cannot
-confirm are eliminated.  A probe rank is only ever a lower bound: a minor
-that is nonzero mod p is nonzero, but a nonzero minor can vanish mod p.
+probe of the integer rows at one fixed prime p below 2^30 gives a cheap
+rank lower bound that short-circuits full-rank confirmations, and only the
+blocks it cannot confirm are eliminated.  A probe rank is only ever a lower
+bound: a minor that is nonzero mod p is nonzero, but a nonzero minor can
+vanish mod p.  A row is never zero mod p just because p divides the lcm it
+was scaled by, so no prime is bad for the probe.
 
 The probe packs each row into one int, each column a slot of fixed width:
 the bit length of (min(rows, cols) + 1) * p^2.  A row update is then one
@@ -40,7 +46,7 @@ from math import gcd, lcm, prod
 from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadPrimeError, InvariantError
+from .errors import InvariantError
 
 
 def _as_rational(x) -> int | Fraction:
@@ -189,48 +195,31 @@ def _rank_mod_p(rows: Sequence[tuple[Sequence[int], Iterable[int]]],
     return rank
 
 
-def mat_rank_modular_probe(m: RatMatrix, prime: int) -> int:
-    """Rank of ``m`` reduced mod ``prime``: a lower bound for the exact rank,
-    never the final verdict (a minor that is nonzero mod p is nonzero, not
-    conversely).  Raises BadPrimeError if a stored denominator vanishes mod
-    ``prime``.  Only the rows and columns holding a nonzero residue are laid
-    out, each column numbered when first met."""
-    rows: dict[int, tuple[list[int], list[int]]] = {}
-    col_at: dict[int, int] = {}
-    for (i, j), v in m._entries.items():
-        den = v.denominator
-        if den == 1:
-            v %= prime
-        elif den % prime == 0:
-            raise BadPrimeError(f"denominator divisible by {prime}")
-        else:
-            v = v.numerator * pow(den, -1, prime) % prime
-        if v:
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = ([], [])
-            row[0].append(col_at.setdefault(j, len(col_at)))
-            row[1].append(v)
-    return _rank_mod_p(list(rows.values()), len(col_at), prime)
+_Block = tuple[dict[int, dict[int, int]], list[int]]
 
 
-_Block = tuple[dict[tuple[int, int], int | Fraction], list[int], list[int]]
-
-
-def _blocks(m: RatMatrix) -> list[_Block]:
+def _blocks(m: RatMatrix) -> tuple[list[_Block], int]:
     """The connected components of the bipartite row/column graph of the
-    nonzero entries, each as (its entries keyed by their original (row,
-    column), its rows, its columns).  Permuting ``m`` into block-diagonal
-    form leaves its rank unchanged, so the rank of ``m`` is the sum of the
-    block ranks; empty rows and columns belong to no block.
+    nonzero entries, each as (its integer rows, keyed by original row and
+    then original column; its columns), and the product of the row scales.
+    Permuting ``m`` into block-diagonal form leaves its rank unchanged, so
+    the rank of ``m`` is the sum of the block ranks; empty rows and columns
+    belong to no block.
+
+    This is the one place where rationals become integers: a row holding a
+    Fraction is scaled by the lcm of its denominators, which changes
+    neither rank nor right kernel and divides the determinant by that lcm;
+    an all-int row is used as it is.
 
     Each block is keyed by the row that opened it.  Every row i and column
     j (as ~j) records its block's key, and when an entry joins two blocks
     the smaller one's members are relabelled into the larger; the member
-    lists give each block's rows and columns."""
+    lists give each block's columns."""
     key: dict[int, int] = {}
     members: dict[int, list[int]] = {}
-    for i, j in m._entries:
+    by_row: dict[int, dict[int, int | Fraction]] = {}
+    for (i, j), v in m._entries.items():
+        by_row.setdefault(i, {})[j] = v
         a, b = key.get(i), key.get(~j)
         if a is None and b is None:
             key[i] = key[~j] = i
@@ -247,13 +236,15 @@ def _blocks(m: RatMatrix) -> list[_Block]:
             for x in members[b]:
                 key[x] = a
             members[a] += members.pop(b)
-    grouped: dict[int, dict] = {k: {} for k in members}
-    for (i, j), v in m.items():
-        grouped[key[i]][(i, j)] = v
-    return [
-        (grouped[k], [x for x in mem if x >= 0], [~x for x in mem if x < 0])
-        for k, mem in members.items()
-    ]
+    grouped: dict[int, dict[int, dict[int, int]]] = {k: {} for k in members}
+    scale = 1
+    for i, row in by_row.items():
+        s = lcm(*(v.denominator for v in row.values()))
+        if s > 1:
+            scale *= s
+            row = {j: v.numerator * (s // v.denominator) for j, v in row.items()}
+        grouped[key[i]][i] = row
+    return [(grouped[k], [~x for x in mem if x < 0]) for k, mem in members.items()], scale
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +257,13 @@ class _Echelon:
     col_block: dict[int, int]  # the block of each nonzero column
     last: list[int]  # each block's last pivot: the determinant of its pivot minor
     sign: int  # of the whole-matrix row swaps
-    scale: int  # product of the positive per-row denominators cleared
 
 
 def _echelon(blocks: list[_Block]) -> _Echelon:
-    """Bareiss elimination of the matrix made of ``blocks``, on sparse
-    integer rows (a row holding a Fraction is scaled by the lcm of its
-    denominators, which changes neither rank nor right kernel; an all-int
-    row is used as it is), one block at a time but with the
-    pivots the whole matrix would choose.
+    """Bareiss elimination of the matrix made of ``blocks``, on their
+    sparse integer rows, one block at a time but with the pivots the whole
+    matrix would choose.  The rows are used up: pivot rows are popped and
+    the others reduced in place.
 
     Whole-matrix pivot rule: columns in order; among the rows not yet used
     with a nonzero entry in the column, take the entry of smallest bit
@@ -288,20 +277,8 @@ def _echelon(blocks: list[_Block]) -> _Echelon:
     update divides by its own previous pivot; exactness of that division is
     asserted (every intermediate entry is a minor of the scaled input).
     """
-    live: list[dict[int, dict[int, int]]] = []  # per block: unused row -> entries
-    col_block: dict[int, int] = {}
-    scale = 1
-    for b, (entries, _, _) in enumerate(blocks):
-        by_row: dict[int, dict[int, int | Fraction]] = {}
-        for (i, j), v in entries.items():
-            by_row.setdefault(i, {})[j] = v
-            col_block[j] = b
-        for i, row in by_row.items():
-            s = lcm(*(v.denominator for v in row.values()))
-            if s > 1:
-                scale *= s
-                by_row[i] = {j: v.numerator * (s // v.denominator) for j, v in row.items()}
-        live.append(by_row)
+    live = [rows for rows, _ in blocks]  # per block: unused row -> entries
+    col_block = {j: b for b, (_, cols) in enumerate(blocks) for j in cols}
     last = [1] * len(blocks)
     product = 1  # of every block's last pivot
     pos: dict[int, int] = {}  # current position of each moved row
@@ -345,29 +322,28 @@ def _echelon(blocks: list[_Block]) -> _Echelon:
         pivots.append((p, c, prow))
         product = q * piv
         last[b] = piv
-    return _Echelon(pivots, col_block, last, sign, scale)
+    return _Echelon(pivots, col_block, last, sign)
 
 
-def _block_rank(entries: dict[tuple[int, int], int | Fraction],
-                rows: list[int], cols: list[int]) -> int:
-    # Probe rank is a lower bound, so reaching min(rows, cols) is conclusive;
-    # anything less falls through to fraction-free elimination.  The probe
-    # reads the block's own entries, wrapped without a copy.
+def _block_rank(rows: dict[int, dict[int, int]], cols: list[int]) -> int:
+    # The rank mod PROBE_PRIME of the block's integer rows, each column
+    # numbered by its place in cols, is a lower bound, so reaching
+    # min(rows, cols) is conclusive; anything less falls through to
+    # fraction-free elimination.
     full = min(len(rows), len(cols))
-    block = RatMatrix._of(max(rows) + 1, max(cols) + 1, entries)
-    try:
-        if mat_rank_modular_probe(block, PROBE_PRIME) == full:
-            return full
-    except BadPrimeError:
-        pass
-    return len(_echelon([(entries, rows, cols)]).pivots)
+    p, at = PROBE_PRIME, {j: k for k, j in enumerate(cols)}
+    residues = [(list(map(at.__getitem__, row)), [v % p for v in row.values()])
+                for row in rows.values()]
+    if _rank_mod_p(residues, len(cols), p) == full:
+        return full
+    return len(_echelon([(rows, cols)]).pivots)
 
 
 def mat_rank(m: RatMatrix) -> int:
     """Exact rank over the rationals: the sum of the exact ranks of the
     blocks of ``m``.  Each block is confirmed full rank by the modular probe
     or else ranked by fraction-free elimination."""
-    return sum(_block_rank(*b) for b in _blocks(m))
+    return sum(_block_rank(*b) for b in _blocks(m)[0])
 
 
 def dense_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -410,31 +386,24 @@ def dense_rank(rows: Sequence[Sequence[int]]) -> int:
 def pivot_rows(m: RatMatrix) -> list[int]:
     """Original indices of the pivot rows of the deterministic elimination,
     sorted ascending.  They are a maximal independent set of rows of ``m``."""
-    return sorted(p for p, _, _ in _echelon(_blocks(m)).pivots)
-
-
-def _primitive(v: dict[int, Fraction], size: int) -> tuple[Fraction, ...]:
-    # The nonzero slots v scaled to coprime integers, as a vector of length
-    # size; the lcm is positive so signs are preserved.
-    mult = lcm(*(x.denominator for x in v.values()))
-    ints = {j: x.numerator * (mult // x.denominator) for j, x in v.items()}
-    g = gcd(*ints.values())
-    out = [Fraction(0)] * size
-    for j, x in ints.items():
-        out[j] = Fraction(x // g)
-    return tuple(out)
+    return sorted(p for p, _, _ in _echelon(_blocks(m)[0]).pivots)
 
 
 def mat_kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel of ``m``.
 
-    One vector per free column, with a 1 in that column's slot before
-    normalization to a primitive integer vector; satisfies M v = 0 exactly,
-    and len(result) = cols - mat_rank(m).  The pivot columns are the first
-    columns independent of the ones before them, whichever rows are chosen,
-    so each vector is fixed by ``m``; it is supported on its column's block.
+    One vector per free column: the primitive integer vector (as Fractions)
+    that is positive in that column's slot and zero in every other free
+    column's; satisfies M v = 0 exactly, and len(result) = cols -
+    mat_rank(m).  The pivot columns are the first columns independent of
+    the ones before them, whichever rows are chosen, so each vector is
+    fixed by ``m``; it is supported on its column's block.
+
+    Back-substitution stays in integers: where a pivot p does not divide
+    the running sum s, the vector so far is scaled by p / gcd(s, p) first,
+    and the vector is divided by the gcd of its entries at the end.
     """
-    ech = _echelon(_blocks(m))
+    ech = _echelon(_blocks(m)[0])
     block_pivots: dict[int, list[tuple[int, dict[int, int]]]] = {}
     for _, c, row in ech.pivots:
         block_pivots.setdefault(ech.col_block[c], []).append((c, row))
@@ -443,23 +412,32 @@ def mat_kernel(m: RatMatrix) -> list[tuple[Fraction, ...]]:
     for f in range(m.cols):
         if f in pivot_cols:
             continue
-        v = {f: Fraction(1)}
+        v = {f: 1}
         for pc, row in reversed(block_pivots.get(ech.col_block.get(f), [])):
             s = sum(w * v[j] for j, w in row.items() if j in v)
             if s:
-                v[pc] = -s / row[pc]
-        basis.append(_primitive(v, m.cols))
+                g = gcd(s, row[pc])
+                if (t := row[pc] // g) != 1:
+                    v = {j: x * t for j, x in v.items()}
+                v[pc] = -(s // g)
+        g = gcd(*v.values()) if v[f] > 0 else -gcd(*v.values())
+        out = [Fraction(0)] * m.cols
+        for j, x in v.items():
+            out[j] = Fraction(x // g)
+        basis.append(tuple(out))
     return basis
 
 
 def mat_det(m: RatMatrix) -> Fraction:
     """Determinant of a square matrix via the same fraction-free elimination:
-    when every column is a pivot, the determinant of the row-cleared integer
-    matrix is the sign of the row swaps times the product of the blocks'
-    last pivots (the whole-matrix last pivot)."""
+    when every column is a pivot, the determinant of the integer rows of
+    ``_blocks`` is the sign of the row swaps times the product of the
+    blocks' last pivots (the whole-matrix last pivot), and dividing it once
+    by the product of the row scales gives the determinant of ``m``."""
     if m.rows != m.cols:
         raise ValueError("determinant needs a square matrix")
-    ech = _echelon(_blocks(m))
+    blocks, scale = _blocks(m)
+    ech = _echelon(blocks)
     if len(ech.pivots) < m.rows:
         return Fraction(0)
-    return Fraction(ech.sign * prod(ech.last), ech.scale)
+    return Fraction(ech.sign * prod(ech.last), scale)

@@ -1,12 +1,13 @@
 import random
 import warnings
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefkit.errors import BadPrimeError
+from lefkit import exactmath
 from lefkit.exactmath import (
     PROBE_PRIME,
     RatMatrix,
@@ -17,7 +18,6 @@ from lefkit.exactmath import (
     mat_det,
     mat_kernel,
     mat_rank,
-    mat_rank_modular_probe,
     pivot_rows,
 )
 
@@ -75,23 +75,17 @@ def test_kernel_vectors_annihilate():
 
 
 def test_probe_identity():
-    assert mat_rank_modular_probe(identity_matrix(2), 5) == 2
+    assert _kernel_rank([[1, 0], [0, 1]], 5) == 2
 
 
 def test_probe_is_only_a_lower_bound():
-    m = RatMatrix.from_rows([[5, 0], [0, 5]])
-    assert mat_rank_modular_probe(m, 5) == 0
-    assert mat_rank(m) == 2
+    rows = [[5, 0], [0, 5]]
+    assert _kernel_rank(rows, 5) == 0
+    assert mat_rank(RatMatrix.from_rows(rows)) == 2
 
 
 def test_probe_proportional_rows():
-    assert mat_rank_modular_probe(RatMatrix.from_rows([[1, 2], [2, 4]]), 7) == 1
-
-
-def test_probe_bad_prime():
-    m = RatMatrix.from_rows([[Fraction(1, 5)]])
-    with pytest.raises(BadPrimeError):
-        mat_rank_modular_probe(m, 5)
+    assert _kernel_rank([[1, 2], [2, 4]], 7) == 1
 
 
 def test_fixed_probe_prime_is_one_digit_prime():
@@ -112,8 +106,6 @@ def test_rank_sums_blocks_with_bad_prime_block():
         [0, 1, p, 0],
         [0, 0, 0, 0],
     ]
-    with pytest.raises(BadPrimeError):
-        mat_rank_modular_probe(RatMatrix.from_rows(rows), p)
     assert mat_rank(RatMatrix.from_rows(rows)) == naive_rank(rows) == 2
 
 
@@ -190,7 +182,7 @@ def test_rank_plus_kernel_dimension(rows):
 def test_bareiss_stays_integral_on_integer_input(rows):
     # _echelon raises InvariantError if any division is inexact
     m = RatMatrix.from_rows(rows)
-    ech = _echelon(_blocks(m))
+    ech = _echelon(_blocks(m)[0])
     assert len(ech.pivots) == naive_rank(rows)
     for _, c, row in ech.pivots:
         assert row[c] and all(isinstance(x, int) for x in row.values())
@@ -203,11 +195,10 @@ def test_probe_usually_attains_exact_rank():
     misses = 0
     for _ in range(10):
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-        m = RatMatrix.from_rows(rows)
-        exact = mat_rank(m)
+        exact = mat_rank(RatMatrix.from_rows(rows))
         hits = 0
         for p in primes:
-            probe = mat_rank_modular_probe(m, p)
+            probe = _kernel_rank(rows, p)
             assert probe <= exact
             hits += probe == exact
         if hits == 0:
@@ -348,14 +339,22 @@ def test_block_elimination_matches_whole_matrix_oracle(rows):
 @given(tie_prone_block_diagonal())
 def test_blocks_are_the_connected_components(rows):
     m = RatMatrix.from_rows(rows)
-    blocks = [set(b) for b, _, _ in _blocks(m)]
+    found, scale = _blocks(m)
+    blocks = [{(i, j) for i, row in b.items() for j in row} for b, _ in found]
     nonzero = {pos for pos, _ in m.items()}
-    # every nonzero entry lies in exactly one block, with its value
+    # every nonzero entry lies in exactly one block
     assert sorted(pos for b in blocks for pos in b) == sorted(nonzero)
-    assert all(v == m.entry(*pos) for b, _, _ in _blocks(m) for pos, v in b.items())
-    # each block lists its rows and its columns, each once
-    for b, block_rows, block_cols in _blocks(m):
-        assert sorted(block_rows) == sorted({i for i, _ in b})
+    # each block row is m's row times the lcm of its denominators, in ints;
+    # the scale is the product of those lcms
+    dense = m.dense()
+    lcms = {i: lcm(*(Fraction(v).denominator for v in dense[i])) for i, _ in nonzero}
+    for b, _ in found:
+        for i, row in b.items():
+            assert row == {j: v * lcms[i] for j, v in enumerate(dense[i]) if v}
+            assert all(type(v) is int for v in row.values())
+    assert scale == prod(lcms.values())
+    # each block lists its columns, each once
+    for (_, block_cols), b in zip(found, blocks):
         assert sorted(block_cols) == sorted({j for _, j in b})
     # no two blocks share a row or a column
     block_rows = [{i for i, _ in b} for b in blocks]
@@ -394,11 +393,13 @@ def probe_case(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(probe_case())
-def test_probe_matches_rank_mod_p_oracle(case):
+def test_rank_with_probe_prime_matches_naive(case):
+    # The block probe at the drawn prime: at 7 it often falls short, and
+    # then the elimination decides.
     p, rows = case
-    probe = mat_rank_modular_probe(RatMatrix.from_rows(rows), p)
-    assert probe == naive_rank_mod_p(rows, p)
-    assert probe <= naive_rank(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactmath, "PROBE_PRIME", p)
+        assert mat_rank(RatMatrix.from_rows(rows)) == naive_rank(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -407,6 +408,63 @@ def test_block_determinant_matches_permutation_expansion(rows):
     m = RatMatrix.from_rows(rows)
     assert mat_det(m) == perm_det_frac(rows)
     assert pivot_rows(m) == oracle_pivot_rows(m)
+
+
+def _numbers(x):
+    """Every number inside x, through the values of dicts and the items of
+    lists and tuples."""
+    if isinstance(x, dict):
+        x = x.values()
+    elif not isinstance(x, (list, tuple)):
+        return [x]
+    return [n for y in x for n in _numbers(y)]
+
+
+def _check_int_only(rows, patch):
+    """Rank, pivot rows, kernel and (when square) determinant of ``rows``
+    against the oracles, with ``_echelon`` and ``_rank_mod_p`` asserting
+    that every entry or residue they are given is an int."""
+    echelon, rank_mod_p = exactmath._echelon, exactmath._rank_mod_p
+
+    def int_echelon(blocks):
+        assert all(type(n) is int for n in _numbers(blocks))
+        return echelon(blocks)
+
+    def int_rank_mod_p(probe_rows, ncols, prime):
+        probe_rows = [(list(cols), list(values)) for cols, values in probe_rows]
+        assert all(type(n) is int for n in _numbers(probe_rows))
+        return rank_mod_p(probe_rows, ncols, prime)
+
+    patch.setattr(exactmath, "_echelon", int_echelon)
+    patch.setattr(exactmath, "_rank_mod_p", int_rank_mod_p)
+    m = RatMatrix.from_rows(rows)
+    assert mat_rank(m) == naive_rank(rows)
+    assert pivot_rows(m) == oracle_pivot_rows(m)
+    assert mat_kernel(m) == oracle_kernel(m)
+    if m.rows == m.cols <= 7:  # small enough to expand over permutations
+        assert mat_det(m) == perm_det_frac(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    # rows 0, 2 x cols 1, 2 and row 1 x col 0; row 0's lcm is PROBE_PRIME
+    [[0, Fraction(1, PROBE_PRIME), 1], [7, 0, 0], [0, 1, PROBE_PRIME]],
+    # square, so a determinant; the lcms are 2p, 3 and 1
+    [[Fraction(1, 2 * PROBE_PRIME), Fraction(1, 2), 0],
+     [Fraction(2, 3), 1, 0],
+     [0, 0, 5]],
+    # rank-deficient, with a denominator p^2
+    [[Fraction(1, PROBE_PRIME ** 2), 1], [1, PROBE_PRIME ** 2]],
+])
+def test_elimination_and_probe_see_only_ints_on_probe_prime_denominators(rows):
+    with pytest.MonkeyPatch.context() as patch:
+        _check_int_only(rows, patch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(lambda square: tie_prone_block_diagonal(square=square)))
+def test_elimination_and_probe_see_only_ints_on_rational_blocks(rows):
+    with pytest.MonkeyPatch.context() as patch:
+        _check_int_only(rows, patch)
 
 
 def test_pivot_rows_replay_a_foreign_pivot():
@@ -421,9 +479,9 @@ KERNEL_PRIMES = (2, 7, PROBE_PRIME, (1 << 61) - 1)
 
 
 def _kernel_rank(dense, p):
-    """The packed kernel's rank of a dense matrix of residues, given it row
-    by row as its nonzero (columns, residues)."""
-    rows = [([j for j, v in enumerate(row) if v], [v for v in row if v])
+    """The packed kernel's rank of a dense integer matrix mod p, given it
+    row by row as its nonzero (columns, residues)."""
+    rows = [([j for j, v in enumerate(row) if v % p], [v % p for v in row if v % p])
             for row in dense]
     return _rank_mod_p(rows, len(dense[0]), p)
 
@@ -461,4 +519,3 @@ def test_packed_kernel_matches_rank_mod_p_oracle(p):
     for r in range(1, 13):
         dense = _max_growth(r, p)
         assert _kernel_rank(dense, p) == naive_rank_mod_p(dense, p) == r
-        assert mat_rank_modular_probe(RatMatrix.from_rows(dense), p) == r
