@@ -165,15 +165,18 @@ def _write(args: argparse.Namespace, text: str) -> None:
         text += "\n"
     if args.out:
         # Write beside the target, then rename over it, so a failed write
-        # leaves an existing file as it was.
+        # leaves an existing file as it was.  An error names the target,
+        # not the temporary file, whose name carries the process id.
         tmp = f"{args.out}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, args.out)
-        except BaseException:
+        except BaseException as exc:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
+            if isinstance(exc, OSError) and exc.filename is not None:
+                raise OSError(exc.errno, exc.strerror, args.out) from None
             raise
     else:
         sys.stdout.write(text)

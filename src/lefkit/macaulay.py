@@ -11,21 +11,24 @@ weight, so it falls apart into small torus-weight blocks.
 One enumerator makes every catalecticant entry, here and in
 ``lefschetz.SlpTable``: it walks the divisors of each term, pruned by degree,
 and gives integer entries over one recorded scale D (the lcm of F's
-coefficient denominators), with monomials as mixed-radix integer keys.  The
-rank path (``hilbert_function``) ranks those integers with rows and columns
-numbered by key, and never lists monomial labels.  The public
-``catalecticant``, ``lefschetz.default_degree_basis`` and
-``lefschetz.HessianTable`` share one builder, which places a range of
+coefficient denominators), with monomials as mixed-radix integer keys.
+Each variable is one comprehension over the partial divisors, reading a
+row (key step, exponent, perm(e_k, exponent)) built once per term and
+variable, sliced to the degree window once per partial degree.  The rank
+path (``hilbert_function``) ranks those
+integers with rows and columns numbered by key, and never lists monomial
+labels.  The public ``catalecticant``, ``lefschetz.default_degree_basis``
+and ``lefschetz.HessianTable`` share one builder, which places a range of
 degrees from one walk with lex-order keys (x_0 the most significant digit,
 so within one degree a larger key is an earlier graded-lex monomial): each
-row at its graded-lex position (``glex_rank`` of the decoded key, not
-looked up in a label list), the nonzero columns numbered by descending key
-with nothing decoded, as elimination reads only the order of the columns,
-and the entries divided by D (when D > 1), so they are the exact
-rationals.  ``catalecticant`` puts the columns back at their graded-lex
-positions.  Each degree
-is an independent rank computation: no elimination state is shared
-between i and c-i, so transpose-rank duality stays a genuine cross-check.
+row at its graded-lex position (``_glex_rank_of_key``, read off the key's
+digits, not looked up in a label list), the nonzero columns numbered by
+descending key with nothing decoded, as elimination reads only the order
+of the columns, and the entries divided by D (when D > 1), so they are
+the exact rationals.  ``catalecticant`` puts the columns back at their
+graded-lex positions.  Each degree is an independent rank computation: no
+elimination state is shared between i and c-i, so transpose-rank duality
+stays a genuine cross-check.
 The cell budget still counts the dense cells of the largest catalecticant.
 
 Given a Symmetry (the family invariants' torus weights and signed variable
@@ -55,7 +58,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import lcm, perm
+from math import comb, lcm, perm
 
 from .errors import (
     InvariantError,
@@ -64,7 +67,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exactmath import RatMatrix, dense_rank, mat_kernel, mat_rank
-from .polyring import Monomial, Poly, dim_of_degree, glex_rank, monomials_of_degree
+from .polyring import Monomial, Poly, dim_of_degree, monomials_of_degree
 
 DEFAULT_CELL_BUDGET = 4_000_000
 
@@ -168,6 +171,24 @@ def _monomial(key: int, base: int, nvars: int) -> Monomial:
     return tuple(out)
 
 
+def _glex_rank_of_key(key: int, base: int, nvars: int) -> int:
+    """The index in monomials_of_degree of the monomial e whose lex-order
+    key (x_0 the most significant digit) is ``key``.
+
+    The monomials before e are those that agree with it on variables
+    0..k-1 and exceed it at k.  With t = the degree of e after variable k,
+    those leave t - 1, t - 2, ..., 0 for the j = n - k - 1 later variables,
+    and by the hockey-stick identity they count C(t + j - 1, j).  The
+    digits are read from the least significant one, so after j of them t
+    is the degree of the last j variables."""
+    rank = t = 0
+    for j in range(1, nvars):
+        key, e = divmod(key, base)
+        t += e
+        rank += comb(t + j - 1, j)
+    return rank
+
+
 def _steps(base: int, nvars: int) -> list[int]:
     """The key step of each variable: the key of x^e is sum e_k * step_k."""
     return [base**k for k in range(nvars)]
@@ -186,32 +207,58 @@ def _divisors(
     a (cap, check) pair, w read from the partial key's weight bits: d_k is
     held to at most (w_a - w_b) // wb for each (bit of w_a, bit of w_b, wb,
     mask) in cap, and when e_k > 0 a partial stays after variable k only
-    if w_a >= w_b for each (bit of w_a, bit of w_b, mask) in check."""
-    parts = [(0, 0, value)]
+    if w_a >= w_b for each (bit of w_a, bit of w_b, mask) in check.
+
+    The divisors come in lexicographic order of (d_0, d_1, ...), one
+    comprehension per variable with e_k > 0.  What d_k = d adds (key step,
+    degree, perm(e_k, d)) is a row built once per term and variable; a
+    partial of degree deg takes spans[deg], the slice of it the window
+    allows.  A cap of one or two entries is written into the comprehension
+    (one entry is taken twice), and each check is a filter of its own."""
     left = sum(expo)  # degree still available after this variable
+    parts = [(0, 0, value)] if low <= left and high >= 0 else []
+    done = 0  # degree of the variables walked so far
     for e, step, (cap, check) in zip(expo, steps, caps or repeat(((), ()))):
+        if not e:
+            continue
         left -= e
-        if e and cap:
+        # what d_k = d adds to a partial: its key, its degree, perm(e, d)
+        row = [(d * step, d, perm(e, d)) for d in range(e + 1)]
+        # spans[deg]: the d that keep a degree-deg partial in the window
+        lo = low - left
+        spans = [
+            row[(lo - deg if lo > deg else 0):high - deg + 1]
+            for deg in range(min(done, high) + 1)
+        ]
+        done += e
+        if not cap:
             parts = [
-                (key + d * step, deg + d, v * perm(e, d))
+                (key + s, deg + d, v * p)
+                for key, deg, v in parts for s, d, p in spans[deg]
+            ]
+        elif len(cap) <= 2:
+            (a, b, wb, m), (a2, b2, wb2, m2) = cap[0], cap[-1]
+            parts = [
+                (key + s, deg + d, v * p)
                 for key, deg, v in parts
-                for d in range(max(0, low - deg - left), min(e, high - deg, *[
+                for x in [(((key >> a) & m) - ((key >> b) & m)) // wb]
+                for y in [(((key >> a2) & m2) - ((key >> b2) & m2)) // wb2]
+                for s, d, p in spans[deg] if d <= x and d <= y
+            ]
+        else:
+            parts = [
+                (key + s, deg + d, v * p)
+                for key, deg, v in parts
+                for x in [min([
                     (((key >> a) & m) - ((key >> b) & m)) // wb
                     for a, b, wb, m in cap
-                ]) + 1)
+                ])]
+                for s, d, p in spans[deg] if d <= x
             ]
-        elif e:
-            parts = [
-                (key + d * step, deg + d, v * perm(e, d))
-                for key, deg, v in parts
-                for d in range(max(0, low - deg - left), min(e, high - deg) + 1)
-            ]
-        if check and e:
+        for a, b, m in check:
             parts = [
                 part for part in parts
-                if all([
-                    ((part[0] >> a) & m) >= ((part[0] >> b) & m) for a, b, m in check
-                ])
+                if ((part[0] >> a) & m) >= ((part[0] >> b) & m)
             ]
     return parts
 
@@ -245,9 +292,9 @@ def _placed_catalecticant(
     ``_steps(c + 1, nvars)[::-1]``, x_0 the most significant digit, so
     within one degree a larger key is an earlier graded-lex monomial; a key
     decodes to ``_monomial(key, c + 1, nvars)[::-1]``).  Each row sits at
-    its graded-lex position (``glex_rank``), numbered over all degree-i
-    monomials, zero ones included; only the nonzero columns are kept,
-    numbered by descending key, so in graded-lex order.  Elimination reads
+    its graded-lex position (``_glex_rank_of_key``), numbered over all
+    degree-i monomials, zero ones included; only the nonzero columns are
+    kept, numbered by descending key, so in graded-lex order.  Elimination reads
     absolute row positions (a pivot row moves to position
     ``len(pivots)``, ties go to the lowest position) but only the order of
     the columns, so the pivot rows are those of the full matrix.  With each
@@ -264,7 +311,7 @@ def _placed_catalecticant(
         rows, cols = degrees[deg - low]
         r = rows.get(mu)
         if r is None:
-            r = rows[mu] = glex_rank(_monomial(mu, base, nvars)[::-1])
+            r = rows[mu] = _glex_rank_of_key(mu, base, nvars)
         col = cols.get(rest)
         if col is None:
             cols[rest] = [(r, entry)]
@@ -295,7 +342,7 @@ def catalecticant(f: Poly, i: int) -> CatMatrix:
     integer entry divided by its scale D."""
     c = _require_homogeneous(f)
     [(matrix, _, order)] = _placed_catalecticant(f, c, i, i)
-    at = [glex_rank(_monomial(key, c + 1, f.nvars)[::-1]) for key in order]
+    at = [_glex_rank_of_key(key, c + 1, f.nvars) for key in order]
     return CatMatrix(
         degree=i,
         matrix=RatMatrix._of(matrix.rows, dim_of_degree(f.nvars, c - i), {

@@ -273,22 +273,6 @@ def monomials_of_degree(nvars: int, d: int) -> list[Monomial]:
     return out
 
 
-def glex_rank(expo: Monomial) -> int:
-    """The index of ``expo`` in monomials_of_degree(len(expo), sum(expo)).
-
-    The monomials before it are those that agree with it on variables
-    0..k-1 and exceed it at k.  With t = the degree of ``expo`` after
-    variable k, those exponents a_k > e_k leave t - 1, t - 2, ..., 0 for
-    the n - k - 1 later variables, and by the hockey-stick identity they
-    count C(t + n - k - 2, n - k - 1)."""
-    n = len(expo)
-    rank, t = 0, 0
-    for k in range(n - 2, -1, -1):
-        t += expo[k + 1]
-        rank += comb(t + n - k - 2, n - k - 1)
-    return rank
-
-
 def dim_of_degree(nvars: int, d: int) -> int:
     """Dimension of the degree-d graded piece of the polynomial ring."""
     return comb(nvars + d - 1, d)

@@ -11,11 +11,13 @@ the pivot rows and kernel vectors the package must reproduce),
 permutation-sum determinants instead of products of block pivots, a direct
 term-by-term multiplier instead of repeated squaring, a weighted contraction
 of their own instead of the package's, catalecticants built row by row
-through contraction instead of from the terms of F, SLP ranks from a power
-of L instead of a chain of contractions, and higher-Hessian entries from a
-product of basis monomials instead of rows built from the terms of F.  The
-d = 1 representation-theoretic oracles for ``families.predicted_hilbert`` are
-a sum of gl_n Weyl dimensions over type-C highest weights, Narayana numbers
+through contraction instead of from the terms of F, a term's divisors
+filtered by degree from the whole box of exponent tuples instead of the
+package's pruned walk, SLP ranks from a power of L instead of a chain of
+contractions, and higher-Hessian entries from a product of basis monomials
+instead of rows built from the terms of F.  The d = 1
+representation-theoretic oracles for ``families.predicted_hilbert`` are a
+sum of gl_n Weyl dimensions over type-C highest weights, Narayana numbers
 and the q_mu product.  A few small helpers the package no longer needs
 (identity matrix, matrix-vector product, corner minors, polynomial
 evaluation, parsing a polynomial from text) live here too.
@@ -304,6 +306,44 @@ def naive_contract(p, f, weights=None):
             expo = tuple(a - b for a, b in zip(ef, ep))
             terms[expo] = terms.get(expo, Fraction(0)) + coeff
     return Poly(f.nvars, {e: c for e, c in terms.items() if c})
+
+
+def naive_divisors(expo, steps, low, high, value=1, caps=None):
+    """(key, degree, value * prod perm(e_k, d_k)) for every divisor x^d of
+    x^expo of degree low..high, from the whole box of exponent tuples
+    d_k <= e_k in lexicographic order, filtered by degree afterwards; the
+    key of d is sum d_k * steps[k].  With ``caps`` (per variable a (cap,
+    check) pair, as ``macaulay._divisors`` takes them) a divisor is then
+    kept only if it passes them variable by variable, see _passes_caps."""
+    out = []
+    for d in product(*(range(e + 1) for e in expo)):
+        if low <= sum(d) <= high and (
+            caps is None or _passes_caps(d, expo, steps, caps)
+        ):
+            value_d = value
+            for e, dk in zip(expo, d):
+                value_d *= perm(e, dk)
+            out.append((sum(dk * s for dk, s in zip(d, steps)), sum(d), value_d))
+    return out
+
+
+def _passes_caps(d, expo, steps, caps):
+    """For each variable k with e_k > 0, in order: d_k is at most
+    (w_a - w_b) // wb for each (a, b, wb, m) in its cap, with w_a the
+    field (key >> a) & m of the key of d_0..d_{k-1}; then w_a >= w_b for
+    each (a, b, m) in its check, on the key of d_0..d_k."""
+    key = 0
+    for e, dk, step, (cap, check) in zip(expo, d, steps, caps):
+        if not e:
+            continue
+        for a, b, wb, m in cap:
+            if dk > (((key >> a) & m) - ((key >> b) & m)) // wb:
+                return False
+        key += dk * step
+        for a, b, m in check:
+            if (key >> a) & m < (key >> b) & m:
+                return False
+    return True
 
 
 def naive_catalecticant(f, i, weights=None):

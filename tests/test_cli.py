@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ import lefkit.exactmath
 import lefkit.families
 import lefkit.macaulay
 from lefkit.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -75,6 +79,25 @@ def test_out_failed_write_keeps_existing_file(tmp_path, capsys, monkeypatch):
     assert code == 2 and "simulated rename failure" in err
     assert target.read_text() == "old report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["h.json"]
+
+
+@pytest.mark.parametrize("target", ["missing/h.json", "."])
+def test_out_write_error_names_the_given_path(tmp_path, target):
+    """A missing parent directory and a directory target: two runs, in two
+    processes, print the same message, naming the path as given, exit 2
+    and leave no temporary file behind."""
+    out = str(tmp_path / target)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "lefkit.cli", "hilbert", "--family", "sym-det",
+            "--n", "2", "--out", out]
+    runs = [subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            for _ in range(2)]
+    assert runs[0].stderr == runs[1].stderr
+    for done in runs:
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.endswith(f"{out!r}\n")
+    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.parent.glob(f"{tmp_path.name}.*.tmp")) == []
 
 
 def test_slp_canonical_passes(capsys):

@@ -20,7 +20,9 @@ from lefkit.exactmath import RatMatrix, dense_rank, mat_rank
 from lefkit.families import FamilyKind, FamilySpec, family_symmetry, make_invariant
 from lefkit.macaulay import (
     DEFAULT_CELL_BUDGET,
+    _divisors,
     _entries,
+    _glex_rank_of_key,
     _key,
     _monomial,
     _steps,
@@ -36,13 +38,12 @@ from lefkit.macaulay import (
 from lefkit.polyring import (
     Poly,
     dim_of_degree,
-    glex_rank,
     monomials_of_degree,
     poly_pow,
     scale_variables,
 )
 
-from _oracles import naive_catalecticant, naive_contract, naive_rank
+from _oracles import naive_catalecticant, naive_contract, naive_divisors, naive_rank
 
 DET2 = make_invariant(FamilySpec(FamilyKind.SYM_DET, 2))
 DET3 = make_invariant(FamilySpec(FamilyKind.SYM_DET, 3))
@@ -167,8 +168,17 @@ def test_lex_order_key_descends_as_graded_lex_rank_ascends(data):
     keys = [sum(map(mul, m, steps)) for m in monos]
     assert [_monomial(k, base, nvars)[::-1] for k in keys] == monos
     by_key = [m for _, m in sorted(zip(keys, monos), reverse=True)]
-    assert by_key == sorted(monos, key=glex_rank)
-    assert [glex_rank(m) for m in by_key] == sorted(glex_rank(m) for m in monos)
+    assert by_key == sorted(monos, key=monomials_of_degree(nvars, d).index)
+
+
+def test_glex_rank_of_a_lex_order_key_is_the_graded_lex_index():
+    for nvars in range(1, 7):
+        for d in range(5):
+            for base in (d + 1, 7):
+                steps = _steps(base, nvars)[::-1]
+                for index, m in enumerate(monomials_of_degree(nvars, d)):
+                    key = sum(map(mul, m, steps))
+                    assert _glex_rank_of_key(key, base, nvars) == index
 
 
 def test_hilbert_function_lists_no_monomial_labels(monkeypatch):
@@ -266,6 +276,105 @@ def test_capped_walk_keeps_every_representative_cell(kind, n, s):
     assert _representative_cells(plan, capped) == _representative_cells(plan, uncapped)
     if n >= 3:  # the cap prunes
         assert len(capped) < len(uncapped)
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2), (FamilyKind.SYM_DET, 2, 3),
+    (FamilyKind.GENERIC_DET, 3, 1), (FamilyKind.GENERIC_DET, 2, 3),
+    (FamilyKind.PFAFFIAN, 6, 1), (FamilyKind.PFAFFIAN, 4, 3),
+    (FamilyKind.QUADRIC, 4, 3),
+])
+def test_uncapped_walk_is_the_box_oracle(kind, n, s):
+    """Uncapped, the walk lists exactly the box's divisors in the window,
+    in its lexicographic order, with the same keys and values: on the
+    symmetric path's weight-carrying steps (monomial keys for a quadric)
+    and on the placed build's lex-order keys."""
+    spec = FamilySpec(kind, n, s)
+    f, c = make_invariant(spec), spec.socle_degree
+    windows = [(0, c), (0, c - 1), (0, c // 2)] + [(i, i) for i in range(c + 1)]
+    walk_steps = _walk_plan(f, c, family_symmetry(spec))[0]
+    for steps in (walk_steps, _steps(c + 1, f.nvars)[::-1]):
+        for expo, coeff in f.terms():
+            value = coeff.numerator
+            for low, high in windows:
+                assert (_divisors(expo, steps, low, high, value)
+                        == naive_divisors(expo, steps, low, high, value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=5),
+    st.integers(-1, 21), st.integers(-1, 21), st.integers(0, 2),
+)
+def test_uncapped_walk_is_the_box_oracle_on_any_window(expo, low, high, extra):
+    """Zero exponents, empty windows and windows past the term's degree."""
+    steps = _steps(sum(expo) + 1 + extra, len(expo))
+    walked = _divisors(expo, steps, low, high, 3)
+    assert walked == naive_divisors(expo, steps, low, high, 3)
+
+
+def test_capped_walk_is_the_filtered_box_oracle_with_long_caps():
+    """Caps of three entries (which no family's plan makes today) and
+    checks, on the symmetric path's steps for sym-det 3 4: the walk keeps
+    exactly the box's divisors that pass them variable by variable."""
+    spec = FamilySpec(FamilyKind.SYM_DET, 3, 4)
+    f, c = make_invariant(spec), spec.socle_degree
+    steps = _walk_plan(f, c, family_symmetry(spec))[0]
+    # the weight fields of sym-det 3's keys: 5 bits each from bit 23
+    fields = [(23, 28), (23, 33), (28, 33)]
+    cap3 = tuple((a, b, 1, 31) for a, b in fields)
+    check = tuple((a, b, 31) for a, b in fields[:2])
+    caps = [((), ()), ((), ()), ((), check), (cap3, ()), (cap3, check),
+            (cap3[::-1], check[::-1])]
+    kept = total = 0
+    for expo, coeff in f.terms():
+        for low, high in [(0, c), (0, c // 2), (2, 2)]:
+            walked = _divisors(expo, steps, low, high, coeff.numerator, caps)
+            assert walked == naive_divisors(
+                expo, steps, low, high, coeff.numerator, caps)
+            kept += len(walked)
+            total += len(naive_divisors(expo, steps, low, high))
+    assert 0 < kept < total
+
+
+_cap_entries = st.tuples(
+    st.integers(0, 12), st.integers(0, 12), st.integers(1, 3),
+    st.sampled_from([3, 7, 15]),
+)
+_check_entries = st.tuples(
+    st.integers(0, 12), st.integers(0, 12), st.sampled_from([3, 7, 15]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_capped_walk_is_the_filtered_box_oracle(data):
+    """Caps of 0-3 entries and checks of 0-2, drawn for each variable, on
+    drawn steps and windows."""
+    expo = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    steps = data.draw(st.lists(
+        st.integers(1, 1 << 14), min_size=len(expo), max_size=len(expo)))
+    caps = data.draw(st.lists(
+        st.tuples(
+            st.lists(_cap_entries, max_size=3).map(tuple),
+            st.lists(_check_entries, max_size=2).map(tuple),
+        ),
+        min_size=len(expo), max_size=len(expo),
+    ))
+    low, high = data.draw(st.integers(-1, 16)), data.draw(st.integers(-1, 16))
+    walked = _divisors(expo, steps, low, high, 5, caps)
+    assert walked == naive_divisors(expo, steps, low, high, 5, caps)
+
+
+@pytest.mark.parametrize("kind,n,s,pairs", [
+    (FamilyKind.SYM_DET, 3, 4, 5_018), (FamilyKind.GENERIC_DET, 3, 2, 181),
+    (FamilyKind.SYM_DET, 4, 3, 59_010), (FamilyKind.PFAFFIAN, 8, 2, 60_359),
+])
+def test_capped_walk_pair_counts(kind, n, s, pairs):
+    spec = FamilySpec(kind, n, s)
+    f, c = make_invariant(spec), spec.socle_degree
+    steps, _, _, _, caps = _walk_plan(f, c, family_symmetry(spec))
+    assert sum(1 for _ in _entries(f, steps, 0, c, caps)) == pairs
 
 
 @pytest.mark.parametrize("kind,n,s", [

@@ -9,7 +9,6 @@ from lefkit.polyring import (
     Poly,
     dim_of_degree,
     format_poly,
-    glex_rank,
     monomials_of_degree,
     poly_mul,
     poly_pow,
@@ -114,13 +113,6 @@ def test_monomials_graded_lex():
 def test_monomial_count_matches_dimension():
     for nvars, d in [(2, 5), (4, 3), (6, 2)]:
         assert len(monomials_of_degree(nvars, d)) == dim_of_degree(nvars, d)
-
-
-def test_glex_rank_is_the_graded_lex_index():
-    for nvars in range(1, 6):
-        for d in range(6):
-            for index, m in enumerate(monomials_of_degree(nvars, d)):
-                assert glex_rank(m) == index
 
 
 def test_pairing_gram_matrix_is_diagonal():
