@@ -59,9 +59,10 @@ def _row(kind: FamilyKind, n: int, i: int) -> range:
     return range(1)  # quadric: x_i sits at (i, 0)
 
 
-def _positions(kind: FamilyKind, n: int) -> list[tuple[int, int]]:
+@functools.cache
+def _positions(kind: FamilyKind, n: int) -> tuple[tuple[int, int], ...]:
     """The matrix position of each variable, row-major in layout order."""
-    return [(i, j) for i in range(1, n + 1) for j in _row(kind, n, i)]
+    return tuple((i, j) for i in range(1, n + 1) for j in _row(kind, n, i))
 
 
 @functools.cache
@@ -341,6 +342,12 @@ def _linear_coeffs(spec: FamilySpec, L: Poly) -> tuple[Fraction, ...]:
     return L.linear_coefficients()
 
 
+def _integer_point(coeffs) -> list[int]:
+    """Rational coefficients times the lcm of their denominators."""
+    scale = lcm(*(a.denominator for a in coeffs))
+    return [a.numerator * (scale // a.denominator) for a in coeffs]
+
+
 def _matrix_entries(spec: FamilySpec, coeffs) -> dict[tuple[int, int], Fraction | int]:
     """The nonzero entries, by 0-based (row, column), of the matrix whose
     layout coefficients are ``coeffs``: symmetric layouts place the
@@ -389,6 +396,16 @@ def _nonsingular(rows: list[list[int]]) -> bool:
     return True
 
 
+def _in_open_orbit(spec: FamilySpec, point: list[int]) -> bool:
+    """orbit_test on the integer coefficient vector `point` of L."""
+    if spec.kind is FamilyKind.QUADRIC:
+        return bool(sum(a * a for a in point))
+    rows = [[0] * spec.size for _ in range(spec.size)]
+    for (i, j), a in _matrix_entries(spec, point).items():
+        rows[i][j] = a
+    return _nonsingular(rows)
+
+
 def orbit_test(spec: FamilySpec, L: Poly) -> bool:
     """Is the matrix/vector of L in the open orbit?
 
@@ -398,17 +415,10 @@ def orbit_test(spec: FamilySpec, L: Poly) -> bool:
     every nonzero vector is non-isotropic, so the quadric test never sees
     the complex isotropic locus.  The determinant is this module's own
     elimination, not exactmath's rank kernel, which the SLP verdict this
-    test cross-checks runs on.
+    test cross-checks runs on.  Decided by _in_open_orbit on L's point
+    cleared to integers, a positive multiple of it.
     """
-    coeffs = _linear_coeffs(spec, L)
-    if spec.kind is FamilyKind.QUADRIC:
-        return bool(sum(a * a for a in coeffs))
-    scale = lcm(*(a.denominator for a in coeffs))
-    cleared = [a.numerator * (scale // a.denominator) for a in coeffs]
-    rows = [[0] * spec.size for _ in range(spec.size)]
-    for (i, j), a in _matrix_entries(spec, cleared).items():
-        rows[i][j] = a
-    return _nonsingular(rows)
+    return _in_open_orbit(spec, _integer_point(_linear_coeffs(spec, L)))
 
 
 def _canonical_pairs(spec: FamilySpec) -> list[tuple[int, int]]:

@@ -39,9 +39,11 @@ That walk never reads SlpTable, macaulay's enumerator or a rank, so a fault
 in one route cannot hide in the other.
 verify_theorem cross-validates the slp_check verdict (not the Hessian one)
 against open-orbit membership on seeded samples plus deterministic
-rank-deficient candidates.  Everything here uses the plain apolarity
-pairing; a weighted pairing is the plain one against F(w*x)
-(polyring.scale_variables).
+rank-deficient candidates, each carried as one integer coefficient vector
+through the per-point code that slp_check and orbit_test wrap
+(SlpTable.verdict_at, families._in_open_orbit).  Everything here uses the
+plain apolarity pairing; a weighted pairing is the plain one against
+F(w*x) (polyring.scale_variables).
 """
 
 from __future__ import annotations
@@ -55,11 +57,12 @@ from .errors import InvariantError, NotLinearError, OutOfRangeError, VarMismatch
 from .exactmath import PROBE_PRIME, RatMatrix, _rank_mod_p, mat_det, mat_rank, pivot_rows
 from .families import (
     FamilySpec,
+    _in_open_orbit,
+    _integer_point,
     canonical_lefschetz,
     deficient_candidates,
     family_symmetry,
     make_invariant,
-    orbit_test,
 )
 from .macaulay import (
     Symmetry,
@@ -98,14 +101,18 @@ class SlpReport:
         return all(row.passed for row in self.rows)
 
 
-def _validate_slp_inputs(f: Poly, L: Poly) -> int:
-    c = _require_homogeneous(f)
+def _validate_linear(f: Poly, L: Poly) -> None:
     if L.nvars != f.nvars:
         raise VarMismatchError(
             f"L has {L.nvars} variables, F has {f.nvars}"
         )
     if L.is_zero() or L.homogeneous_degree() != 1:
         raise NotLinearError("L must be a nonzero homogeneous linear form")
+
+
+def _validate_slp_inputs(f: Poly, L: Poly) -> int:
+    c = _require_homogeneous(f)
+    _validate_linear(f, L)
     return c
 
 
@@ -121,11 +128,12 @@ class SlpTable:
     denominators).  Read as a polynomial, row mu is mu contracted against
     F.  The basis b_i is the pivot rows of Cat_i; its size must be h_i,
     else InvariantError.  Build the table once per F and pass it to each
-    slp_check of that F."""
+    slp_check of that F; ``ranks_at`` and ``verdict_at`` check one L given
+    as an integer point."""
 
     def __init__(self, f: Poly, symmetry: Symmetry | None = None):
         self.f = f
-        c = _require_homogeneous(f)
+        self.c = c = _require_homogeneous(f)
         self.required = hilbert_function(f, symmetry).values
         base, half = c + 1, (c + 1) // 2
         # rows[deg]: row key mu of Cat_deg -> its (entry, column key) pairs,
@@ -138,6 +146,21 @@ class SlpTable:
             _Restricted(rows[i], rows[2 * i], self.required[i], i, base, f.nvars)
             for i in range(half)
         ]
+
+    def ranks_at(self, point: list[int]) -> list[int]:
+        """The rank of N at each degree i = 0..c//2 for the L whose
+        coefficient vector is the nonzero integer `point`, divided here by
+        its gcd; the middle degree of an even c (k = 0) is h_i, unranked."""
+        c, g = self.c, gcd(*point)
+        powers = [[(x // g) ** e for e in range(c + 1)] for x in point]
+        achieved = [d.rank_at(powers) for d in self.degrees]
+        if c % 2 == 0:
+            achieved.append(self.required[c // 2])
+        return achieved
+
+    def verdict_at(self, point: list[int]) -> bool:
+        """Is the L of `point` a Lefschetz element: rank h_i in every degree?"""
+        return all(a == h for a, h in zip(self.ranks_at(point), self.required))
 
 
 class _Restricted:
@@ -226,24 +249,19 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
     ranked.  The Hessian route never uses this table, so it stays an
     independent check.  For even c the middle row (k = 0, the identity) is
     h_i, taken from the table unranked."""
-    c = _validate_slp_inputs(f, L)
-    if table is None:
-        table = SlpTable(f)
-    elif table.f != f:
-        raise ValueError("SlpTable was built for a different F")
-    coeffs = L.linear_coefficients()
-    mult = lcm(*(x.denominator for x in coeffs))
-    point = [x.numerator * (mult // x.denominator) for x in coeffs]
-    g = gcd(*point)
-    powers = [[(x // g) ** e for e in range(c + 1)] for x in point]
-    achieved = [d.rank_at(powers) for d in table.degrees]
-    if c % 2 == 0:
-        achieved.append(table.required[c // 2])
-    rows = tuple(
+    if table is not None and table.f is f:  # F was checked when the table was built
+        _validate_linear(f, L)
+    else:
+        _validate_slp_inputs(f, L)
+        if table is None:
+            table = SlpTable(f)
+        elif table.f != f:
+            raise ValueError("SlpTable was built for a different F")
+    achieved = table.ranks_at(_integer_point(L.linear_coefficients()))
+    return SlpReport(c=table.c, rows=tuple(
         SlpRow(i=i, required=table.required[i], achieved=a)
         for i, a in enumerate(achieved)
-    )
-    return SlpReport(c=c, rows=rows)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +439,22 @@ class TheoremSummary:
         return None
 
 
+def _random_point(nvars: int, rng: random.Random) -> list[int]:
+    """random_linear_form's coefficients, as integers."""
+    while True:
+        point = [rng.randint(-5, 5) for _ in range(nvars)]
+        if any(point):
+            return point
+
+
 def random_linear_form(nvars: int, rng: random.Random) -> Poly:
     """Random linear form with integer coefficients in [-5, 5], redrawn on
     the (rare) all-zero outcome."""
-    while True:
-        coeffs = [rng.randint(-5, 5) for _ in range(nvars)]
-        if any(coeffs):
-            return Poly._of(nvars, {
-                (0,) * idx + (1,) + (0,) * (nvars - 1 - idx): Fraction(v)
-                for idx, v in enumerate(coeffs)
-                if v
-            })
+    return Poly._of(nvars, {
+        (0,) * idx + (1,) + (0,) * (nvars - 1 - idx): Fraction(v)
+        for idx, v in enumerate(_random_point(nvars, rng))
+        if v
+    })
 
 
 def verify_theorem(
@@ -440,32 +463,33 @@ def verify_theorem(
     seed: int,
     budget: int | None = None,
 ) -> TheoremSummary:
-    """Check slp_check verdict == orbit_test on `samples` seeded random
-    linear forms plus the deterministic rank-deficient candidates.  Any
-    disagreement is a counterexample to the open-orbit characterization and
-    shows up in the summary."""
+    """Check the slp_check verdict == orbit_test on `samples` seeded random
+    linear forms (random_linear_form's draws) plus the deterministic
+    rank-deficient candidates and the canonical one.  Any disagreement is
+    a counterexample to the open-orbit characterization and shows up in
+    the summary.  Each candidate is one integer coefficient vector from
+    draw to verdict: the two verdicts are SlpTable.verdict_at and
+    families._in_open_orbit, the per-point code behind slp_check and
+    orbit_test, and no Poly is built for a drawn sample."""
     if samples < 0:
         raise OutOfRangeError(f"samples must be non-negative, got {samples}")
     ensure_within_budget(spec.nvars, spec.socle_degree, budget, samples)
     f = make_invariant(spec)
     table = SlpTable(f, family_symmetry(spec))
-    rng = random.Random(seed)
-    candidates: list[tuple[Poly, bool]] = [
-        (L, True) for L in deficient_candidates(spec)
+    forced = [
+        L.linear_coefficients()
+        for L in [*deficient_candidates(spec), canonical_lefschetz(spec)]
     ]
-    candidates.append((canonical_lefschetz(spec), True))
-    candidates.extend(
-        (random_linear_form(spec.nvars, rng), False) for _ in range(samples)
-    )
-    rows = []
-    for L, forced in candidates:
-        report = slp_check(f, L, table)
-        rows.append(
-            TheoremSample(
-                coeffs=L.linear_coefficients(),
-                forced=forced,
-                slp_verdict=report.verdict,
-                orbit_verdict=orbit_test(spec, L),
-            )
+    rng = random.Random(seed)
+    drawn = [_random_point(spec.nvars, rng) for _ in range(samples)]
+    candidates = [(coeffs, _integer_point(coeffs), True) for coeffs in forced]
+    candidates += [(tuple(map(Fraction, point)), point, False) for point in drawn]
+    return TheoremSummary(samples=tuple(
+        TheoremSample(
+            coeffs=coeffs,
+            forced=is_forced,
+            slp_verdict=table.verdict_at(point),
+            orbit_verdict=_in_open_orbit(spec, point),
         )
-    return TheoremSummary(samples=tuple(rows))
+        for coeffs, point, is_forced in candidates
+    ))

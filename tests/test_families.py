@@ -12,6 +12,9 @@ from lefkit.exactmath import RatMatrix, mat_rank
 from lefkit.families import (
     FamilyKind,
     FamilySpec,
+    _in_open_orbit,
+    _integer_point,
+    _positions,
     basic_invariant,
     canonical_lefschetz,
     coeffs_to_matrix,
@@ -318,6 +321,34 @@ def test_orbit_test_does_not_run_the_rank_kernel(monkeypatch):
     for spec in ORBIT_SPECS:
         assert orbit_test(spec, canonical_lefschetz(spec))
         assert not any(orbit_test(spec, L) for L in deficient_candidates(spec))
+        # the per-point test behind orbit_test, as verify_theorem calls it
+        point = _integer_point(canonical_lefschetz(spec).linear_coefficients())
+        assert _in_open_orbit(spec, point)
+        assert not any(
+            _in_open_orbit(spec, _integer_point(L.linear_coefficients()))
+            for L in deficient_candidates(spec)
+        )
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPECS + [FamilySpec(FamilyKind.QUADRIC, 4)], ids=str)
+def test_orbit_test_is_the_per_point_test_on_the_cleared_point(spec):
+    rng = random.Random(41)
+    for L in _rational_forms(spec, rng, 12):
+        point = _integer_point(L.linear_coefficients())
+        assert all(isinstance(a, int) for a in point)
+        assert orbit_test(spec, L) == _in_open_orbit(spec, point)
+        # a positive multiple stays in (or out of) the orbit
+        assert _in_open_orbit(spec, [3 * a for a in point]) == orbit_test(spec, L)
+
+
+def test_positions_are_cached_as_a_tuple():
+    for kind in FamilyKind:
+        n = 4
+        first = _positions(kind, n)
+        assert isinstance(first, tuple) and first is _positions(kind, n)
+        spec = FamilySpec(kind, n)
+        assert len(first) == spec.nvars
+        assert all(spec.var_index(i, j) == k for k, (i, j) in enumerate(first))
 
 
 def test_corner_minor():

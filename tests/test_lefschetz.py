@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from math import perm, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from lefkit.errors import (
     VarMismatchError,
     ZeroPolynomialError,
 )
-from lefkit import exactmath, lefschetz
+from lefkit import exactmath, families, lefschetz
 from lefkit.exactmath import PROBE_PRIME, _rank_mod_p, mat_rank, pivot_rows
 from lefkit.families import (
     FamilyKind,
@@ -30,6 +31,8 @@ from lefkit.families import (
 from lefkit.lefschetz import (
     HessianTable,
     SlpTable,
+    TheoremSample,
+    TheoremSummary,
     default_degree_basis,
     hessian_determinants_at,
     random_linear_form,
@@ -692,6 +695,111 @@ def test_verify_reports_are_deterministic():
     a = verify_theorem(SYM2, samples=10, seed=3)
     b = verify_theorem(SYM2, samples=10, seed=3)
     assert a == b
+
+
+ORACLE_SPECS = [
+    FamilySpec(FamilyKind.SYM_DET, 2, 2),
+    FamilySpec(FamilyKind.SYM_DET, 3, 2),
+    FamilySpec(FamilyKind.GENERIC_DET, 2, 2),
+    FamilySpec(FamilyKind.GENERIC_DET, 3, 1),
+    FamilySpec(FamilyKind.PFAFFIAN, 4, 1),
+    FamilySpec(FamilyKind.PFAFFIAN, 6, 1),
+    FamilySpec(FamilyKind.QUADRIC, 4, 2),  # no deficient candidates
+]
+
+
+def _summary_from_public_functions(spec, samples, rng):
+    """verify_theorem's summary assembled from the public per-L functions."""
+    f = make_invariant(spec)
+    table = SlpTable(f, family_symmetry(spec))
+    forms = [(L, True) for L in deficient_candidates(spec)]
+    forms.append((canonical_lefschetz(spec), True))
+    forms += [(random_linear_form(spec.nvars, rng), False) for _ in range(samples)]
+    return TheoremSummary(samples=tuple(
+        TheoremSample(
+            coeffs=L.linear_coefficients(),
+            forced=forced,
+            slp_verdict=slp_check(f, L, table).verdict,
+            orbit_verdict=orbit_test(spec, L),
+        )
+        for L, forced in forms
+    ))
+
+
+@pytest.mark.parametrize("seed", [7, 2024])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_verify_is_the_public_functions_summary(spec, seed):
+    summary = verify_theorem(spec, samples=12, seed=seed)
+    assert summary == _summary_from_public_functions(spec, 12, random.Random(seed))
+    assert all(isinstance(a, Fraction) for smp in summary.samples for a in smp.coeffs)
+
+
+class _ZeroFirstRandom(random.Random):
+    """A random.Random whose first `zeros` randint calls return 0 without
+    drawing: with zeros = nvars the first vector is all zero."""
+
+    zeros = 0
+
+    def randint(self, a, b):
+        if self.zeros:
+            self.zeros -= 1
+            return 0
+        return super().randint(a, b)
+
+
+@pytest.mark.parametrize("spec", [SYM3, FamilySpec(FamilyKind.QUADRIC, 4, 2)], ids=str)
+def test_verify_redraws_an_all_zero_vector(spec, monkeypatch):
+    def stub(seed):
+        rng = _ZeroFirstRandom(seed)
+        rng.zeros = spec.nvars
+        return rng
+
+    expected = _summary_from_public_functions(spec, 4, stub(5))
+    monkeypatch.setattr(lefschetz, "random", SimpleNamespace(Random=stub))
+    summary = verify_theorem(spec, samples=4, seed=5)
+    assert summary == expected
+    # the redraw is the unstubbed generator's first vector
+    first = next(smp for smp in summary.samples if not smp.forced)
+    assert first.coeffs == random_linear_form(spec.nvars, random.Random(5)).linear_coefficients()
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec(FamilyKind.SYM_DET, 3, 2), FamilySpec(FamilyKind.PFAFFIAN, 6, 1),
+], ids=str)
+def test_verify_runs_no_public_per_form_function(spec, monkeypatch):
+    expected = verify_theorem(spec, samples=10, seed=11)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_theorem built a Poly per sample")
+
+    for module, name in [
+        (lefschetz, "slp_check"),
+        (lefschetz, "random_linear_form"),
+        (lefschetz, "orbit_test"),  # not imported there: set in case it is
+        (families, "orbit_test"),
+    ]:
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    assert verify_theorem(spec, samples=10, seed=11) == expected
+
+
+def test_slp_check_skips_the_f_checks_for_its_own_table(monkeypatch):
+    table = SlpTable(DET3)
+    L = random_linear_form(6, random.Random(9))
+    expected = slp_check(DET3, L, table)
+    copy = Poly(6, dict(DET3.terms()))
+    assert copy == DET3 and copy is not DET3
+
+    def refuse(f):
+        raise AssertionError("F was scanned again")
+
+    monkeypatch.setattr(lefschetz, "_require_homogeneous", refuse)
+    assert slp_check(DET3, L, table) == expected
+    with pytest.raises(AssertionError):
+        slp_check(copy, L, table)  # an equal F is checked and compared
+    monkeypatch.undo()
+    assert slp_check(copy, L, table) == expected
+    with pytest.raises(ValueError):
+        slp_check(DET2, Poly.variable(3, 0), table)
 
 
 def test_verify_rejects_negative_samples():
