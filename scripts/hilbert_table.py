@@ -9,6 +9,7 @@ Usage: python3 scripts/hilbert_table.py [--max-n N] [--max-s S]
 import argparse
 import time
 
+from lefkit.errors import InvalidSpecError
 from lefkit.families import (
     FamilyKind,
     FamilySpec,
@@ -30,10 +31,11 @@ def main():
     mismatch = 0
     for kind in FamilyKind:
         for n in range(1, args.max_n + 1):
-            if kind is FamilyKind.PFAFFIAN and n % 2:
-                continue
             for s in range(1, args.max_s + 1):
-                spec = FamilySpec(kind, n, s)
+                try:
+                    spec = FamilySpec(kind, n, s)
+                except InvalidSpecError:  # an odd Pfaffian size
+                    continue
                 if max_catalecticant_cells(spec.nvars, spec.socle_degree) > args.cell_limit:
                     print(f"{spec}: skipped (over cell limit)")
                     continue

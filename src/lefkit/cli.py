@@ -35,7 +35,13 @@ from .lefschetz import (
     slp_check,
     verify_theorem,
 )
-from .macaulay import annihilator_basis, count_text, ensure_within_budget, hilbert_function
+from .macaulay import (
+    Symmetry,
+    annihilator_basis,
+    count_text,
+    ensure_within_budget,
+    hilbert_function,
+)
 from .polyring import Poly, dim_of_degree, format_poly, scale_variables
 
 EXIT_PASS = 0
@@ -135,14 +141,18 @@ def _resolve_weights(arg: str | None, spec: FamilySpec) -> list[Fraction] | None
 
 def _invariant(
     spec: FamilySpec, budget: int | None, weights_arg: str | None
-) -> tuple[Poly, list[Fraction] | None]:
-    """The invariant F after the budget check, and the weights read from
-    ``weights_arg`` (``_resolve_weights``).  Under non-unit weights F is
-    F(w*x), whose plain apolarity pairing is the weighted pairing of F."""
+) -> tuple[Poly, Symmetry | None]:
+    """The invariant F after the budget check, and the symmetry to rank it
+    with.  Under the non-unit weights of ``weights_arg``
+    (``_resolve_weights``) F is F(w*x), whose plain apolarity pairing is the
+    weighted pairing of F; it is no longer fixed by the family's variable
+    permutations, so its symmetry is None and it takes the generic path."""
     ensure_within_budget(spec.nvars, spec.socle_degree, budget)
     weights = _resolve_weights(weights_arg, spec)
     f = make_invariant(spec)
-    return (f if weights is None else scale_variables(f, weights)), weights
+    if weights is not None:
+        return scale_variables(f, weights), None
+    return f, family_symmetry(spec)
 
 
 def _lefschetz_from(args: argparse.Namespace, spec: FamilySpec) -> Poly:
@@ -221,10 +231,8 @@ def _coeff_map(coeffs, spec: FamilySpec) -> dict[str, str]:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    f, weights = _invariant(spec, args.budget, args.weights)
-    # F(w*x) under non-unit weights is no longer fixed by the family's
-    # variable permutations, so it takes the generic path
-    fn = hilbert_function(f, family_symmetry(spec) if weights is None else None)
+    f, symmetry = _invariant(spec, args.budget, args.weights)
+    fn = hilbert_function(f, symmetry)
     rows = []
     for i, h in enumerate(fn.values):
         dim = dim_of_degree(f.nvars, i)
@@ -250,10 +258,9 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 def cmd_slp(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    f, weights = _invariant(spec, args.budget, args.weights)
+    f, symmetry = _invariant(spec, args.budget, args.weights)
     L = _lefschetz_from(args, spec)
-    # as in cmd_hilbert: F(w*x) is not fixed by the family's permutations
-    table = SlpTable(f, family_symmetry(spec) if weights is None else None)
+    table = SlpTable(f, symmetry)
     report = slp_check(f, L, table)
     rows = [
         {"i": r.i, "required": r.required, "achieved": r.achieved, "pass": r.passed}
@@ -330,9 +337,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     spec = _spec(args)
     if _resolve_weights(args.weights, spec) is not None:
         raise LefkitError("predict compares unit-weight Hilbert functions")
-    f, _ = _invariant(spec, args.budget, None)
+    f, symmetry = _invariant(spec, args.budget, None)
     predicted = predicted_hilbert(spec, args.budget)
-    computed = hilbert_function(f, family_symmetry(spec))
+    computed = hilbert_function(f, symmetry)
     match = predicted.values == computed.values
     payload = {
         **_echo(spec),

@@ -1,21 +1,23 @@
 """The four implemented families of basic relative invariants.
 
-Each family fixes a variable layout over matrix positions, the invariant
-polynomial (generic determinant, symmetric determinant, Pfaffian, or sum of
-squares), the embedding of linear forms back into matrices, and the
-open-orbit membership test that characterizes Lefschetz elements.  Every
-family but the quadric also supplies its symmetry (``family_symmetry``):
-the torus weight of each variable and signed variable permutations that fix
-the invariant up to sign, which ``macaulay.hilbert_function`` checks
-exactly and then uses to rank one catalecticant block per orbit; quadrics
-take the generic path.  ``predicted_hilbert`` gives the Hilbert function of
-every family from its Jordan data (rank r and Peirce constant d) alone.
+Each ``FamilyKind`` has one ``_Family`` record in the table ``_FAMILIES``,
+and no function here tests the kind.  The record's data: the columns of
+each layout row (so the variables x_ij and their count), how a position
+fills the matrix (``mirror``), the Jordan data r and d behind
+``predicted_hilbert``, and the unit positions of the canonical open-orbit
+element, whose proper prefixes are the deficient candidates.  Its
+behaviour: the basic-invariant builder, the open-orbit test on an integer
+point that characterizes Lefschetz elements, and the symmetry
+(``family_symmetry``: torus weights and signed variable permutations fixing
+F up to sign, which ``macaulay.hilbert_function`` checks exactly and uses to
+rank one catalecticant block per orbit) or None for the generic path.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -47,22 +49,28 @@ def kind_from_name(name: str) -> FamilyKind:
         raise InvalidSpecError(f"unknown family {name!r}") from None
 
 
-def _row(kind: FamilyKind, n: int, i: int) -> range:
-    """The columns j of the variables x_ij in row i of the layout: the one
-    definition of the family's positions and so of its variable count."""
-    if kind is FamilyKind.GENERIC_DET:
-        return range(1, n + 1)
-    if kind is FamilyKind.SYM_DET:
-        return range(i, n + 1)
-    if kind is FamilyKind.PFAFFIAN:
-        return range(i + 1, n + 1)
-    return range(1)  # quadric: x_i sits at (i, 0)
+@dataclass(frozen=True)
+class _Family:
+    """What differs between family kinds; the module docstring says how."""
+
+    row: Callable[[int, int], range]  # (n, i) -> columns j of x_ij in row i
+    # x_ij also fills (j, i) times this sign (0: it does not); None: the
+    # family has no matrix, and x_i sits at (i, 0)
+    mirror: int | None
+    rank: Callable[[int], int]  # r from n
+    d: Callable[[int], int]  # d from nvars
+    units: Callable[[int], list[tuple[int, int]]]  # canonical unit positions
+    invariant: Callable[[FamilySpec], Poly]  # the basic invariant
+    in_orbit: Callable[[FamilySpec, list[int]], bool]  # on L's integer point
+    symmetry: Callable[[FamilySpec], Symmetry] | None
+    even: bool = False  # the size must be even
 
 
 @functools.cache
 def _positions(kind: FamilyKind, n: int) -> tuple[tuple[int, int], ...]:
     """The matrix position of each variable, row-major in layout order."""
-    return tuple((i, j) for i in range(1, n + 1) for j in _row(kind, n, i))
+    row = _FAMILIES[kind].row
+    return tuple((i, j) for i in range(1, n + 1) for j in row(n, i))
 
 
 @functools.cache
@@ -79,28 +87,34 @@ class FamilySpec:
     power: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.kind, FamilyKind):
+            raise InvalidSpecError(f"{self.kind!r} is not a FamilyKind")
         if self.size < 1:
             raise InvalidSpecError("size must be at least 1")
         if self.power < 1:
             raise InvalidSpecError("power must be at least 1")
-        if self.kind is FamilyKind.PFAFFIAN and self.size % 2:
-            raise InvalidSpecError("Pfaffian needs an even matrix size")
+        if self._family.even and self.size % 2:
+            raise InvalidSpecError(f"{self.kind.value} needs an even matrix size")
+
+    @property
+    def _family(self) -> _Family:
+        return _FAMILIES[self.kind]
 
     @functools.cached_property
     def nvars(self) -> int:
         # counted row by row: the budget check, which needs this count,
         # must not build an n^2 position table first
-        n = self.size
-        return sum(len(_row(self.kind, n, i)) for i in range(1, n + 1))
+        n, row = self.size, self._family.row
+        return sum(len(row(n, i)) for i in range(1, n + 1))
 
     @property
     def layout(self) -> tuple[str, ...]:
-        """Variable names in layout order (row-major over matrix positions)."""
+        """Variable names in layout order (row-major over matrix positions);
+        a coordinate at (i, 0) is named x_i."""
         sep = "_" if self.size > 9 else ""
-        if self.kind is FamilyKind.QUADRIC:
-            return tuple(f"x{i}" for i, _ in _positions(self.kind, self.size))
         return tuple(
-            f"x{i}{sep}{j}" for i, j in _positions(self.kind, self.size)
+            f"x{i}{sep}{j}" if j else f"x{i}"
+            for i, j in _positions(self.kind, self.size)
         )
 
     @property
@@ -111,38 +125,19 @@ class FamilySpec:
     def rank_r(self) -> int:
         """The rank r of the family's Jordan algebra: the number of strongly
         orthogonal roots, and the degree of the basic invariant."""
-        n = self.size
-        return {
-            FamilyKind.GENERIC_DET: n,
-            FamilyKind.SYM_DET: n,
-            FamilyKind.PFAFFIAN: n // 2,
-            FamilyKind.QUADRIC: 2,
-        }[self.kind]
+        return self._family.rank(self.size)
 
     @property
     def d_value(self) -> Fraction:
         """The Peirce constant d of the family's Jordan algebra, which with
         rank_r fixes ``predicted_hilbert``."""
-        return d_table(self.kind, self.nvars)
+        return Fraction(self._family.d(self.nvars))
 
     def var_index(self, i: int, j: int = 0) -> int:
         return _position_index(self.kind, self.size)[(i, j)]
 
     def __str__(self) -> str:
         return f"{self.kind.value}(n={self.size}, s={self.power})"
-
-
-def d_table(kind: FamilyKind, nvars: int) -> Fraction:
-    """d per family: symmetric determinants 1, generic determinants 2,
-    Pfaffians 4, quadrics dimension - 2 (2m-3 in 2m-1 variables, 2m-4 in
-    2m-2)."""
-    if kind is FamilyKind.SYM_DET:
-        return Fraction(1)
-    if kind is FamilyKind.GENERIC_DET:
-        return Fraction(2)
-    if kind is FamilyKind.PFAFFIAN:
-        return Fraction(4)
-    return Fraction(nvars - 2)  # quadric
 
 
 def _rising(y: Fraction, n: int) -> Fraction:
@@ -193,17 +188,9 @@ def predicted_hilbert(spec: FamilySpec, budget: int | None = None) -> HilbertFn:
     return HilbertFn(r * s, tuple(int(v) for v in values))
 
 
-def _sym_var(spec: FamilySpec, i: int, j: int) -> Poly:
-    if i > j:
-        i, j = j, i
-    return Poly.variable(spec.nvars, spec.var_index(i, j))
-
-
 def _det_of(matrix: list[list[Poly]], nvars: int) -> Poly:
     """Cofactor expansion along the first row."""
     size = len(matrix)
-    if size == 0:
-        return Poly.one(nvars)
     if size == 1:
         return matrix[0][0]
     total = Poly.zero(nvars)
@@ -218,29 +205,11 @@ def _det_of(matrix: list[list[Poly]], nvars: int) -> Poly:
 
 def generic_matrix(spec: FamilySpec) -> list[list[Poly]]:
     """The generic matrix of the family's layout, entries as Poly variables
-    (symmetric or alternating as appropriate)."""
-    n = spec.size
-    if spec.kind is FamilyKind.GENERIC_DET:
-        return [
-            [Poly.variable(spec.nvars, spec.var_index(i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    if spec.kind is FamilyKind.SYM_DET:
-        return [[_sym_var(spec, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    if spec.kind is FamilyKind.PFAFFIAN:
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                if i == j:
-                    row.append(Poly.zero(spec.nvars))
-                elif i < j:
-                    row.append(Poly.variable(spec.nvars, spec.var_index(i, j)))
-                else:
-                    row.append(-Poly.variable(spec.nvars, spec.var_index(j, i)))
-            rows.append(row)
-        return rows
-    raise InvalidSpecError("no generic matrix for this family")
+    placed by ``_matrix_entries`` (symmetric or alternating as appropriate)."""
+    if spec._family.mirror is None:
+        raise InvalidSpecError("no generic matrix for this family")
+    variables = [Poly.variable(spec.nvars, k) for k in range(spec.nvars)]
+    return _filled(spec, _matrix_entries(spec, variables), Poly.zero(spec.nvars))
 
 
 def pfaffian_poly(n: int) -> Poly:
@@ -267,17 +236,18 @@ def pfaffian_poly(n: int) -> Poly:
     return expand(tuple(range(1, n + 1)))
 
 
+def _determinant(spec: FamilySpec) -> Poly:
+    return _det_of(generic_matrix(spec), spec.nvars)
+
+
+def _sum_of_squares(spec: FamilySpec) -> Poly:
+    variables = (Poly.variable(spec.nvars, k) for k in range(spec.nvars))
+    return sum((poly_mul(v, v) for v in variables), Poly.zero(spec.nvars))
+
+
 def basic_invariant(spec: FamilySpec) -> Poly:
     """The degree-c0 basic relative invariant (power ignored)."""
-    if spec.kind is FamilyKind.QUADRIC:
-        total = Poly.zero(spec.nvars)
-        for k in range(spec.nvars):
-            v = Poly.variable(spec.nvars, k)
-            total = total + poly_mul(v, v)
-        return total
-    if spec.kind is FamilyKind.PFAFFIAN:
-        return pfaffian_poly(spec.size)
-    return _det_of(generic_matrix(spec), spec.nvars)
+    return spec._family.invariant(spec)
 
 
 def make_invariant(spec: FamilySpec) -> Poly:
@@ -287,20 +257,24 @@ def make_invariant(spec: FamilySpec) -> Poly:
 
 def family_symmetry(spec: FamilySpec) -> Symmetry | None:
     """The torus weights of the variables and signed variable permutations
-    that fix F up to sign, for ``hilbert_function``; None for quadrics.
+    that fix F up to sign, for ``hilbert_function``; None for a family
+    without one (the quadric), which takes the generic path."""
+    build = spec._family.symmetry
+    return None if build is None else build(spec)
 
-    x_ij has weight e_i + e_j (for generic-det, (e_i, e'_j)).  Index
-    permutations p of 1..n are generated by the transposition (1 2) and the
-    n-cycle, and x_ij goes to x_p(i)p(j): on rows and on columns apart for
-    generic-det, which adds the transpose x_ij -> x_ji; with the sign -1
-    for the Pfaffian when p flips the pair (x_ji = -x_ij)."""
-    if spec.kind is FamilyKind.QUADRIC:
-        return None
-    n = spec.size
-    generic = spec.kind is FamilyKind.GENERIC_DET
+
+def _matrix_symmetry(spec: FamilySpec) -> Symmetry:
+    """The symmetry of a matrix family, from its mirror rule alone.
+
+    x_ij has weight e_i + e_j (for a matrix without mirror, (e_i, e'_j)).
+    Index permutations p of 1..n are generated by the transposition (1 2)
+    and the n-cycle, and x_ij goes to x_p(i)p(j): on rows and on columns
+    apart for a matrix without mirror, which adds the transpose
+    x_ij -> x_ji; with the mirror's sign when p flips the pair."""
+    n, mirror = spec.size, spec._family.mirror
     positions = _positions(spec.kind, n)
     index = _position_index(spec.kind, n)
-    offset = n if generic else 0
+    offset = 0 if mirror else n
     weights = []
     for i, j in positions:
         w = [0] * (n + offset)
@@ -312,20 +286,19 @@ def family_symmetry(spec: FamilySpec) -> Symmetry | None:
         {**identity, 1: 2, 2: 1},
         {i: i % n + 1 for i in identity},
     ]
-    if generic:
+    if mirror:
+        moves = [lambda i, j, p=p: (p[i], p[j]) for p in perms]
+    else:
         moves = [lambda i, j, p=p: (p[i], j) for p in perms]
         moves += [lambda i, j, p=p: (i, p[j]) for p in perms]
         moves.append(lambda i, j: (j, i))
-    else:
-        moves = [lambda i, j, p=p: (p[i], p[j]) for p in perms]
-    flip = -1 if spec.kind is FamilyKind.PFAFFIAN else 1
     generators = []
     for move in moves:
         gen = []
         for i, j in positions:
             a, b = move(i, j)
-            if not generic and a > b:
-                gen.append((index[(b, a)], flip))
+            if mirror and a > b:
+                gen.append((index[(b, a)], mirror))
             else:
                 gen.append((index[(a, b)], 1))
         generators.append(tuple(gen))
@@ -350,27 +323,30 @@ def _integer_point(coeffs) -> list[int]:
 
 def _matrix_entries(spec: FamilySpec, coeffs) -> dict[tuple[int, int], Fraction | int]:
     """The nonzero entries, by 0-based (row, column), of the matrix whose
-    layout coefficients are ``coeffs``: symmetric layouts place the
-    coefficient of x_ij at both (i,j) and (j,i); alternating layouts add
-    the sign."""
+    layout coefficients are ``coeffs``: the coefficient of x_ij sits at
+    (i,j), and with a mirror also at (j,i) times the mirror's sign."""
+    mirror = spec._family.mirror
     entries = {}
-    for k, (i, j) in enumerate(_positions(spec.kind, spec.size)):
-        a = coeffs[k]
+    for (i, j), a in zip(_positions(spec.kind, spec.size), coeffs):
         if not a:
             continue
         entries[(i - 1, j - 1)] = a
-        if spec.kind is FamilyKind.SYM_DET and i != j:
-            entries[(j - 1, i - 1)] = a
-        elif spec.kind is FamilyKind.PFAFFIAN:
-            entries[(j - 1, i - 1)] = -a
+        if mirror and i != j:
+            entries[(j - 1, i - 1)] = mirror * a
     return entries
 
 
+def _filled(spec: FamilySpec, entries: dict, zero) -> list[list]:
+    """The dense n x n rows of ``entries``, ``zero`` elsewhere."""
+    n = spec.size
+    return [[entries.get((i, j), zero) for j in range(n)] for i in range(n)]
+
+
 def coeffs_to_matrix(spec: FamilySpec, L: Poly):
-    """Fill the matrix (or coordinate vector, for quadrics) whose entries are
-    L's coefficients under the family layout (``_matrix_entries``)."""
+    """The matrix (``_matrix_entries``) whose entries are L's coefficients
+    under the family layout, or their vector for a family without one."""
     coeffs = _linear_coeffs(spec, L)
-    if spec.kind is FamilyKind.QUADRIC:
+    if spec._family.mirror is None:
         return coeffs
     return RatMatrix(spec.size, spec.size, _matrix_entries(spec, coeffs))
 
@@ -396,14 +372,13 @@ def _nonsingular(rows: list[list[int]]) -> bool:
     return True
 
 
+def _matrix_in_orbit(spec: FamilySpec, point: list[int]) -> bool:
+    return _nonsingular(_filled(spec, _matrix_entries(spec, point), 0))
+
+
 def _in_open_orbit(spec: FamilySpec, point: list[int]) -> bool:
     """orbit_test on the integer coefficient vector `point` of L."""
-    if spec.kind is FamilyKind.QUADRIC:
-        return bool(sum(a * a for a in point))
-    rows = [[0] * spec.size for _ in range(spec.size)]
-    for (i, j), a in _matrix_entries(spec, point).items():
-        rows[i][j] = a
-    return _nonsingular(rows)
+    return spec._family.in_orbit(spec, point)
 
 
 def orbit_test(spec: FamilySpec, L: Poly) -> bool:
@@ -421,37 +396,60 @@ def orbit_test(spec: FamilySpec, L: Poly) -> bool:
     return _in_open_orbit(spec, _integer_point(_linear_coeffs(spec, L)))
 
 
-def _canonical_pairs(spec: FamilySpec) -> list[tuple[int, int]]:
-    """Matrix positions of the canonical element's unit entries: the
-    diagonal, or the symplectic pairs (1,2), (3,4), ... for Pfaffians."""
-    if spec.kind is FamilyKind.PFAFFIAN:
-        return [(2 * t - 1, 2 * t) for t in range(1, spec.size // 2 + 1)]
-    return [(i, i) for i in range(1, spec.size + 1)]
+def _unit_form(spec: FamilySpec, units: list[tuple[int, int]]) -> Poly:
+    """The sum of the variables at the positions ``units``."""
+    total = Poly.zero(spec.nvars)
+    for i, j in units:
+        total = total + Poly.variable(spec.nvars, spec.var_index(i, j))
+    return total
 
 
 def canonical_lefschetz(spec: FamilySpec) -> Poly:
     """The family's standard open-orbit element: the trace form for the
     determinant families, the standard symplectic form for Pfaffians, and
     the first coordinate for quadrics."""
-    if spec.kind is FamilyKind.QUADRIC:
-        return Poly.variable(spec.nvars, 0)
-    total = Poly.zero(spec.nvars)
-    for i, j in _canonical_pairs(spec):
-        total = total + Poly.variable(spec.nvars, spec.var_index(i, j))
-    return total
+    return _unit_form(spec, spec._family.units(spec.size))
 
 
 def deficient_candidates(spec: FamilySpec) -> list[Poly]:
-    """Deterministic boundary candidates of every deficient rank, built by
-    zeroing trailing blocks of the canonical element.  Quadrics have none:
-    rational nonzero vectors are never isotropic."""
-    if spec.kind is FamilyKind.QUADRIC:
-        return []
-    pairs = _canonical_pairs(spec)
-    out = []
-    for keep in range(1, len(pairs)):
-        total = Poly.zero(spec.nvars)
-        for i, j in pairs[:keep]:
-            total = total + Poly.variable(spec.nvars, spec.var_index(i, j))
-        out.append(total)
-    return out
+    """Deterministic boundary candidates of every deficient rank: the proper
+    prefixes of the canonical element's units.  The quadric's has one unit,
+    so none: rational nonzero vectors are never isotropic."""
+    units = spec._family.units(spec.size)
+    return [_unit_form(spec, units[:keep]) for keep in range(1, len(units))]
+
+
+def _diagonal(n: int) -> list[tuple[int, int]]:
+    return [(i, i) for i in range(1, n + 1)]
+
+
+# One record per kind: every fact above that differs between the families.
+_FAMILIES = {
+    FamilyKind.GENERIC_DET: _Family(
+        row=lambda n, i: range(1, n + 1), mirror=0,
+        rank=lambda n: n, d=lambda nvars: 2, units=_diagonal,
+        invariant=_determinant, in_orbit=_matrix_in_orbit,
+        symmetry=_matrix_symmetry,
+    ),
+    FamilyKind.SYM_DET: _Family(
+        row=lambda n, i: range(i, n + 1), mirror=1,
+        rank=lambda n: n, d=lambda nvars: 1, units=_diagonal,
+        invariant=_determinant, in_orbit=_matrix_in_orbit,
+        symmetry=_matrix_symmetry,
+    ),
+    FamilyKind.PFAFFIAN: _Family(
+        row=lambda n, i: range(i + 1, n + 1), mirror=-1,
+        rank=lambda n: n // 2, d=lambda nvars: 4,
+        units=lambda n: [(2 * t - 1, 2 * t) for t in range(1, n // 2 + 1)],
+        invariant=lambda spec: pfaffian_poly(spec.size),
+        in_orbit=_matrix_in_orbit, symmetry=_matrix_symmetry, even=True,
+    ),
+    # x_i at (i, 0); d = nvars - 2: 2m-3 in 2m-1 variables, 2m-4 in 2m-2
+    FamilyKind.QUADRIC: _Family(
+        row=lambda n, i: range(1), mirror=None,
+        rank=lambda n: 2, d=lambda nvars: nvars - 2, units=lambda n: [(1, 0)],
+        invariant=_sum_of_squares,
+        in_orbit=lambda spec, point: bool(sum(a * a for a in point)),
+        symmetry=None,
+    ),
+}

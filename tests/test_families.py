@@ -18,7 +18,6 @@ from lefkit.families import (
     basic_invariant,
     canonical_lefschetz,
     coeffs_to_matrix,
-    d_table,
     deficient_candidates,
     generic_matrix,
     kind_from_name,
@@ -50,6 +49,9 @@ def test_spec_validation():
         FamilySpec(FamilyKind.SYM_DET, 2, 0)
     with pytest.raises(InvalidSpecError):
         kind_from_name("det")
+    # a kind must be a FamilyKind, not its name
+    with pytest.raises(InvalidSpecError):
+        FamilySpec("sym-det", 3)
 
 
 def test_nvars_counts_the_layout():
@@ -98,11 +100,15 @@ def test_d_table():
     # quadric in 2m-1 variables: 2m-3; in 2m-2 variables: 2m-4
     assert FamilySpec(FamilyKind.QUADRIC, 5).d_value == 3
     assert FamilySpec(FamilyKind.QUADRIC, 4).d_value == 2
-    # structural identity nvars = r + d*r*(r-1)/2 of the Jordan algebra
-    for spec in (sym(3), FamilySpec(FamilyKind.GENERIC_DET, 3),
-                 FamilySpec(FamilyKind.PFAFFIAN, 6), FamilySpec(FamilyKind.QUADRIC, 5)):
-        r = spec.rank_r
-        assert spec.nvars == r + d_table(spec.kind, spec.nvars) * r * (r - 1) / 2
+    # structural identity nvars = r + d*r*(r-1)/2 of the Jordan algebra,
+    # for every kind
+    for kind in FamilyKind:
+        for n in range(1, 7):
+            if kind is FamilyKind.PFAFFIAN and n % 2:
+                continue
+            spec = FamilySpec(kind, n)
+            r = spec.rank_r
+            assert spec.nvars == r + spec.d_value * r * (r - 1) / 2, spec
 
 
 def test_rank_r_gives_basic_degree():

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("argv,expected", [
     (["scripts/theorem_grid.py", "--samples", "2"], "total mismatches: 0"),
-    (["scripts/hilbert_table.py", "--max-n", "2", "--max-s", "2"], "ok"),
+    (["scripts/hilbert_table.py", "--max-n", "4", "--max-s", "3"], "ok"),
 ])
 def test_script_runs(argv, expected):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
