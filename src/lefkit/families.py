@@ -27,6 +27,7 @@ from .errors import (
     InvalidSpecError,
     InvariantError,
     NotLinearError,
+    OutOfRangeError,
     TooLargeError,
     VarMismatchError,
 )
@@ -89,6 +90,10 @@ class FamilySpec:
     def __post_init__(self):
         if not isinstance(self.kind, FamilyKind):
             raise InvalidSpecError(f"{self.kind!r} is not a FamilyKind")
+        for name in ("size", "power"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool, float and str included
+                raise InvalidSpecError(f"{name} must be an int, got {value!r}")
         if self.size < 1:
             raise InvalidSpecError("size must be at least 1")
         if self.power < 1:
@@ -134,7 +139,10 @@ class FamilySpec:
         return Fraction(self._family.d(self.nvars))
 
     def var_index(self, i: int, j: int = 0) -> int:
-        return _position_index(self.kind, self.size)[(i, j)]
+        index = _position_index(self.kind, self.size).get((i, j))
+        if index is None:
+            raise OutOfRangeError(f"position ({i}, {j}) is not in the layout of {self}")
+        return index
 
     def __str__(self) -> str:
         return f"{self.kind.value}(n={self.size}, s={self.power})"

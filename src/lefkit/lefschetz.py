@@ -29,12 +29,12 @@ rows of the degree-i catalecticant, rows at their graded-lex positions;
 one placed build gives the catalecticant of every degree i = 0..c//2.  The
 bases, as macaulay's additive lex-order monomial keys (so the key of
 b_j b_k is a sum), and F's terms cleared over one scale D (the lcm of its
-coefficient denominators) are a per-F table (HessianTable).  For each L,
-the route's own divisor walk, once over each of F's terms, yields every
-divisor's key with its value at L's point, the point cleared to integers,
-and a divisor whose key is a product b_j b_k adds to that row of the
-higher Hessian of its degree, as an integer; only the determinant is
-divided back.
+coefficient denominators) are a per-F table (HessianTable); it holds
+nothing per product b_j b_k.  For each L, the route's own divisor walk,
+once over each of F's terms, sums every divisor's value at L's point (the
+point cleared to integers) into one map keyed by the divisor, and each
+cell (j, k) of the higher Hessian of each degree looks up the key of
+b_j b_k there, as an integer; only the determinant is divided back.
 That walk never reads SlpTable, macaulay's enumerator or a rank, so a fault
 in one route cannot hide in the other.
 verify_theorem cross-validates the slp_check verdict (not the Hessian one)
@@ -49,6 +49,7 @@ F(w*x) (polyring.scale_variables).
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, perm, prod
@@ -320,14 +321,12 @@ class HessianTable:
     sum e_k * (c+1)^(nvars-1-k), so the key of b_j * b_k is
     key(b_j) + key(b_k)): F's terms as integers over one scale D (the lcm
     of its coefficient denominators), each with its nonzero (exponent, key
-    step, variable) triples; the index of each distinct product key
-    b_j * b_k over every degree (keys of different degrees differ); and,
-    for each i = 0..c//2, the keys of the basis b of
-    default_degree_basis(f, i) and the matrix of its products' indices
-    (entries (j, k) and (k, j) share one).  The catalecticants of every
-    degree come from one placed build, each basis is its pivot rows.  Build
-    the table once per F and pass it to each hessian_determinants_at of
-    that F."""
+    step, variable) triples, and, for each i = 0..c//2, the keys of the
+    basis b of default_degree_basis(f, i).  Nothing is kept per product
+    b_j * b_k: each L looks its keys up in its own map of divisor values.
+    The catalecticants of every degree come from one placed build, each
+    basis is its pivot rows.  Build the table once per F and pass it to
+    each hessian_determinants_at of that F."""
 
     def __init__(self, f: Poly):
         self.f = f
@@ -341,17 +340,10 @@ class HessianTable:
             )
             for expo, coeff in f.terms()
         ]
-        self.index: dict[int, int] = {}
-        self.degrees = []
-        for matrix, key_at, _ in _placed_catalecticant(f, c, 0, c // 2):
-            basis = [key_at[r] for r in pivot_rows(matrix)]
-            cells = [[0] * len(basis) for _ in basis]
-            for j, bj in enumerate(basis):
-                for k in range(j, len(basis)):
-                    cells[j][k] = cells[k][j] = self.index.setdefault(
-                        bj + basis[k], len(self.index)
-                    )
-            self.degrees.append((basis, cells))
+        self.degrees = [
+            [key_at[r] for r in pivot_rows(matrix)]
+            for matrix, key_at, _ in _placed_catalecticant(f, c, 0, c // 2)
+        ]
 
 
 def hessian_determinants_at(
@@ -368,10 +360,11 @@ def hessian_determinants_at(
     One walk over the divisors of each of F's terms, for every degree at
     once, yields each divisor's key with prod perm(e_k, d_k) *
     n_k^(e_k - d_k), multiplied in one variable at a time from a per-L
-    table of those factors, and a divisor whose key is a product b_j*b_k
-    adds D * coeff times it to that row (a key of odd degree, or above
-    2 * (c//2), is no product and is skipped).  An entry of the i-th
-    Hessian is homogeneous of degree c - 2i, so that sum is
+    table of those factors, and D * coeff times it is summed into one map
+    from divisor key to value.  Then each pair j <= k of each basis looks
+    up the key of b_j * b_k in that map, and a nonzero value fills cells
+    (j, k) and (k, j); a key no term reaches is a zero cell.  An entry of
+    the i-th Hessian is homogeneous of degree c - 2i, so that sum is
     D * denom^(c-2i) times its value at l, and the determinant of the
     integer matrix is divided exactly by (D * denom^(c-2i))^(h_i) at the
     end.  No Poly entry is built."""
@@ -385,21 +378,19 @@ def hessian_determinants_at(
     factors = _point_factors(
         [x.numerator * (denom // x.denominator) for x in coeffs], c
     )
-    index, values = table.index, [0] * len(table.index)
+    at: defaultdict[int, int] = defaultdict(int)  # divisor key -> its value
     for a, term in table.terms:
         for key, v in _point_divisors(term, factors):
-            r = index.get(key)
-            if r is not None:
-                values[r] += a * v
-    dets = []
-    for i, (basis, cells) in enumerate(table.degrees):
+            at[key] += a * v
+    get, dets = at.get, []
+    for i, basis in enumerate(table.degrees):
         h = len(basis)
-        matrix = RatMatrix._of(h, h, {
-            (j, k): values[r]
-            for j, row in enumerate(cells)
-            for k, r in enumerate(row)
-            if values[r]
-        })
+        cells = {}
+        for j, bj in enumerate(basis):
+            for k, v in enumerate([get(bj + bk) for bk in basis[j:]], j):
+                if v:
+                    cells[j, k] = cells[k, j] = v
+        matrix = RatMatrix._of(h, h, cells)
         dets.append(mat_det(matrix) / (table.scale * denom ** (c - 2 * i)) ** h)
     return dets
 

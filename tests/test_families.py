@@ -52,6 +52,21 @@ def test_spec_validation():
     # a kind must be a FamilyKind, not its name
     with pytest.raises(InvalidSpecError):
         FamilySpec("sym-det", 3)
+    # size and power must be plain ints: not a float, a bool or a str
+    for bad in (2.5, True, "3"):
+        with pytest.raises(InvalidSpecError, match="must be an int"):
+            FamilySpec(FamilyKind.SYM_DET, bad)
+        with pytest.raises(InvalidSpecError, match="must be an int"):
+            FamilySpec(FamilyKind.SYM_DET, 2, bad)
+
+
+def test_var_index_outside_the_layout():
+    # sym-det keeps the upper triangle, so (2, 1) is no position of it
+    spec = FamilySpec(FamilyKind.SYM_DET, 2)
+    for i, j in [(2, 1), (3, 3), (0, 0), (1, 0)]:
+        with pytest.raises(OutOfRangeError, match=rf"\({i}, {j}\).*sym-det\(n=2"):
+            spec.var_index(i, j)
+    assert FamilySpec(FamilyKind.QUADRIC, 3).var_index(3) == 2
 
 
 def test_nvars_counts_the_layout():

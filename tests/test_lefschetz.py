@@ -519,7 +519,7 @@ def test_one_placed_build_gives_every_degree(kind, n, s):
         table = HessianTable(g)
         assert len(table.degrees) == c // 2 + 1
         placed = zip(_placed_catalecticant(g, c, 0, c // 2), table.degrees)
-        for i, ((matrix, key_at, order), (basis, _)) in enumerate(placed):
+        for i, ((matrix, key_at, order), basis) in enumerate(placed):
             check(i, matrix, key_at, order)
             assert [
                 _monomial(b, c + 1, g.nvars)[::-1] for b in basis
@@ -592,6 +592,61 @@ def test_hessian_determinants_match_evaluated_oracle(kind, n, s):
             assert hessian_determinants_at(g, L, table) == expected
             if L in deficient:
                 assert not all(expected)
+
+
+def _some_term_survives(entry, point):
+    # whether a term of the polynomial `entry` is nonzero at `point`
+    return any(all(x for x, k in zip(point, expo) if k) for expo, _ in entry.terms())
+
+
+@pytest.mark.parametrize("kind,n,s", [
+    (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.GENERIC_DET, 2, 2),
+    (FamilyKind.PFAFFIAN, 4, 2),
+    (FamilyKind.QUADRIC, 4, 2),
+])
+def test_one_hessian_table_over_many_points(kind, n, s):
+    """One HessianTable per F, plain and weighted (D > 1), reused over
+    seeded integer and rational points (zero coordinates included), the
+    all-ones point, the reciprocal weights, the canonical L and every
+    deficient candidate: each L's map of divisor values gives the
+    determinants of the oracle's Hessians evaluated at the point.  An entry
+    whose terms are nonzero at the point but sum to zero is a cell whose
+    walked contributions cancel; the determinant families reach some (the
+    quadric's entries here are single terms or sums of squares)."""
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    nvars = f.nvars
+    rng = random.Random(27)
+    weights = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(nvars)]
+    points = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(6)]
+    points += [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars)]
+               for _ in range(4)]
+    points += [[1] * nvars, [1 / w for w in weights]]
+    assert any(0 in p for p in points)
+    forms = [linear(spec, dict(enumerate(p))) for p in points if any(p)]
+    forms += [canonical_lefschetz(spec), *deficient_candidates(spec)]
+    cancelled = 0
+    for g in (f, scale_variables(f, weights)):
+        c = g.homogeneous_degree()
+        table = HessianTable(g)
+        naive = [
+            naive_higher_hessian(g, default_degree_basis(g, i))
+            for i in range(c // 2 + 1)
+        ]
+        for L in forms:
+            point = L.linear_coefficients()
+            expected = []
+            for matrix in naive:
+                rows = [[naive_evaluate(e, point) for e in row] for row in matrix]
+                cancelled += sum(
+                    v == 0 and _some_term_survives(e, point)
+                    for row, values in zip(matrix, rows)
+                    for e, v in zip(row, values)
+                )
+                expected.append(_oracle_det(rows))
+            assert hessian_determinants_at(g, L, table) == expected
+    assert cancelled > 0 or kind is FamilyKind.QUADRIC
 
 
 def test_hessian_criterion_examples():
