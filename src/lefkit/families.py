@@ -21,19 +21,18 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, lcm
+from math import comb
 
-from .errors import (
-    InvalidSpecError,
-    InvariantError,
-    NotLinearError,
-    OutOfRangeError,
-    TooLargeError,
-    VarMismatchError,
-)
+from .errors import InvalidSpecError, InvariantError, OutOfRangeError, TooLargeError
 from .exactmath import RatMatrix
 from .macaulay import HilbertFn, Symmetry, count_text, resolve_budget
-from .polyring import Poly, poly_mul, poly_pow
+from .polyring import (
+    Poly,
+    _clear_denominators,
+    _linear_form_coeffs,
+    poly_mul,
+    poly_pow,
+)
 
 
 class FamilyKind(enum.Enum):
@@ -313,22 +312,6 @@ def _matrix_symmetry(spec: FamilySpec) -> Symmetry:
     return Symmetry(tuple(weights), tuple(generators))
 
 
-def _linear_coeffs(spec: FamilySpec, L: Poly) -> tuple[Fraction, ...]:
-    if L.nvars != spec.nvars:
-        raise VarMismatchError(
-            f"form has {L.nvars} variables, family layout has {spec.nvars}"
-        )
-    if L.is_zero() or L.homogeneous_degree() != 1:
-        raise NotLinearError("Lefschetz candidates must be nonzero linear forms")
-    return L.linear_coefficients()
-
-
-def _integer_point(coeffs) -> list[int]:
-    """Rational coefficients times the lcm of their denominators."""
-    scale = lcm(*(a.denominator for a in coeffs))
-    return [a.numerator * (scale // a.denominator) for a in coeffs]
-
-
 def _matrix_entries(spec: FamilySpec, coeffs) -> dict[tuple[int, int], Fraction | int]:
     """The nonzero entries, by 0-based (row, column), of the matrix whose
     layout coefficients are ``coeffs``: the coefficient of x_ij sits at
@@ -353,7 +336,7 @@ def _filled(spec: FamilySpec, entries: dict, zero) -> list[list]:
 def coeffs_to_matrix(spec: FamilySpec, L: Poly):
     """The matrix (``_matrix_entries``) whose entries are L's coefficients
     under the family layout, or their vector for a family without one."""
-    coeffs = _linear_coeffs(spec, L)
+    coeffs = _linear_form_coeffs(L, spec.nvars)
     if spec._family.mirror is None:
         return coeffs
     return RatMatrix(spec.size, spec.size, _matrix_entries(spec, coeffs))
@@ -401,7 +384,8 @@ def orbit_test(spec: FamilySpec, L: Poly) -> bool:
     test cross-checks runs on.  Decided by _in_open_orbit on L's point
     cleared to integers, a positive multiple of it.
     """
-    return _in_open_orbit(spec, _integer_point(_linear_coeffs(spec, L)))
+    _, point = _clear_denominators(_linear_form_coeffs(L, spec.nvars))
+    return _in_open_orbit(spec, point)
 
 
 def _unit_form(spec: FamilySpec, units: list[tuple[int, int]]) -> Poly:

@@ -27,10 +27,10 @@ The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict.  The quotient basis b is the pivot
 rows of the degree-i catalecticant, rows at their graded-lex positions;
 one placed build gives the catalecticant of every degree i = 0..c//2.  The
-bases, as macaulay's additive lex-order monomial keys (so the key of
-b_j b_k is a sum), and F's terms cleared over one scale D (the lcm of its
-coefficient denominators) are a per-F table (HessianTable); it holds
-nothing per product b_j b_k.  For each L, the route's own divisor walk,
+bases, as macaulay's additive monomial keys (so the key of b_j b_k is a
+sum), and F's terms cleared over one scale D (the lcm of its coefficient
+denominators) are a per-F table (HessianTable); it holds nothing per
+product b_j b_k.  For each L, the route's own divisor walk,
 once over each of F's terms, sums every divisor's value at L's point (the
 point cleared to integers) into one map keyed by the divisor, and each
 cell (j, k) of the higher Hessian of each degree looks up the key of
@@ -52,14 +52,13 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, perm, prod
+from math import gcd, perm, prod
 
-from .errors import InvariantError, NotLinearError, OutOfRangeError, VarMismatchError
+from .errors import InvariantError, OutOfRangeError
 from .exactmath import PROBE_PRIME, RatMatrix, _rank_mod_p, mat_det, mat_rank, pivot_rows
 from .families import (
     FamilySpec,
     _in_open_orbit,
-    _integer_point,
     canonical_lefschetz,
     deficient_candidates,
     family_symmetry,
@@ -71,12 +70,11 @@ from .macaulay import (
     _monomial,
     _placed_catalecticant,
     _require_homogeneous,
-    _scale,
     _steps,
     ensure_within_budget,
     hilbert_function,
 )
-from .polyring import Monomial, Poly
+from .polyring import Monomial, Poly, _clear_denominators, _linear_form_coeffs
 
 
 @dataclass(frozen=True)
@@ -100,21 +98,6 @@ class SlpReport:
     @property
     def verdict(self) -> bool:
         return all(row.passed for row in self.rows)
-
-
-def _validate_linear(f: Poly, L: Poly) -> None:
-    if L.nvars != f.nvars:
-        raise VarMismatchError(
-            f"L has {L.nvars} variables, F has {f.nvars}"
-        )
-    if L.is_zero() or L.homogeneous_degree() != 1:
-        raise NotLinearError("L must be a nonzero homogeneous linear form")
-
-
-def _validate_slp_inputs(f: Poly, L: Poly) -> int:
-    c = _require_homogeneous(f)
-    _validate_linear(f, L)
-    return c
 
 
 class SlpTable:
@@ -250,15 +233,14 @@ def slp_check(f: Poly, L: Poly, table: SlpTable | None = None) -> SlpReport:
     ranked.  The Hessian route never uses this table, so it stays an
     independent check.  For even c the middle row (k = 0, the identity) is
     h_i, taken from the table unranked."""
-    if table is not None and table.f is f:  # F was checked when the table was built
-        _validate_linear(f, L)
-    else:
-        _validate_slp_inputs(f, L)
-        if table is None:
-            table = SlpTable(f)
-        elif table.f != f:
-            raise ValueError("SlpTable was built for a different F")
-    achieved = table.ranks_at(_integer_point(L.linear_coefficients()))
+    if table is None or table.f is not f:  # a table's F was checked at build
+        _require_homogeneous(f)
+    _, point = _clear_denominators(_linear_form_coeffs(L, f.nvars))
+    if table is None:
+        table = SlpTable(f)
+    elif table.f != f:
+        raise ValueError("SlpTable was built for a different F")
+    achieved = table.ranks_at(point)
     return SlpReport(c=table.c, rows=tuple(
         SlpRow(i=i, required=table.required[i], achieved=a)
         for i, a in enumerate(achieved)
@@ -274,10 +256,10 @@ def default_degree_basis(f: Poly, i: int) -> list[Monomial]:
     elimination: a canonical basis of the degree-i quotient piece.  The
     matrix is the public catalecticant's, rows at the same graded-lex
     positions and its nonzero columns in the same order, but built from
-    lex-order keys without its label lists."""
+    monomial keys without its label lists."""
     c = _require_homogeneous(f)
     [(matrix, key_at, _)] = _placed_catalecticant(f, c, i, i)
-    return [_monomial(key_at[r], c + 1, f.nvars)[::-1] for r in pivot_rows(matrix)]
+    return [_monomial(key_at[r], c + 1, f.nvars) for r in pivot_rows(matrix)]
 
 
 def _point_factors(point: list[int], c: int) -> list[list[list[int]]]:
@@ -316,14 +298,14 @@ def _point_divisors(
 
 
 class HessianTable:
-    """Per-F data of hessian_determinants_at, with monomials as the additive
-    lex-order keys of macaulay's placed build (key of x^e =
-    sum e_k * (c+1)^(nvars-1-k), so the key of b_j * b_k is
-    key(b_j) + key(b_k)): F's terms as integers over one scale D (the lcm
-    of its coefficient denominators), each with its nonzero (exponent, key
-    step, variable) triples, and, for each i = 0..c//2, the keys of the
-    basis b of default_degree_basis(f, i).  Nothing is kept per product
-    b_j * b_k: each L looks its keys up in its own map of divisor values.
+    """Per-F data of hessian_determinants_at, with monomials as macaulay's
+    one key order (``_steps(c + 1, nvars)``, the placed build's keys, so
+    the key of b_j * b_k is key(b_j) + key(b_k)): F's terms as integers
+    over one scale D (the lcm of its coefficient denominators), each with
+    its nonzero (exponent, key step, variable) triples, and, for each
+    i = 0..c//2, the keys of the basis b of default_degree_basis(f, i).
+    Nothing is kept per product b_j * b_k: each L looks its keys up in its
+    own map of divisor values.
     The catalecticants of every degree come from one placed build, each
     basis is its pivot rows.  Build the table once per F and pass it to
     each hessian_determinants_at of that F."""
@@ -331,14 +313,11 @@ class HessianTable:
     def __init__(self, f: Poly):
         self.f = f
         c = _require_homogeneous(f)
-        self.scale = _scale(f)
-        steps = _steps(c + 1, f.nvars)[::-1]  # the placed build's lex-order keys
+        self.scale, values = _clear_denominators([v for _, v in f.terms()])
+        steps = _steps(c + 1, f.nvars)
         self.terms = [
-            (
-                coeff.numerator * (self.scale // coeff.denominator),
-                tuple((e, steps[k], k) for k, e in enumerate(expo) if e),
-            )
-            for expo, coeff in f.terms()
+            (value, tuple((e, steps[k], k) for k, e in enumerate(expo) if e))
+            for (expo, _), value in zip(f.terms(), values)
         ]
         self.degrees = [
             [key_at[r] for r in pivot_rows(matrix)]
@@ -368,16 +347,13 @@ def hessian_determinants_at(
     D * denom^(c-2i) times its value at l, and the determinant of the
     integer matrix is divided exactly by (D * denom^(c-2i))^(h_i) at the
     end.  No Poly entry is built."""
-    c = _validate_slp_inputs(f, L)
+    c = _require_homogeneous(f)
+    denom, point = _clear_denominators(_linear_form_coeffs(L, f.nvars))
     if table is None:
         table = HessianTable(f)
     elif table.f != f:
         raise ValueError("HessianTable was built for a different F")
-    coeffs = L.linear_coefficients()
-    denom = lcm(*(x.denominator for x in coeffs))
-    factors = _point_factors(
-        [x.numerator * (denom // x.denominator) for x in coeffs], c
-    )
+    factors = _point_factors(point, c)
     at: defaultdict[int, int] = defaultdict(int)  # divisor key -> its value
     for a, term in table.terms:
         for key, v in _point_divisors(term, factors):
@@ -473,7 +449,7 @@ def verify_theorem(
     ]
     rng = random.Random(seed)
     drawn = [_random_point(spec.nvars, rng) for _ in range(samples)]
-    candidates = [(coeffs, _integer_point(coeffs), True) for coeffs in forced]
+    candidates = [(coeffs, _clear_denominators(coeffs)[1], True) for coeffs in forced]
     candidates += [(tuple(map(Fraction, point)), point, False) for point in drawn]
     return TheoremSummary(samples=tuple(
         TheoremSample(

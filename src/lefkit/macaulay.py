@@ -11,24 +11,25 @@ weight, so it falls apart into small torus-weight blocks.
 One enumerator makes every catalecticant entry, here and in
 ``lefschetz.SlpTable``: it walks the divisors of each term, pruned by degree,
 and gives integer entries over one recorded scale D (the lcm of F's
-coefficient denominators), with monomials as mixed-radix integer keys.
-Each variable is one comprehension over the partial divisors, reading a
-row (key step, exponent, perm(e_k, exponent)) built once per term and
-variable, sliced to the degree window once per partial degree.  The rank
-path (``hilbert_function``) ranks those
+coefficient denominators, ``polyring._clear_denominators``).  Monomials
+are mixed-radix integer keys in one order everywhere (``_steps``): x_0 is
+the most significant digit, so within one degree a larger key is an
+earlier graded-lex monomial.  Each variable is one comprehension over the
+partial divisors, reading a row (key step, exponent, perm(e_k, exponent))
+built once per term and variable, sliced to the degree window once per
+partial degree.  The rank path (``hilbert_function``) ranks those
 integers with rows and columns numbered by key, and never lists monomial
 labels.  The public ``catalecticant``, ``lefschetz.default_degree_basis``
 and ``lefschetz.HessianTable`` share one builder, which places a range of
-degrees from one walk with lex-order keys (x_0 the most significant digit,
-so within one degree a larger key is an earlier graded-lex monomial): each
-row at its graded-lex position (``_glex_rank_of_key``, read off the key's
-digits, not looked up in a label list), the nonzero columns numbered by
-descending key with nothing decoded, as elimination reads only the order
-of the columns, and the entries divided by D (when D > 1), so they are
-the exact rationals.  ``catalecticant`` puts the columns back at their
-graded-lex positions.  Each degree is an independent rank computation: no
-elimination state is shared between i and c-i, so transpose-rank duality
-stays a genuine cross-check.
+degrees from one walk: each row at its graded-lex position
+(``_glex_rank_of_key``, read off the key's digits, not looked up in a
+label list), the nonzero columns numbered by descending key with nothing
+decoded, as elimination reads only the order of the columns, and the
+entries divided by D (when D > 1), so they are the exact rationals.
+``catalecticant`` puts the columns back at their graded-lex positions.
+Each degree is an independent rank computation: no elimination state is
+shared between i and c-i, so transpose-rank duality stays a genuine
+cross-check.
 The cell budget still counts the dense cells of the largest catalecticant.
 
 Given a Symmetry (the family invariants' torus weights and signed variable
@@ -58,7 +59,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import comb, lcm, perm
+from math import comb, perm
 
 from .errors import (
     InvariantError,
@@ -67,7 +68,13 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exactmath import RatMatrix, dense_rank, mat_kernel, mat_rank
-from .polyring import Monomial, Poly, dim_of_degree, monomials_of_degree
+from .polyring import (
+    Monomial,
+    Poly,
+    _clear_denominators,
+    dim_of_degree,
+    monomials_of_degree,
+)
 
 DEFAULT_CELL_BUDGET = 4_000_000
 
@@ -155,25 +162,27 @@ class HilbertFn:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-def _key(expo: Monomial, base: int) -> int:
-    # sum e_k * base^k, by Horner's rule
+def _weight_key(w: tuple[int, ...], wbase: int) -> int:
+    """The torus weight w as bit fields, coordinate a at w_a * wbase^a (a
+    later coordinate is the more significant one): what the symmetric
+    walk carries above a monomial key."""
     key = 0
-    for e in reversed(expo):
-        key = key * base + e
+    for v in reversed(w):
+        key = key * wbase + v
     return key
 
 
 def _monomial(key: int, base: int, nvars: int) -> Monomial:
-    out = []
-    for _ in range(nvars):
-        key, e = divmod(key, base)
-        out.append(e)
+    """The exponent tuple whose key (``_steps``) is ``key``."""
+    out = [0] * nvars
+    for k in range(nvars - 1, -1, -1):
+        key, out[k] = divmod(key, base)
     return tuple(out)
 
 
 def _glex_rank_of_key(key: int, base: int, nvars: int) -> int:
-    """The index in monomials_of_degree of the monomial e whose lex-order
-    key (x_0 the most significant digit) is ``key``.
+    """The index in monomials_of_degree of the monomial e whose key
+    (``_steps``) is ``key``.
 
     The monomials before e are those that agree with it on variables
     0..k-1 and exceed it at k.  With t = the degree of e after variable k,
@@ -190,8 +199,10 @@ def _glex_rank_of_key(key: int, base: int, nvars: int) -> int:
 
 
 def _steps(base: int, nvars: int) -> list[int]:
-    """The key step of each variable: the key of x^e is sum e_k * step_k."""
-    return [base**k for k in range(nvars)]
+    """The key step of each variable, the one monomial key order: the key
+    of x^e is sum e_k * step_k, with x_0 the most significant digit, so
+    within one degree a larger key is an earlier graded-lex monomial."""
+    return [base ** (nvars - 1 - k) for k in range(nvars)]
 
 
 def _divisors(
@@ -263,23 +274,16 @@ def _divisors(
     return parts
 
 
-def _scale(f: Poly) -> int:
-    """D, the lcm of F's coefficient denominators: D*F has integer
-    coefficients."""
-    return lcm(*(coeff.denominator for _, coeff in f.terms()))
-
-
 def _entries(f: Poly, steps: list[int], low: int, high: int, caps=None):
     """The catalecticant entry enumerator: for every term coeff*x^e of F and
     divisor x^mu of degree low..high, (key mu, degree, key(e) - key(mu),
-    entry) with the integer entry D * coeff * prod perm(e_k, mu_k), D =
-    _scale(f): row mu and column x^(e - mu) of the degree-deg catalecticant
-    of D*F.  Keys are by ``steps``; distinct (term, divisor) pairs give
-    distinct (row, column) cells."""
-    scale = _scale(f)
-    for expo, coeff in f.terms():
+    entry) with the integer entry D * coeff * prod perm(e_k, mu_k), D the
+    lcm of F's denominators: row mu and column x^(e - mu) of the degree-deg
+    catalecticant of D*F.  Keys are by ``steps``; distinct (term, divisor)
+    pairs give distinct (row, column) cells."""
+    _, values = _clear_denominators([coeff for _, coeff in f.terms()])
+    for (expo, _), value in zip(f.terms(), values):
         whole = sum(e * step for e, step in zip(expo, steps))
-        value = coeff.numerator * (scale // coeff.denominator)
         for mu, deg, entry in _divisors(expo, steps, low, high, value, caps):
             yield mu, deg, whole - mu, entry
 
@@ -288,11 +292,9 @@ def _placed_catalecticant(
     f: Poly, c: int, low: int, high: int
 ) -> list[tuple[RatMatrix, dict[int, int], list[int]]]:
     """The degree-i catalecticant of F (degree c) for each i = low..high,
-    from one walk of the entry enumerator with lex-order keys (steps
-    ``_steps(c + 1, nvars)[::-1]``, x_0 the most significant digit, so
-    within one degree a larger key is an earlier graded-lex monomial; a key
-    decodes to ``_monomial(key, c + 1, nvars)[::-1]``).  Each row sits at
-    its graded-lex position (``_glex_rank_of_key``), numbered over all
+    from one walk of the entry enumerator with keys by ``_steps(c + 1,
+    nvars)`` (a key decodes to ``_monomial(key, c + 1, nvars)``).  Each row
+    sits at its graded-lex position (``_glex_rank_of_key``), numbered over all
     degree-i monomials, zero ones included; only the nonzero columns are
     kept, numbered by descending key, so in graded-lex order.  Elimination reads
     absolute row positions (a pivot row moves to position
@@ -307,7 +309,7 @@ def _placed_catalecticant(
     base, nvars = c + 1, f.nvars
     # per degree: row key -> graded-lex position, column key -> its (row, entry) pairs
     degrees = [({}, {}) for _ in range(low, high + 1)]
-    for mu, deg, rest, entry in _entries(f, _steps(base, nvars)[::-1], low, high):
+    for mu, deg, rest, entry in _entries(f, _steps(base, nvars), low, high):
         rows, cols = degrees[deg - low]
         r = rows.get(mu)
         if r is None:
@@ -317,7 +319,7 @@ def _placed_catalecticant(
             cols[rest] = [(r, entry)]
         else:
             col.append((r, entry))
-    scale = _scale(f)
+    scale, _ = _clear_denominators([coeff for _, coeff in f.terms()])
     placed = []
     for i, (rows, cols) in enumerate(degrees, low):
         order = sorted(cols, reverse=True)
@@ -430,7 +432,7 @@ def _weight_orbits(f: Poly, c: int, symmetry: Symmetry):
     # a degree <= c monomial's weight has coordinates below wbase
     bits = (c * max(max(w) for w in weights)).bit_length()
     wbase = 1 << bits
-    keys = [_key(w, wbase) for w in weights]
+    keys = [_weight_key(w, wbase) for w in weights]
     terms = dict(f.terms())
     if len({sum(e * k for e, k in zip(expo, keys)) for expo in terms}) > 1:
         raise InvariantError("F is not homogeneous for the symmetry's weights")

@@ -15,9 +15,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, lcm
 from operator import add, lshift, sub
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
-from .errors import VarMismatchError
+from .errors import NotLinearError, VarMismatchError
 
 Monomial = tuple[int, ...]
 
@@ -177,13 +177,31 @@ class Poly:
 # spec operations
 
 
+def _clear_denominators(values: Collection) -> tuple[int, list[int]]:
+    """(D, [D * v for v in values]) for exact rationals (int or Fraction),
+    D the lcm of their denominators: the least positive integer that makes
+    every D * v an integer.  F's coefficients and L's are cleared here."""
+    den = lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _linear_form_coeffs(L: Poly, nvars: int) -> tuple[Fraction, ...]:
+    """L's coefficient vector, after checking that L is a nonzero
+    homogeneous linear form in ``nvars`` variables."""
+    if L.nvars != nvars:
+        raise VarMismatchError(f"L has {L.nvars} variables, expected {nvars}")
+    if L.homogeneous_degree() != 1:  # None for a zero or inhomogeneous L
+        raise NotLinearError("L must be a nonzero homogeneous linear form")
+    return L.linear_coefficients()
+
+
 def _cleared(p: Poly, shifts: range) -> tuple[int, list[tuple[int, int]]]:
     """D, the lcm of p's denominators, and each term of D*p as (key, integer
     coefficient), the key of x^e being sum e_k << shifts[k]."""
-    den = lcm(*[coeff.denominator for coeff in p._terms.values()])
+    den, coeffs = _clear_denominators(p._terms.values())
     return den, [
-        (sum(map(lshift, expo, shifts)), coeff.numerator * (den // coeff.denominator))
-        for expo, coeff in p._terms.items()
+        (sum(map(lshift, expo, shifts)), coeff)
+        for expo, coeff in zip(p._terms, coeffs)
     ]
 
 
@@ -231,9 +249,8 @@ def poly_pow(a: Poly, s: int) -> Poly:
     while s:
         if s & 1:
             result = poly_mul(result, base)
-        base_needed = s > 1
         s >>= 1
-        if base_needed and s:
+        if s:
             base = poly_mul(base, base)
     return result
 

@@ -13,7 +13,6 @@ from lefkit.families import (
     FamilyKind,
     FamilySpec,
     _in_open_orbit,
-    _integer_point,
     _positions,
     basic_invariant,
     canonical_lefschetz,
@@ -25,7 +24,7 @@ from lefkit.families import (
     orbit_test,
     pfaffian_poly,
 )
-from lefkit.polyring import Poly, poly_mul, poly_pow
+from lefkit.polyring import Poly, _clear_denominators, poly_mul, poly_pow
 
 from _oracles import (
     corner_minor,
@@ -34,6 +33,11 @@ from _oracles import (
     naive_rank,
     perm_det_poly,
 )
+
+
+def _integer_point(coeffs):
+    """L's coefficients cleared to integers, as verify_theorem carries them."""
+    return _clear_denominators(coeffs)[1]
 
 
 def sym(n, s=1):

@@ -47,7 +47,7 @@ from lefkit.macaulay import (
     ensure_within_budget,
     hilbert_function,
 )
-from lefkit.polyring import Poly, monomials_of_degree, scale_variables
+from lefkit.polyring import Poly, monomials_of_degree, poly_mul, scale_variables
 
 from _oracles import (
     naive_achieved_ranks,
@@ -105,6 +105,43 @@ def test_slp_input_validation():
     other = SlpTable(make_invariant(FamilySpec(FamilyKind.QUADRIC, 3)))
     with pytest.raises(ValueError):
         slp_check(DET2, Poly.variable(3, 0), other)
+
+
+X1, X2 = Poly.variable(3, 0), Poly.variable(3, 1)
+# Each entry point that takes L, as (F, L) -> result on SYM2 (3 variables);
+# orbit_test and coeffs_to_matrix take the family instead of F.
+L_ENTRY_POINTS = {
+    "slp_check": slp_check,
+    "slp_check_with_table": lambda f, L: slp_check(f, L, SlpTable(DET2)),
+    "hessian_determinants_at": hessian_determinants_at,
+    "orbit_test": lambda f, L: orbit_test(SYM2, L),
+    "coeffs_to_matrix": lambda f, L: coeffs_to_matrix(SYM2, L),
+}
+BAD_L = [
+    ("zero_L", Poly.zero(3), NotLinearError),
+    ("quadratic_L", poly_mul(X1, X2), NotLinearError),
+    ("x1_plus_1", X1 + Poly.one(3), NotLinearError),
+    ("L_in_4_variables", Poly.variable(4, 0), VarMismatchError),
+]
+BAD_F = [
+    ("zero_F", Poly.zero(3), ZeroPolynomialError),
+    ("inhomogeneous_F", DET2 + X1, ValueError),
+]
+
+
+@pytest.mark.parametrize("entry,f,L,error", [
+    pytest.param(entry, DET2, L, error, id=f"{entry}-{name}")
+    for entry in L_ENTRY_POINTS for name, L, error in BAD_L
+] + [
+    pytest.param(entry, f, X1, error, id=f"{entry}-{name}")
+    for entry in ("slp_check", "hessian_determinants_at") for name, f, error in BAD_F
+])
+def test_entry_points_check_the_linear_form(entry, f, L, error):
+    """Every entry point that takes L refuses a bad one with the same error
+    type, and each one that takes F a bad F."""
+    with pytest.raises(error) as raised:
+        L_ENTRY_POINTS[entry](f, L)
+    assert raised.type is error
 
 
 def test_constant_f_has_one_identity_row():
@@ -486,7 +523,7 @@ def test_hessian_matches_product_oracle(kind, n, s):
 ])
 def test_one_placed_build_gives_every_degree(kind, n, s):
     """One walk over a range of degrees places each degree's catalecticant
-    with its nonzero columns only, numbered by descending lex-order key:
+    with its nonzero columns only, numbered by descending key:
     put back at their graded-lex positions they give the public
     catalecticant (and the dense oracle), in graded-lex order, with the
     same pivot rows.  Row keys decode to the row labels, and
@@ -502,7 +539,7 @@ def test_one_placed_build_gives_every_degree(kind, n, s):
             cat = catalecticant(g, i)
             assert cat.matrix == naive_catalecticant(g, i)
             at = [
-                cat.col_monomials.index(_monomial(key, c + 1, g.nvars)[::-1])
+                cat.col_monomials.index(_monomial(key, c + 1, g.nvars))
                 for key in order
             ]
             assert at == sorted(set(at))  # distinct, in graded-lex order
@@ -513,7 +550,7 @@ def test_one_placed_build_gives_every_degree(kind, n, s):
             )
             assert pivot_rows(matrix) == pivot_rows(cat.matrix)
             assert {
-                r: _monomial(key, c + 1, g.nvars)[::-1] for r, key in key_at.items()
+                r: _monomial(key, c + 1, g.nvars) for r, key in key_at.items()
             } == {r: cat.row_monomials[r] for (r, _), _ in cat.matrix.items()}
 
         table = HessianTable(g)
@@ -522,7 +559,7 @@ def test_one_placed_build_gives_every_degree(kind, n, s):
         for i, ((matrix, key_at, order), basis) in enumerate(placed):
             check(i, matrix, key_at, order)
             assert [
-                _monomial(b, c + 1, g.nvars)[::-1] for b in basis
+                _monomial(b, c + 1, g.nvars) for b in basis
             ] == default_degree_basis(g, i)
         # a range that starts above degree 0 and runs to c
         for i, placed in enumerate(_placed_catalecticant(g, c, 1, c), 1):
@@ -533,7 +570,8 @@ def test_point_divisor_walk_matches_brute_force():
     """The Hessian route's keyed walk against every exponent tuple d <= e:
     each nonvanishing divisor of every degree once, with value
     prod perm(e_k, d_k) * n_k^(e_k - d_k), and no divisor whose value is
-    zero.  Keys are the lex-order ones HessianTable uses."""
+    zero.  Keys are the ones HessianTable uses, x_0 the most significant
+    digit."""
     rng = random.Random(18)
     for _ in range(300):
         nvars = rng.randint(1, 5)
@@ -543,7 +581,7 @@ def test_point_divisor_walk_matches_brute_force():
         steps = [(c + 1) ** (nvars - 1 - k) for k in range(nvars)]
         term = tuple((e, steps[k], k) for k, e in enumerate(expo) if e)
         walked = lefschetz._point_divisors(term, lefschetz._point_factors(point, c))
-        decoded = {_monomial(key, c + 1, nvars)[::-1]: v for key, v in walked}
+        decoded = {_monomial(key, c + 1, nvars): v for key, v in walked}
         assert len(decoded) == len(walked)
         expected = {}
         for d in itertools.product(*(range(e + 1) for e in expo)):

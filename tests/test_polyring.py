@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lefkit.errors import VarMismatchError
 from lefkit.polyring import (
     Poly,
+    _clear_denominators,
     dim_of_degree,
     format_poly,
     monomials_of_degree,
@@ -191,6 +192,46 @@ def test_contract_lowers_degree_exactly(dp, df):
         assert result.is_zero()
     else:
         assert result.is_zero() or result.homogeneous_degree() == df - dp
+
+
+# --- clearing denominators ---------------------------------------------------
+
+
+def test_clear_denominators_of_mixed_ints_and_fractions():
+    scale, ints = _clear_denominators([Fraction(3, 4), -2, Fraction(-5, 6), 0, 7])
+    assert (scale, ints) == (12, [9, -24, -10, 0, 84])
+    assert all(type(v) is int for v in ints)
+
+
+def test_clear_denominators_of_ints_keeps_them():
+    scale, ints = _clear_denominators([4, -1, 0, 9])
+    assert (scale, ints) == (1, [4, -1, 0, 9])
+    assert type(scale) is int and all(type(v) is int for v in ints)
+
+
+def _prime_factors(n):
+    p, out = 2, set()
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)), min_size=1,
+))
+def test_clear_denominators_uses_the_least_common_denominator(values):
+    """Each output is value * scale, and no proper divisor of the scale
+    clears every value: as the integers that clear them all are the
+    multiples of their least common denominator, the scale is that one."""
+    scale, ints = _clear_denominators(values)
+    assert scale >= 1
+    assert ints == [v * scale for v in values]
+    for p in _prime_factors(scale):
+        assert any((v * (scale // p)).denominator != 1 for v in map(Fraction, values))
 
 
 # --- text format -------------------------------------------------------------
