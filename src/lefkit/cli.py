@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import InvariantError, LefkitError, TooLargeError
 from .families import (
@@ -51,7 +52,11 @@ EXIT_TOO_LARGE = 3
 EXIT_INVARIANT = 4
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept for the
+    process: parsing does not change it, and each parse starts from the
+    defaults."""
     parser = argparse.ArgumentParser(
         prog="lefkit",
         description="Exact strong-Lefschetz verification for determinantal "

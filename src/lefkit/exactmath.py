@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
 from operator import lshift
 from typing import Iterable, Iterator, Sequence
@@ -209,7 +210,8 @@ def _blocks(m: RatMatrix) -> tuple[list[_Block], int]:
     This is the one place where rationals become integers: a row holding a
     Fraction is scaled by the lcm of its denominators, which changes
     neither rank nor right kernel and divides the determinant by that lcm;
-    an all-int row is used as it is.
+    an all-int row is used as it is, with no lcm taken (nor any row's,
+    when the whole matrix is int).
 
     Each block is keyed by the row that opened it.  Every row i and column
     j (as ~j) records its block's key, and when an entry joins two blocks
@@ -238,9 +240,10 @@ def _blocks(m: RatMatrix) -> tuple[list[_Block], int]:
             members[a] += members.pop(b)
     grouped: dict[int, dict[int, dict[int, int]]] = {k: {} for k in members}
     scale = 1
+    ints = all(map(isinstance, m._entries.values(), repeat(int)))
     for i, row in by_row.items():
-        s = lcm(*(v.denominator for v in row.values()))
-        if s > 1:
+        if not (ints or all(map(isinstance, row.values(), repeat(int)))):
+            s = lcm(*(v.denominator for v in row.values()))
             scale *= s
             row = {j: v.numerator * (s // v.denominator) for j, v in row.items()}
         grouped[key[i]][i] = row
@@ -276,23 +279,46 @@ def _echelon(blocks: list[_Block]) -> _Echelon:
     the whole-matrix swaps replay that rule exactly.  Each block's two-term
     update divides by its own previous pivot; exactness of that division is
     asserted (every intermediate entry is a minor of the scaled input).
+
+    Rows are scaled lazily.  A row with a zero in the pivot column would
+    only be multiplied by the pivot and divided by the previous one, so it
+    is left as it is and keeps the pivot P_s it was last brought up to.
+    One scan per column finds the rows with a nonzero entry there; each
+    that sat out pivots since P_s is first caught up to the block's last
+    pivot P, every entry x to x * P / P_s (the skipped factors telescope),
+    by one division that is checked exact like every other.  Its entries,
+    and so the pivot choice, are then the eager elimination's.  A row that
+    becomes zero is dropped.
     """
     live = [rows for rows, _ in blocks]  # per block: unused row -> entries
     col_block = {j: b for b, (_, cols) in enumerate(blocks) for j in cols}
     last = [1] * len(blocks)
     product = 1  # of every block's last pivot
+    since: dict[int, int] = {}  # the pivot each row was last brought up to (else 1)
     pos: dict[int, int] = {}  # current position of each moved row
     at: dict[int, int] = {}  # row at each changed position
     sign = 1
     pivots = []
     for c in sorted(col_block):
         b = col_block[c]
-        rows = live[b]
-        q = product // last[b]
-        best = None
+        rows, prev = live[b], last[b]
+        if not rows:
+            continue
+        q = product // prev
+        best, reached = None, []
         for i, row in rows.items():
             v = row.get(c)
             if v:
+                s = since.get(i, 1)
+                if s != prev:  # sat out the pivots after s: catch up
+                    new = {}
+                    for j, x in row.items():
+                        new[j], rem = divmod(x * prev, s)
+                        if rem:
+                            raise InvariantError("fraction-free step lost integrality")
+                    rows[i] = row = new
+                    v = row[c]
+                reached.append(i)
                 key = ((q * v).bit_length(), pos.get(i, i))
                 if best is None or key < best[0]:
                     best = (key, i)
@@ -306,19 +332,27 @@ def _echelon(blocks: list[_Block]) -> _Echelon:
             at[r], at[here] = p, other
             sign = -sign
         prow = rows.pop(p)
-        piv, prev = prow[c], last[b]
-        for i, row in rows.items():
-            f = row.pop(c, 0)
+        piv = prow[c]
+        for i in reached:
+            if i == p:
+                continue
+            row = rows[i]
+            f = row.pop(c)
             new = {j: v * piv for j, v in row.items()}
-            if f:
-                for j, w in prow.items():
-                    if j != c:
-                        new[j] = new.get(j, 0) - f * w
+            for j, w in prow.items():
+                if j != c:
+                    new[j] = new.get(j, 0) - f * w
+            row = {}
             for j, num in new.items():
-                new[j], rem = divmod(num, prev)
+                v, rem = divmod(num, prev)
                 if rem:
                     raise InvariantError("fraction-free step lost integrality")
-            rows[i] = {j: v for j, v in new.items() if v}
+                if v:
+                    row[j] = v
+            if row:
+                rows[i], since[i] = row, piv
+            else:  # a zero row never pivots
+                del rows[i]
         pivots.append((p, c, prow))
         product = q * piv
         last[b] = piv

@@ -53,6 +53,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, perm, prod
+from operator import mul
 
 from .errors import InvariantError, OutOfRangeError
 from .exactmath import PROBE_PRIME, RatMatrix, _rank_mod_p, mat_det, mat_rank, pivot_rows
@@ -131,30 +132,37 @@ class SlpTable:
             for i in range(half)
         ]
 
+    def _powers(self, point: list[int]) -> list[int]:
+        # n_k^e at k * (c + 1) + e, for the point n = point / gcd(point)
+        g, exponents = gcd(*point), range(self.c + 1)
+        return [(x // g) ** e for x in point for e in exponents]
+
     def ranks_at(self, point: list[int]) -> list[int]:
         """The rank of N at each degree i = 0..c//2 for the L whose
         coefficient vector is the nonzero integer `point`, divided here by
         its gcd; the middle degree of an even c (k = 0) is h_i, unranked."""
-        c, g = self.c, gcd(*point)
-        powers = [[(x // g) ** e for e in range(c + 1)] for x in point]
+        c, powers = self.c, self._powers(point)
         achieved = [d.rank_at(powers) for d in self.degrees]
         if c % 2 == 0:
             achieved.append(self.required[c // 2])
         return achieved
 
     def verdict_at(self, point: list[int]) -> bool:
-        """Is the L of `point` a Lefschetz element: rank h_i in every degree?"""
-        return all(a == h for a, h in zip(self.ranks_at(point), self.required))
+        """Is the L of `point` a Lefschetz element: rank h_i in every degree?
+        The degrees are ranked in order, up to the first that falls short."""
+        powers = self._powers(point)
+        return all(d.rank_at(powers) == h for d, h in zip(self.degrees, self.required))
 
 
 class _Restricted:
     """N of degree i restricted to b_i x b_i, in an SlpTable.  `basis`
     holds the keys of b_i (additive: key(m m') = key(m) + key(m')), the
     pivot rows of Cat_i.  Only the rows of Cat_2i at the keys b_j + b_k
-    are kept: row t is a list of (entry, residual id), and residual r is
-    the column monomial x^(e - mu) as its nonzero (variable, exponent)
-    pairs.  `cells[j]` = (columns, row ids) lists, for each k with
-    b_j + b_k a row, k and the id of that row."""
+    are kept: row t is (its entries, their residual ids), and residual r
+    is the column monomial x^(e - mu) as the flat power index
+    k * base + e_k of each variable k with e_k > 0.  `cells[j]` =
+    (columns, row ids) lists, for each k with b_j + b_k a row, k and the
+    id of that row."""
 
     def __init__(self, cat, double, h: int, i: int, base: int, nvars: int):
         keys, col_at, entries = list(cat), {}, {}
@@ -179,26 +187,30 @@ class _Restricted:
                     self.cells[k][0].append(j)
                     self.cells[k][1].append(t)
         residual_id: dict[int, int] = {}
-        self.residuals: list[tuple[tuple[int, int], ...]] = []
-        self.terms = []
+        self.residuals: list[tuple[int, ...]] = []
+        self.terms: list[tuple[list[int], list[int]]] = []
         for key in row_id:
-            row = []
+            coeffs, ids = [], []
             for entry, rest in double[key]:
                 r = residual_id.get(rest)
                 if r is None:
                     r = residual_id[rest] = len(self.residuals)
                     expo = _monomial(rest, base, nvars)
-                    self.residuals.append(tuple((k, e) for k, e in enumerate(expo) if e))
-                row.append((entry, r))
-            self.terms.append(row)
+                    self.residuals.append(
+                        tuple(k * base + e for k, e in enumerate(expo) if e))
+                coeffs.append(entry)
+                ids.append(r)
+            self.terms.append((coeffs, ids))
 
-    def values_at(self, powers: list[list[int]]) -> list[int]:
+    def values_at(self, powers: list[int]) -> list[int]:
         """Each kept row's value at the point whose coordinate powers are
-        `powers`, in `terms` order."""
-        at = [prod(powers[k][e] for k, e in r) for r in self.residuals]
-        return [sum(entry * at[r] for entry, r in row) for row in self.terms]
+        `powers` (n_k^e at k * base + e), in `terms` order."""
+        get = powers.__getitem__
+        at = [prod(map(get, r)) for r in self.residuals]
+        return [sum(map(mul, coeffs, map(at.__getitem__, ids)))
+                for coeffs, ids in self.terms]
 
-    def rank_at(self, powers: list[list[int]]) -> int:
+    def rank_at(self, powers: list[int]) -> int:
         """The exact rank of the h_i x h_i matrix at the point: h_i when its
         rank mod PROBE_PRIME, a lower bound, reaches h_i; otherwise the
         matrix is built and ranked by mat_rank."""

@@ -389,3 +389,29 @@ def test_random_lefschetz_deterministic(tmp_path):
                      "random", "--seed", "5", "--format", "json",
                      "--out", str(p)]) in (0, 1)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_one_parser_per_process_carries_nothing_between_calls(capsys, monkeypatch):
+    # A parse error, then verify with --seed 3, then slp with a random L
+    # and no --seed: the slp report must be the one of seed 0.  Run once on
+    # a fresh parser per call, then twice on the kept one.
+    calls = [
+        ("verify", "--family", "sym-det", "--n", "3", "--samples", "many"),
+        ("verify", "--family", "sym-det", "--n", "3", "--power", "2",
+         "--samples", "5", "--seed", "3", "--format", "json"),
+        ("slp", "--family", "sym-det", "--n", "3", "--power", "2",
+         "--lefschetz", "random", "--format", "json"),
+    ]
+    kept = lefkit.cli.build_parser
+    assert kept() is kept()
+    with monkeypatch.context() as patch:
+        patch.setattr(lefkit.cli, "build_parser", kept.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
+    assert "--samples" in fresh[0][2]
+    assert json.loads(fresh[1][1])["seed"] == 3
+    for argv in calls[1:]:
+        assert vars(kept().parse_args(argv)) == vars(kept.__wrapped__().parse_args(argv))
+    assert [run(capsys, *argv) for argv in calls * 2] == fresh * 2
+    seeded = run(capsys, *calls[2], "--seed", "3")
+    assert seeded != fresh[2]  # so a carried-over seed would show

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefkit import exactmath
+from lefkit.errors import InvariantError
 from lefkit.exactmath import (
     PROBE_PRIME,
     RatMatrix,
@@ -23,9 +24,11 @@ from lefkit.exactmath import (
 
 from _oracles import (
     connected_components,
+    fraction_free_echelon,
     identity_matrix,
     is_prime,
     mul_vector,
+    naive_det,
     naive_rank,
     naive_rank_mod_p,
     oracle_kernel,
@@ -473,6 +476,86 @@ def test_pivot_rows_replay_a_foreign_pivot():
     # block's own entries 3 and 2 tie in bit length.
     m = RatMatrix.from_rows([[3, 0], [0, 3], [0, 2]])
     assert pivot_rows(m) == oracle_pivot_rows(m) == [0, 2]
+
+
+@st.composite
+def sparse_block_diagonal(draw, square=False):
+    """A shuffled block-diagonal matrix whose rows are mostly zero, so that
+    most rows of a block sit out most of its pivots; some entries are
+    Fractions."""
+    entry = st.sampled_from([Fraction(0)] * 10 + TIE_PRONE)
+    if square:
+        sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3).filter(
+            lambda s: sum(s) <= 7))
+        shapes = [(k, k) for k in sizes]
+    else:
+        shapes = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                               min_size=1, max_size=3))
+    return _shuffled_diagonal(
+        draw, [[[draw(entry) for _ in range(c)] for _ in range(r)] for r, c in shapes])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(lambda square: sparse_block_diagonal(square=square)))
+def test_lazy_elimination_on_mostly_zero_rows_matches_oracles(rows):
+    m = RatMatrix.from_rows(rows)
+    assert pivot_rows(m) == oracle_pivot_rows(m)
+    assert mat_kernel(m) == oracle_kernel(m)
+    assert mat_rank(m) == len(_echelon(_blocks(m)[0]).pivots) == naive_rank(rows)
+    if m.rows == m.cols:  # the permutation expansion only while it is small
+        oracle = perm_det_frac if m.rows <= 7 else naive_det
+        assert mat_det(m) == oracle(rows)
+
+
+def _counting_divmod(patch):
+    """Patch the elimination's divmod to record each divisor it is given."""
+    divisors = []
+
+    def counting(a, b):
+        divisors.append(b)
+        return divmod(a, b)
+
+    patch.setattr(exactmath, "divmod", counting, raising=False)
+    return divisors
+
+
+def test_row_that_sits_out_two_pivots_is_caught_up(monkeypatch):
+    # One block.  Row 0 pivots column 0 and updates row 1; row 1 pivots
+    # column 1; row 2, zero in both columns, sits out both pivots.  At
+    # column 2 it is caught up in one step, -1 / 1 times its entries, and
+    # becomes the eager elimination's echelon row [0, 0, -5, -7].
+    rows = [[2, 1, 0, 3], [3, 1, 0, 1], [0, 0, 5, 7]]
+    m = RatMatrix.from_rows(rows)
+    divisors = _counting_divmod(monkeypatch)
+    ech = _echelon(_blocks(m)[0])
+    eager = fraction_free_echelon(m)
+    assert [(p, c) for p, c, _ in ech.pivots] == [(0, 0), (1, 1), (2, 2)]
+    assert eager.pivot_source_rows == [0, 1, 2]
+    for k, (_, _, row) in enumerate(ech.pivots):
+        assert row == {j: v for j, v in enumerate(eager.matrix[k]) if v}
+    assert ech.pivots[2][2] == {2: -5, 3: -7}
+    # row 1's update (2 entries), then row 2's catch-up (2 entries); the
+    # eager elimination also rescales row 2 at both earlier pivots
+    assert divisors == [1, 1, 1, 1]
+
+
+def test_inexact_catch_up_is_an_invariant_failure(monkeypatch):
+    # Row 0 pivots column 0 (P = 2) and updates row 2; row 1 sits it out
+    # and is caught up, by divisions by 1, to pivot column 1 (P = 10); row
+    # 2 then sits that pivot out and at column 2 is caught up from P = 2 to
+    # P = 10.  Those two divisions are the only ones by 2, so a divmod that
+    # reports a remainder for the divisor 2 alone fails the catch-up only.
+    rows = [[2, 0, 0, 1], [0, 5, 1, 1], [3, 0, 1, 0]]
+    m = RatMatrix.from_rows(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        divisors = _counting_divmod(patch)
+        assert pivot_rows(m) == oracle_pivot_rows(m) == [0, 1, 2]
+    assert divisors == [1, 1, 1, 1, 1, 2, 2]
+    monkeypatch.setattr(exactmath, "divmod",
+                        lambda a, b: (a // b, 1) if b == 2 else divmod(a, b),
+                        raising=False)
+    with pytest.raises(InvariantError, match="lost integrality"):
+        pivot_rows(m)
 
 
 KERNEL_PRIMES = (2, 7, PROBE_PRIME, (1 << 61) - 1)

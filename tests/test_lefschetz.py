@@ -386,6 +386,25 @@ def test_probe_short_of_h_i_goes_to_mat_rank(monkeypatch):
         assert achieved == naive_achieved_ranks(DET3_CUBED, L)
 
 
+def test_verdict_stops_at_the_first_short_degree(monkeypatch):
+    # L = x11 on det^2 over 3x3 symmetric matrices has ranks (0, 0, 6, 28)
+    # against h = (1, 6, 21, 28): degree 0 already falls short, so
+    # verdict_at ranks no later degree, while ranks_at ranks every one.
+    spec = FamilySpec(FamilyKind.SYM_DET, 3, 2)
+    f = make_invariant(spec)
+    table = SlpTable(f, family_symmetry(spec))
+    x11 = [1, 0, 0, 0, 0, 0]
+    assert table.ranks_at(x11) == [0, 0, 6, 28]
+    assert table.ranks_at(x11) == naive_achieved_ranks(f, Poly.variable(6, 0))
+
+    def refuse(powers):
+        raise AssertionError("a degree after the first short one was ranked")
+
+    for d in table.degrees[1:]:
+        monkeypatch.setattr(d, "rank_at", refuse)
+    assert table.verdict_at(x11) is False
+
+
 def test_basis_size_other_than_h_i_is_an_invariant_failure(monkeypatch):
     # Each basis b_i must have h_i elements; a `required` off by one at any
     # degree with a basis, or a basis short of a row, raises when the table
