@@ -23,12 +23,18 @@ bound: a minor that is nonzero mod p is nonzero, but a nonzero minor can
 vanish mod p.  A row is never zero mod p just because p divides the lcm it
 was scaled by, so no prime is bad for the probe.
 
-The probe packs each row into one int, each column a slot of fixed width:
-the bit length of (min(rows, cols) + 1) * p^2.  A row update is then one
-big-int multiply-add over the whole row, and a pivot row is reduced mod p
-once, when it is chosen.  A slot starts below p and gains less than p^2 at
-each of at most min(rows, cols) updates, so it never carries into its
-neighbour.  ``lefschetz`` feeds the same kernel its own residues.
+The probe packs each row into one int, each column a slot of fixed width
+(``_Slots``), and a row update is one big-int multiply-add over the whole
+row.  A pivot row is reduced once, when it is chosen, by folding every
+slot at once: p is 2^k - c with c small, and a slot q 2^k + r is
+congruent to q c + r mod p, so shifts, masks and one small multiply keep
+every slot's residue, and a fixed number of folds brings every slot below
+4 * 2^k.  The multiplier of each update, below p, carries -1/pivot, so
+the pivot row is never scaled slot by slot.  A slot starts below p and
+gains less than p * 4 * 2^k at each of at most min(rows, cols) updates,
+so a width of the bit length of p + min(rows, cols) * p * 4 * 2^k, in
+whole bytes, never carries into a neighbour.  ``lefschetz`` keeps one
+layout per prime for each SLP matrix and packs its own residues.
 
 ``dense_rank`` is a second, rank-only fraction-free elimination, for a
 caller that already holds one small block as dense integer rows (the
@@ -44,7 +50,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm, prod
-from operator import lshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvariantError
@@ -145,53 +150,101 @@ class RatMatrix:
 
 # The probe prime of mat_rank and of slp_check: the largest prime below 2^30.
 # A fixed prime keeps the rank path, like the verdict, a function of the
-# input alone.  Below 2^30 the multiplier of a row update and the divisor
-# that reduces a slot are single 30-bit CPython digits, so each is one
-# linear pass, and a slot takes about 60 bits plus the bit length of
-# min(rows, cols) + 1.
+# input alone.  Below 2^30 the multiplier of a row update is a single
+# 30-bit CPython digit, so each update is one linear pass, and 2^30 - p is
+# small, so a pivot row is reduced by two folds.
 PROBE_PRIME = (1 << 30) - 35
 
 
-def _rank_mod_p(rows: Sequence[tuple[Sequence[int], Iterable[int]]],
-                ncols: int, prime: int) -> int:
-    """Rank mod ``prime`` of the matrix whose row r, given as rows[r] =
-    (columns, residues), holds each residue (0 <= v < prime) at its column
-    (0 <= j < ncols); absent entries are zero.
+class _Slots:
+    """The slot layout of the packed probe for ``prime`` on a matrix with
+    ``nrows`` rows and ``ncols`` columns: column j of a row sits in the
+    ``width`` bits from bit j * width.
 
-    Each row is packed into one int, column j in the slot of ``width`` bits
-    at bit j * width.  Columns go in order, the current one always in the
-    lowest slot.  A pivot row is reduced mod p once, when it is chosen, and
-    scaled so that its update of row R is R >> width plus (R's lowest slot
-    mod p) times the pivot's remaining slots: one big-int multiply-add,
-    whose shift drops the lowest slot (now 0 mod p).  The other slots are
-    only ever added to.  A slot starts below p and gains less than p^2 at
-    each of at most min(rows, ncols) updates, so it stays below
-    (min(rows, ncols) + 1) * p^2 and never carries into its neighbour."""
-    width = ((min(len(rows), ncols) + 1) * prime * prime).bit_length()
+    With k = prime.bit_length(), R = 2^k and c = R - prime, a slot
+    x = q R + r is congruent to q c + r mod prime, so one fold of a packed
+    row, (row & lo) + ((row >> k) & hi) * c, with lo and hi masking each
+    slot's low k bits and its remaining bits, keeps every slot's residue.
+    As prime >= R / 2, c <= R / 2 and a folded slot never carries into its
+    neighbour.  ``folds`` folds take a slot from the widest it can be to
+    below 4R.  A slot starts below prime, and each of at most
+    min(nrows, ncols) updates adds a multiplier below prime times a folded
+    slot below 4R, so ``width`` is the bit length of
+    prime + min(nrows, ncols) * prime * 4R, rounded up to whole bytes so
+    that a row packs as the bytes of its slots."""
+
+    __slots__ = ("prime", "ncols", "width", "bits", "c", "lo", "hi", "folds")
+
+    def __init__(self, prime: int, nrows: int, ncols: int):
+        k = prime.bit_length()
+        big, c = 4 << k, (1 << k) - prime
+        self.prime, self.ncols, self.bits, self.c = prime, ncols, k, c
+        width = (prime + min(nrows, ncols) * prime * big).bit_length()
+        self.width = width = -(-width // 8) * 8
+        # a 1 at the bottom of each slot
+        ones = ((1 << ncols * width) - 1) // ((1 << width) - 1)
+        self.lo, self.hi = ones * ((1 << k) - 1), ones * ((1 << width - k) - 1)
+        self.folds, top = 0, (1 << width) - 1
+        while top >= big:
+            top = (1 << k) - 1 + (top >> k) * c
+            self.folds += 1
+
+    def encode(self, values: Iterable[int]) -> list[bytes]:
+        """The residue of each value mod the prime, as the bytes of a slot."""
+        p, size = self.prime, self.width // 8
+        return [(v % p).to_bytes(size, "little") for v in values]
+
+    def pack(
+        self, rows: Iterable[tuple[Iterable[int], Iterable[bytes]]]
+    ) -> Iterator[int]:
+        """Each row, given as (its columns, the encoded slot of each), as
+        one int: the slots in column order, zero where the row has no
+        entry.  A generator, so that no list of whole packed rows outlives
+        the kernel's first pass over them."""
+        blank = [bytes(self.width // 8)] * self.ncols
+        for cols, slots in rows:
+            row = blank[:]
+            for j, slot in zip(cols, slots):
+                row[j] = slot
+            yield int.from_bytes(b"".join(row), "little")
+
+
+def _rank_mod_p(rows: Iterable[int], slots: _Slots) -> int:
+    """Rank mod ``slots.prime`` of the matrix whose rows are packed by
+    ``slots.pack``, each slot below the prime.
+
+    Columns go in order, the current one always in the lowest slot.  A
+    pivot row's other slots are folded (see ``_Slots``) once, when it is
+    chosen, and its update of row R is R >> width plus (R's lowest slot
+    times -1/pivot, mod p) times those folded slots: one big-int
+    multiply-add, whose shift drops the lowest slot (now 0 mod p).  The
+    other slots are only ever added to, and every slot keeps the residue
+    that an update reduced slot by slot would give, so the pivots and the
+    rank are those of elimination mod p.  Each update replaces its row in
+    place, so the rows before and after a pivot are never all held at
+    once."""
+    p, width, k, c = slots.prime, slots.width, slots.bits, slots.c
+    lo, hi, folds = slots.lo, slots.hi, range(slots.folds)
     mask = (1 << width) - 1
-    at = list(range(0, ncols * width, width))
-    live = [row for row in (
-        sum(map(lshift, values, map(at.__getitem__, cols))) for cols, values in rows
-    ) if row]
+    live = [row for row in rows if row]
     rank = 0
-    for _ in range(ncols):
+    for _ in range(slots.ncols):
         if not live:
             break
-        for k, row in enumerate(live):
-            if (row & mask) % prime:
+        for j, row in enumerate(live):
+            if (row & mask) % p:
                 break
         else:  # no pivot in this column
-            live = [row >> width for row in live]
+            for i, row in enumerate(live):
+                live[i] = row >> width
             continue
-        pivot = live.pop(k)
-        neg_inv = prime - pow(pivot & mask, -1, prime)
-        tail, shift, packed = pivot >> width, 0, 0
-        while tail:
-            packed |= (tail & mask) * neg_inv % prime << shift
-            tail >>= width
-            shift += width
-        live = [new for row in live
-                if (new := (row >> width) + (row & mask) % prime * packed)]
+        pivot = live.pop(j)
+        neg_inv = p - pow(pivot & mask, -1, p)
+        tail = pivot >> width
+        for _ in folds:
+            tail = (tail & lo) + ((tail >> k) & hi) * c
+        for i, row in enumerate(live):
+            live[i] = (row >> width) + (row & mask) * neg_inv % p * tail
         rank += 1
     return rank
 
@@ -365,10 +418,12 @@ def _block_rank(rows: dict[int, dict[int, int]], cols: list[int]) -> int:
     # min(rows, cols) is conclusive; anything less falls through to
     # fraction-free elimination.
     full = min(len(rows), len(cols))
-    p, at = PROBE_PRIME, {j: k for k, j in enumerate(cols)}
-    residues = [(list(map(at.__getitem__, row)), [v % p for v in row.values()])
-                for row in rows.values()]
-    if _rank_mod_p(residues, len(cols), p) == full:
+    slots = _Slots(PROBE_PRIME, len(rows), len(cols))
+    at = {j: k for k, j in enumerate(cols)}
+    packed = slots.pack(
+        (map(at.__getitem__, row), slots.encode(row.values())) for row in rows.values()
+    )
+    if _rank_mod_p(packed, slots) == full:
         return full
     return len(_echelon([(rows, cols)]).pivots)
 

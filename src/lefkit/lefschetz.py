@@ -56,7 +56,15 @@ from math import gcd, perm, prod
 from operator import mul
 
 from .errors import InvariantError, OutOfRangeError
-from .exactmath import PROBE_PRIME, RatMatrix, _rank_mod_p, mat_det, mat_rank, pivot_rows
+from .exactmath import (
+    PROBE_PRIME,
+    RatMatrix,
+    _rank_mod_p,
+    _Slots,
+    mat_det,
+    mat_rank,
+    pivot_rows,
+)
 from .families import (
     FamilySpec,
     _in_open_orbit,
@@ -67,7 +75,8 @@ from .families import (
 )
 from .macaulay import (
     Symmetry,
-    _entries,
+    _divisors,
+    _integer_terms,
     _monomial,
     _placed_catalecticant,
     _require_homogeneous,
@@ -106,10 +115,11 @@ class SlpTable:
     from ``hilbert_function(f, symmetry)``; pass F's family symmetry, when
     it has one, to rank one weight block per orbit) and, for each degree i
     with c - 2i > 0, the matrix N restricted to a basis of the quotient
-    (_Restricted).  One walk of macaulay's entry enumerator gives the
-    catalecticants as integer data: a term coeff*x^e and a divisor x^mu
-    give the entry coeff * prod perm(e_k, mu_k) at column x^(e - mu) of
-    row mu, all scaled by one positive integer (the lcm of F's
+    (_Restricted).  One walk of macaulay's entry enumerator (each of F's
+    integer terms, ``_integer_terms``, and its divisors, ``_divisors``)
+    gives the catalecticants as integer data: a term coeff*x^e and a
+    divisor x^mu give the entry coeff * prod perm(e_k, mu_k) at column
+    x^(e - mu) of row mu, all scaled by one positive integer (the lcm of F's
     denominators).  Read as a polynomial, row mu is mu contracted against
     F.  The basis b_i is the pivot rows of Cat_i; its size must be h_i,
     else InvariantError.  Build the table once per F and pass it to each
@@ -124,9 +134,11 @@ class SlpTable:
         # rows[deg]: row key mu of Cat_deg -> its (entry, column key) pairs,
         # for the degrees of a basis (deg < c/2) and of N (deg even)
         rows: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(c + 1)]
-        for mu, deg, rest, entry in _entries(f, _steps(base, f.nvars), 0, c - 1):
-            if deg < half or deg % 2 == 0:
-                rows[deg].setdefault(mu, []).append((entry, rest))
+        steps = _steps(base, f.nvars)
+        for expo, whole, value in _integer_terms(f, steps)[1]:
+            for mu, deg, entry in _divisors(expo, steps, 0, c - 1, value):
+                if deg < half or deg % 2 == 0:
+                    rows[deg].setdefault(mu, []).append((entry, whole - mu))
         self.degrees = [
             _Restricted(rows[i], rows[2 * i], self.required[i], i, base, f.nvars)
             for i in range(half)
@@ -162,7 +174,10 @@ class _Restricted:
     is the column monomial x^(e - mu) as the flat power index
     k * base + e_k of each variable k with e_k > 0.  `cells[j]` =
     (columns, row ids) lists, for each k with b_j + b_k a row, k and the
-    id of that row."""
+    id of that row.  `slots` is the probe's slot layout (exactmath._Slots)
+    for the prime of the last ``rank_at``, made again when the prime
+    changes, so each call packs its rows with no per-call position list
+    and nothing kept per cell."""
 
     def __init__(self, cat, double, h: int, i: int, base: int, nvars: int):
         keys, col_at, entries = list(cat), {}, {}
@@ -176,7 +191,7 @@ class _Restricted:
                 f"the degree-{i} quotient basis has {len(self.basis)} elements, "
                 f"h_{i} = {h}"
             )
-        basis, row_id = self.basis, {}
+        basis, row_id, self.slots = self.basis, {}, None
         self.cells: list[tuple[list[int], list[int]]] = [([], []) for _ in range(h)]
         for j, bj in enumerate(basis):
             for k in [k for k in range(j, h) if bj + basis[k] in double]:
@@ -215,9 +230,12 @@ class _Restricted:
         rank mod PROBE_PRIME, a lower bound, reaches h_i; otherwise the
         matrix is built and ranked by mat_rank."""
         values, h, p = self.values_at(powers), len(self.basis), PROBE_PRIME
-        residues = [v % p for v in values]
-        rows = [(cols, map(residues.__getitem__, ids)) for cols, ids in self.cells]
-        if _rank_mod_p(rows, h, p) == h:
+        slots = self.slots
+        if slots is None or slots.prime != p:
+            slots = self.slots = _Slots(p, h, h)
+        slot = slots.encode(values)
+        rows = slots.pack((cols, map(slot.__getitem__, ids)) for cols, ids in self.cells)
+        if _rank_mod_p(rows, slots) == h:
             return h
         return mat_rank(RatMatrix._of(h, h, {
             (j, k): values[t]

@@ -9,9 +9,12 @@ pair, and it is very sparse: an entry only pairs monomials of matching torus
 weight, so it falls apart into small torus-weight blocks.
 
 One enumerator makes every catalecticant entry, here and in
-``lefschetz.SlpTable``: it walks the divisors of each term, pruned by degree,
-and gives integer entries over one recorded scale D (the lcm of F's
-coefficient denominators, ``polyring._clear_denominators``).  Monomials
+``lefschetz.SlpTable``: each caller loops over F's terms as integers over
+one recorded scale D (``_integer_terms``; D is the lcm of F's coefficient
+denominators, ``polyring._clear_denominators``) and walks the divisors of
+each term, pruned by degree (``_divisors``).  A divisor x^mu of x^e gives
+the entry at row mu and column key(e) - key(mu), term by term, with no
+list of all pairs and no tuple per pair beyond the walk's own.  Monomials
 are mixed-radix integer keys in one order everywhere (``_steps``): x_0 is
 the most significant digit, so within one degree a larger key is an
 earlier graded-lex monomial.  Each variable is one comprehension over the
@@ -60,6 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import comb, perm
+from operator import mul
 
 from .errors import (
     InvariantError,
@@ -274,26 +278,29 @@ def _divisors(
     return parts
 
 
-def _entries(f: Poly, steps: list[int], low: int, high: int, caps=None):
-    """The catalecticant entry enumerator: for every term coeff*x^e of F and
-    divisor x^mu of degree low..high, (key mu, degree, key(e) - key(mu),
-    entry) with the integer entry D * coeff * prod perm(e_k, mu_k), D the
-    lcm of F's denominators: row mu and column x^(e - mu) of the degree-deg
-    catalecticant of D*F.  Keys are by ``steps``; distinct (term, divisor)
-    pairs give distinct (row, column) cells."""
-    _, values = _clear_denominators([coeff for _, coeff in f.terms()])
-    for (expo, _), value in zip(f.terms(), values):
-        whole = sum(e * step for e, step in zip(expo, steps))
-        for mu, deg, entry in _divisors(expo, steps, low, high, value, caps):
-            yield mu, deg, whole - mu, entry
+def _integer_terms(
+    f: Poly, steps: list[int]
+) -> tuple[int, list[tuple[Monomial, int, int]]]:
+    """D, the lcm of F's coefficient denominators, and each term coeff*x^e
+    of F as (e, key(e) by ``steps``, D * coeff).  A divisor x^mu of x^e
+    that ``_divisors`` yields with the value D * coeff is the integer entry
+    D * coeff * prod perm(e_k, mu_k) at row mu and column x^(e - mu), whose
+    key is key(e) - key(mu), of the catalecticant of D*F; distinct (term,
+    divisor) pairs give distinct (row, column) cells."""
+    scale, values = _clear_denominators([coeff for _, coeff in f.terms()])
+    return scale, [
+        (expo, sum(map(mul, expo, steps)), value)
+        for (expo, _), value in zip(f.terms(), values)
+    ]
 
 
 def _placed_catalecticant(
     f: Poly, c: int, low: int, high: int
 ) -> list[tuple[RatMatrix, dict[int, int], list[int]]]:
     """The degree-i catalecticant of F (degree c) for each i = low..high,
-    from one walk of the entry enumerator with keys by ``_steps(c + 1,
-    nvars)`` (a key decodes to ``_monomial(key, c + 1, nvars)``).  Each row
+    from one walk of the entry enumerator (``_integer_terms`` and
+    ``_divisors``) with keys by ``_steps(c + 1, nvars)`` (a key decodes
+    to ``_monomial(key, c + 1, nvars)``).  Each row
     sits at its graded-lex position (``_glex_rank_of_key``), numbered over all
     degree-i monomials, zero ones included; only the nonzero columns are
     kept, numbered by descending key, so in graded-lex order.  Elimination reads
@@ -307,19 +314,22 @@ def _placed_catalecticant(
         if not 0 <= i <= c:
             raise OutOfRangeError(f"degree {i} outside 0..{c}")
     base, nvars = c + 1, f.nvars
+    steps = _steps(base, nvars)
+    scale, terms = _integer_terms(f, steps)
     # per degree: row key -> graded-lex position, column key -> its (row, entry) pairs
     degrees = [({}, {}) for _ in range(low, high + 1)]
-    for mu, deg, rest, entry in _entries(f, _steps(base, nvars), low, high):
-        rows, cols = degrees[deg - low]
-        r = rows.get(mu)
-        if r is None:
-            r = rows[mu] = _glex_rank_of_key(mu, base, nvars)
-        col = cols.get(rest)
-        if col is None:
-            cols[rest] = [(r, entry)]
-        else:
-            col.append((r, entry))
-    scale, _ = _clear_denominators([coeff for _, coeff in f.terms()])
+    for expo, whole, value in terms:
+        for mu, deg, entry in _divisors(expo, steps, low, high, value):
+            rows, cols = degrees[deg - low]
+            r = rows.get(mu)
+            if r is None:
+                r = rows[mu] = _glex_rank_of_key(mu, base, nvars)
+            rest = whole - mu
+            col = cols.get(rest)
+            if col is None:
+                cols[rest] = [(r, entry)]
+            else:
+                col.append((r, entry))
     placed = []
     for i, (rows, cols) in enumerate(degrees, low):
         order = sorted(cols, reverse=True)
@@ -565,6 +575,7 @@ def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
     Without it, every degree is one matrix, ranked by ``mat_rank``."""
     c = _require_homogeneous(f)
     steps, shift, table, close, caps = _walk_plan(f, c, symmetry)
+    _, terms = _integer_terms(f, steps)
     values = [0] * (c + 1)
     # The symmetric path keeps a small share of the entries, so one walk over
     # every degree serves them all; the generic path holds one degree at a
@@ -575,18 +586,19 @@ def hilbert_function(f: Poly, symmetry: Symmetry | None = None) -> HilbertFn:
         blocks: list[dict[int, tuple[dict, dict, dict]]] = [
             {} for _ in range(low, high + 1)
         ]
-        for mu, deg, rest, entry in _entries(f, steps, low, high, caps):
-            w = mu >> shift
-            size = table.get(w)
-            if size is None:
-                size = close(w)
-            if size:
-                block = blocks[deg - low].get(w)
-                if block is None:
-                    block = blocks[deg - low][w] = ({}, {}, {})
-                row_at, col_at, entries = block
-                r = row_at.setdefault(mu, len(row_at))
-                entries[(r, col_at.setdefault(rest, len(col_at)))] = entry
+        for expo, whole, value in terms:
+            for mu, deg, entry in _divisors(expo, steps, low, high, value, caps):
+                w = mu >> shift
+                size = table.get(w)
+                if size is None:
+                    size = close(w)
+                if size:
+                    block = blocks[deg - low].get(w)
+                    if block is None:
+                        block = blocks[deg - low][w] = ({}, {}, {})
+                    row_at, col_at, entries = block
+                    r = row_at.setdefault(mu, len(row_at))
+                    entries[(r, col_at.setdefault(whole - mu, len(col_at)))] = entry
         for deg, by_weight in enumerate(blocks, low):
             for w, (rows, cols, entries) in by_weight.items():
                 if symmetry is None:

@@ -15,6 +15,7 @@ from lefkit.exactmath import (
     _blocks,
     _echelon,
     _rank_mod_p,
+    _Slots,
     dense_rank,
     mat_det,
     mat_kernel,
@@ -433,10 +434,10 @@ def _check_int_only(rows, patch):
         assert all(type(n) is int for n in _numbers(blocks))
         return echelon(blocks)
 
-    def int_rank_mod_p(probe_rows, ncols, prime):
-        probe_rows = [(list(cols), list(values)) for cols, values in probe_rows]
-        assert all(type(n) is int for n in _numbers(probe_rows))
-        return rank_mod_p(probe_rows, ncols, prime)
+    def int_rank_mod_p(probe_rows, slots):
+        probe_rows = list(probe_rows)
+        assert all(type(n) is int for n in probe_rows)
+        return rank_mod_p(probe_rows, slots)
 
     patch.setattr(exactmath, "_echelon", int_echelon)
     patch.setattr(exactmath, "_rank_mod_p", int_rank_mod_p)
@@ -558,15 +559,17 @@ def test_inexact_catch_up_is_an_invariant_failure(monkeypatch):
         pivot_rows(m)
 
 
-KERNEL_PRIMES = (2, 7, PROBE_PRIME, (1 << 61) - 1)
+# 10**9 + 7 and 998_244_353 sit far below 2^30, so c = 2^30 - p is about
+# 2^26 and each fold drops only about 4 bits: they need the most folds.
+KERNEL_PRIMES = (2, 3, 7, PROBE_PRIME, 10**9 + 7, 998_244_353, (1 << 61) - 1)
 
 
 def _kernel_rank(dense, p):
-    """The packed kernel's rank of a dense integer matrix mod p, given it
-    row by row as its nonzero (columns, residues)."""
-    rows = [([j for j, v in enumerate(row) if v % p], [v % p for v in row if v % p])
-            for row in dense]
-    return _rank_mod_p(rows, len(dense[0]), p)
+    """The packed kernel's rank of a dense integer matrix mod p, each row
+    packed by the slot layout of p and the matrix's shape."""
+    slots = _Slots(p, len(dense), len(dense[0]))
+    rows = slots.pack((range(len(row)), slots.encode(row)) for row in dense)
+    return _rank_mod_p(rows, slots)
 
 
 def _max_growth(r, p):
@@ -577,6 +580,43 @@ def _max_growth(r, p):
     ends at 0 mod p: a slot too narrow for it turns the rank r into r + 1."""
     pivots = [[0] * k + [1] * (r + 1 - k) for k in range(r)]
     return pivots + [[(-1 - k) % p for k in range(r)] + [-r % p]]
+
+
+def _chained_growth(r, p):
+    """r + 1 rows whose elimination mod p subtracts every pivot row from
+    every later row: row i is the sum of rows 0..i of an upper triangle of
+    p - 1's, and row r repeats row r - 1.  So each pivot row is updated by
+    every earlier pivot before it is chosen, and its slots have grown past
+    p when it is folded; every multiplier is p - 1, and the last row ends
+    at 0 mod p in every slot, so a slot that carries turns the rank r into
+    r + 1."""
+    triangle = [[0] * t + [p - 1] * (r + 1 - t) for t in range(r)]
+    rows = [[sum(col) % p for col in zip(*triangle[:i + 1])] for i in range(r)]
+    return rows + [rows[-1]]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_folds_take_every_slot_below_4r(p):
+    # A packed row whose slots are all at their widest, 2^width - 1, or
+    # random below that: after slots.folds folds every slot is below 4R
+    # and keeps its residue mod p, with no carry between slots.  The width
+    # holds a slot's bound, p + min(rows, cols) * p * 4R.
+    rng, k = random.Random(p), p.bit_length()
+    for nrows, ncols in [(1, 1), (21, 21), (946, 40), (40, 3)]:
+        slots = _Slots(p, nrows, ncols)
+        width = slots.width
+        assert 1 << width > p + min(nrows, ncols) * p * (4 << k)
+        top = (1 << width) - 1
+        widest, mixed = [top] * ncols, [rng.randrange(top + 1) for _ in range(ncols)]
+        for values in (widest, mixed):
+            row = sum(v << j * width for j, v in enumerate(values))
+            for _ in range(slots.folds):
+                row = (row & slots.lo) + ((row >> k) & slots.hi) * slots.c
+            for v in values:
+                slot, row = row & top, row >> width
+                assert slot < 4 << k and slot % p == v % p
+            assert row == 0
+    assert _Slots(PROBE_PRIME, 946, 946).folds == 2
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -601,4 +641,7 @@ def test_packed_kernel_matches_rank_mod_p_oracle(p):
             assert _kernel_rank(dense, p) == naive_rank_mod_p(dense, p)
     for r in range(1, 13):
         dense = _max_growth(r, p)
+        assert _kernel_rank(dense, p) == naive_rank_mod_p(dense, p) == r
+    for r in (1, 2, 5, 12, 40):
+        dense = _chained_growth(r, p)
         assert _kernel_rank(dense, p) == naive_rank_mod_p(dense, p) == r

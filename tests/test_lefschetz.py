@@ -344,9 +344,10 @@ def test_probe_settles_a_lefschetz_l_at_h_i(monkeypatch):
     # and for a random L the probe reaches h_i: no degree goes to mat_rank.
     probed = []
 
-    def recording(rows, ncols, prime):
+    def recording(rows, slots):
+        rows = list(rows)
         probed.append(len(rows))
-        return _rank_mod_p(rows, ncols, prime)
+        return _rank_mod_p(rows, slots)
 
     def refuse(matrix):
         raise AssertionError("mat_rank was called")
@@ -368,8 +369,8 @@ def test_probe_short_of_h_i_goes_to_mat_rank(monkeypatch):
     table = SlpTable(DET3_CUBED)
     probed, ranked = [], []
 
-    def probing(rows, ncols, prime):
-        probed.append(_rank_mod_p(rows, ncols, prime))
+    def probing(rows, slots):
+        probed.append(_rank_mod_p(rows, slots))
         return probed[-1]
 
     def recording(matrix):
@@ -441,8 +442,8 @@ def test_row_vanishing_mod_p_is_still_counted(monkeypatch):
     monkeypatch.setattr(lefschetz, "PROBE_PRIME", 7)
     probed = []
 
-    def probing(rows, ncols, prime):
-        probed.append(_rank_mod_p(rows, ncols, prime))
+    def probing(rows, slots):
+        probed.append(_rank_mod_p(rows, slots))
         return probed[-1]
 
     monkeypatch.setattr(lefschetz, "_rank_mod_p", probing)
@@ -760,8 +761,8 @@ def test_hessian_route_shares_no_code_with_the_routes_it_checks(monkeypatch):
         for i in range(len(tables[id(g)].degrees)):
             default_degree_basis(g, i)
     for module, name in [
-        (macaulay, "_entries"), (lefschetz, "_entries"),
-        (macaulay, "_divisors"),
+        (macaulay, "_integer_terms"), (lefschetz, "_integer_terms"),
+        (macaulay, "_divisors"), (lefschetz, "_divisors"),
         (lefschetz, "SlpTable"),
         (exactmath, "mat_rank"), (lefschetz, "mat_rank"),
         (exactmath, "pivot_rows"), (lefschetz, "pivot_rows"),
