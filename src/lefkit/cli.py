@@ -1,5 +1,6 @@
-"""Command-line front end: build families, run verifications, and assemble
-every report (json, csv, text) from the library's results.
+"""Command-line front end: build families, run verifications, and render
+every report (json, csv, text) from one payload and one row list per
+command through ``_emit``.
 
 Exit codes: 0 pass, 1 verified-false, 2 input error, 3 resource limit,
 4 internal invariant failed.
@@ -197,23 +198,34 @@ def _write(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(fieldnames: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def _emit(args: argparse.Namespace, payload: dict, csv_fields: list[str],
-          csv_rows: list[dict], text: str) -> None:
+def _emit(args: argparse.Namespace, payload: dict, fields: list[str],
+          rows: list[dict], head: list[str], tail: list[str] | None = None) -> None:
+    """Write one report: JSON is ``payload``, CSV is ``rows`` under
+    ``fields``, and text is the ``head`` lines; when ``tail`` is given, they
+    are followed by a table of ``rows`` under ``fields`` (bools as yes/no)
+    and then the ``tail`` lines."""
     if args.fmt == "json":
         _write(args, json.dumps(payload, indent=2))
     elif args.fmt == "csv":
-        _write(args, _csv_text(csv_fields, csv_rows))
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        _write(args, buf.getvalue())
     else:
-        _write(args, text)
+        lines = list(head)
+        if tail is not None:
+            lines.append(" ".join(fields))
+            lines += [" ".join(_cell(row[k]) for k in fields) for row in rows]
+            lines += tail
+        _write(args, "\n".join(lines))
+
+
+def _cell(value) -> str:
+    """One text-table cell: a bool as yes/no, anything else as str."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return str(value)
 
 
 def _echo(spec: FamilySpec) -> dict:
@@ -248,16 +260,8 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
         "hilbert": list(fn.values),
         "rows": rows,
     }
-    text_lines = [
-        _title(spec),
-        f"hilbert {fn.as_text()}",
-        "degree dim_R_i rank kernel_dim",
-    ]
-    text_lines += [
-        f"{r['degree']} {r['dim_R_i']} {r['rank']} {r['kernel_dim']}" for r in rows
-    ]
     _emit(args, payload, ["degree", "dim_R_i", "rank", "kernel_dim"], rows,
-          "\n".join(text_lines))
+          [_title(spec), f"hilbert {fn.as_text()}"], [])
     return EXIT_PASS
 
 
@@ -278,28 +282,22 @@ def cmd_slp(args: argparse.Namespace) -> int:
         "rows": rows,
         "verdict": report.verdict,
     }
-    text_lines = [
-        f"{_title(spec)} c={report.c}",
-        f"L = {format_poly(L, spec.layout)}",
-        "i required achieved pass",
-    ]
-    text_lines += [
-        f"{r['i']} {r['required']} {r['achieved']} {'yes' if r['pass'] else 'no'}"
-        for r in rows
-    ]
-    text_lines.append(f"verdict {'true' if report.verdict else 'false'}")
     _emit(args, payload, ["i", "required", "achieved", "pass"], rows,
-          "\n".join(text_lines))
+          [f"{_title(spec)} c={report.c}", f"L = {format_poly(L, spec.layout)}"],
+          [f"verdict {'true' if report.verdict else 'false'}"])
     return EXIT_PASS if report.verdict else EXIT_FALSE
+
+
+def _unit_weights_only(args: argparse.Namespace, spec: FamilySpec, why: str) -> None:
+    """Refuse non-unit --weights, as an input error saying ``why``."""
+    if _resolve_weights(args.weights, spec) is not None:
+        raise LefkitError(why)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    if _resolve_weights(args.weights, spec) is not None:
-        raise LefkitError(
-            "verify compares against open-orbit membership, which assumes "
-            "unit apolarity weights"
-        )
+    _unit_weights_only(args, spec, "verify compares against open-orbit "
+                       "membership, which assumes unit apolarity weights")
     summary = verify_theorem(spec, args.samples, args.seed, args.budget)
     rows = [
         {
@@ -327,21 +325,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         {**row, "index": k, "L": " ".join(f"{n}={v}" for n, v in row["L"].items())}
         for k, row in enumerate(rows)
     ]
-    text_lines = [
+    _emit(args, payload, ["index", "forced", "slp", "orbit", "agree", "L"], csv_rows, [
         f"{_title(spec)} seed={args.seed} samples={args.samples}",
         f"checked {len(summary.samples)} candidates "
         f"({len(summary.samples) - args.samples} forced)",
         f"mismatches {summary.mismatches}",
-    ]
-    _emit(args, payload, ["index", "forced", "slp", "orbit", "agree", "L"],
-          csv_rows, "\n".join(text_lines))
+    ])
     return EXIT_PASS if summary.mismatches == 0 else EXIT_FALSE
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     spec = _spec(args)
-    if _resolve_weights(args.weights, spec) is not None:
-        raise LefkitError("predict compares unit-weight Hilbert functions")
+    _unit_weights_only(args, spec, "predict compares unit-weight Hilbert functions")
     f, symmetry = _invariant(spec, args.budget, None)
     predicted = predicted_hilbert(spec, args.budget)
     computed = hilbert_function(f, symmetry)
@@ -356,15 +351,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         {"degree": i, "predicted": p, "computed": c}
         for i, (p, c) in enumerate(zip(predicted.values, computed.values))
     ]
-    text = "\n".join(
-        [
-            _title(spec),
-            f"predicted {predicted.as_text()}",
-            f"computed  {computed.as_text()}",
-            f"match {'true' if match else 'false'}",
-        ]
-    )
-    _emit(args, payload, ["degree", "predicted", "computed"], csv_rows, text)
+    _emit(args, payload, ["degree", "predicted", "computed"], csv_rows, [
+        _title(spec),
+        f"predicted {predicted.as_text()}",
+        f"computed  {computed.as_text()}",
+        f"match {'true' if match else 'false'}",
+    ])
     return EXIT_PASS if match else EXIT_FALSE
 
 
@@ -397,16 +389,9 @@ def cmd_hessian(args: argparse.Namespace) -> int:
         "rows": rows,
         "all_nonzero": all_nonzero,
     }
-    text_lines = [
-        _title(spec),
-        f"L = {format_poly(L, spec.layout)}",
-        "i det nonzero",
-    ]
-    text_lines += [
-        f"{r['i']} {r['det']} {'yes' if r['nonzero'] else 'no'}" for r in rows
-    ]
-    text_lines.append(f"all_nonzero {'true' if all_nonzero else 'false'}")
-    _emit(args, payload, ["i", "det", "nonzero"], rows, "\n".join(text_lines))
+    _emit(args, payload, ["i", "det", "nonzero"], rows,
+          [_title(spec), f"L = {format_poly(L, spec.layout)}"],
+          [f"all_nonzero {'true' if all_nonzero else 'false'}"])
     return EXIT_PASS if all_nonzero else EXIT_FALSE
 
 
@@ -423,11 +408,8 @@ def cmd_annihilator(args: argparse.Namespace) -> int:
         "basis": texts,
     }
     csv_rows = [{"index": k, "polynomial": t} for k, t in enumerate(texts)]
-    text_lines = [
-        f"{_title(spec)} degree={args.degree}",
-        f"kernel_dim {len(texts)}",
-    ] + texts
-    _emit(args, payload, ["index", "polynomial"], csv_rows, "\n".join(text_lines))
+    _emit(args, payload, ["index", "polynomial"], csv_rows,
+          [f"{_title(spec)} degree={args.degree}", f"kernel_dim {len(texts)}", *texts])
     return EXIT_PASS
 
 

@@ -368,9 +368,10 @@ def catalecticant(f: Poly, i: int) -> CatMatrix:
 @dataclass(frozen=True)
 class Symmetry:
     """A torus grading and signed variable permutations offered as
-    symmetries of F: ``weights[k]`` is variable k's weight vector, and a
-    generator sends variable k to ``sign * x_image`` for its k-th pair
-    (image, sign).  ``hilbert_function`` checks every claim exactly."""
+    symmetries of F: ``weights[k]`` is variable k's weight vector of
+    non-negative ints, and a generator sends variable k to
+    ``sign * x_image`` for its k-th pair (image, sign) of ints.
+    ``hilbert_function`` checks every claim exactly."""
 
     weights: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[tuple[int, int], ...], ...]
@@ -385,8 +386,11 @@ def _coordinate_perm(
     permutation sigma (weight[image k][tau a] = weight[k][a] for all k, a),
     after checking that sigma is one and maps F to +F or -F."""
     nvars, dims = len(weights), len(weights[0])
-    if sorted(image for image, _ in gen) != list(range(nvars)) or any(
-        sign not in (1, -1) for _, sign in gen
+    if (
+        not all(type(pair) is tuple and len(pair) == 2
+                and all(type(v) is int for v in pair) for pair in gen)
+        or sorted(image for image, _ in gen) != list(range(nvars))
+        or any(sign not in (1, -1) for _, sign in gen)
     ):
         raise InvariantError(
             "a symmetry generator is not a signed variable permutation"
@@ -432,9 +436,10 @@ def _weight_orbits(f: Poly, c: int, symmetry: Symmetry):
     weights = symmetry.weights
     if (
         len(weights) != f.nvars
-        or not all(weights)
+        or not all(type(w) is tuple and w for w in weights)
         or len({len(w) for w in weights}) != 1
-        or any(v < 0 for w in weights for v in w)
+        # bool, float and Fraction weights included
+        or any(type(v) is not int or v < 0 for w in weights for v in w)
     ):
         raise InvariantError(
             "symmetry weights must be one non-negative vector per variable"

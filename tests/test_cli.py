@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -185,8 +187,9 @@ def test_verify_samples_count_against_budget(capsys):
     assert code == 0 and "mismatches 0" in out
 
 
-def test_verify_rejects_weights(capsys):
-    code, _, err = run(capsys, "verify", "--family", "sym-det", "--n", "2",
+@pytest.mark.parametrize("command", ["verify", "predict"])
+def test_verify_rejects_weights(capsys, command):
+    code, _, err = run(capsys, command, "--family", "sym-det", "--n", "2",
                        "--weights", '{"x12": "2"}')
     assert code == 2
     assert "unit" in err
@@ -415,3 +418,41 @@ def test_one_parser_per_process_carries_nothing_between_calls(capsys, monkeypatc
     assert [run(capsys, *argv) for argv in calls * 2] == fresh * 2
     seeded = run(capsys, *calls[2], "--seed", "3")
     assert seeded != fresh[2]  # so a carried-over seed would show
+
+
+def _workflow_commands(text: str) -> list[list[str]]:
+    """The argv of each literal ``lefkit ...`` command in a workflow file.
+    Comment lines are dropped, the lines of a ``>-`` folded block are joined
+    with spaces, and so are lines continued with a backslash; a command
+    ends at ``|``, ``;``, ``)`` or a line end, and one that holds a shell
+    variable (``$``) is skipped."""
+    lines: list[str] = []
+    folded_indent = None
+    for line in text.splitlines():
+        indent, stripped = len(line) - len(line.lstrip()), line.strip()
+        if folded_indent is not None and stripped and indent > folded_indent:
+            lines[-1] += " " + stripped
+            continue
+        folded_indent = indent if stripped.endswith(">-") else None
+        if not stripped.startswith("#"):
+            lines.append(stripped)
+    joined = "\n".join(lines).replace("\\\n", " ")
+    return [
+        shlex.split(command)
+        for command in re.findall(r"\blefkit ([^|;)\n]*)", joined)
+        if "$" not in command
+    ]
+
+
+def test_every_ci_command_parses():
+    workflow = ROOT / ".github" / "workflows" / "tests.yml"
+    commands = _workflow_commands(workflow.read_text(encoding="utf-8"))
+    assert len(commands) >= 20  # the extraction found the CI's commands
+    parser = lefkit.cli.build_parser()
+    refused = []
+    for argv in commands:
+        try:
+            assert parser.parse_args(argv).command == argv[0]
+        except SystemExit:
+            refused.append(" ".join(argv))
+    assert refused == []

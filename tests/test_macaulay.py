@@ -452,11 +452,23 @@ def _repeated_image(symmetry):
     return dataclasses.replace(symmetry, generators=(((0, 1), (0, 1), (2, 1)),))
 
 
+def _float_weights(symmetry):  # every other check passes on 1.5 times the weights
+    weights = tuple(tuple(1.5 * v for v in w) for w in symmetry.weights)
+    return dataclasses.replace(symmetry, weights=weights)
+
+
+def _bare_images(symmetry):  # each entry an image with no sign
+    gens = tuple(tuple(image for image, _ in gen) for gen in symmetry.generators)
+    return dataclasses.replace(symmetry, generators=gens)
+
+
 @pytest.mark.parametrize("kind,n,spoil,message", [
     (FamilyKind.PFAFFIAN, 4, _unsigned, "does not map F"),
     (FamilyKind.SYM_DET, 2, _x11_of_weight_e1, "not homogeneous"),
     (FamilyKind.SYM_DET, 2, _swap_x11_x12, "does not permute the weight"),
     (FamilyKind.SYM_DET, 2, _repeated_image, "not a signed variable permutation"),
+    (FamilyKind.SYM_DET, 2, _float_weights, "one non-negative vector per variable"),
+    (FamilyKind.SYM_DET, 2, _bare_images, "not a signed variable permutation"),
 ])
 def test_false_symmetry_claims_are_refused(kind, n, spoil, message):
     spec = FamilySpec(kind, n)
