@@ -2,6 +2,13 @@
 every report (json, csv, text) from one payload and one row list per
 command through ``_emit``.
 
+At load time this module imports only ``errors``, ``polyring`` and
+``families``.  Each command imports what it runs once its instance is
+checked: ``macaulay``, and ``lefschetz`` for ``slp``, ``verify``,
+``hessian`` and a random L; ``csv`` is imported only for a CSV report.  So
+a parse error or a bad instance loads no rank engine, and ``hilbert``,
+``predict`` and ``annihilator`` never load ``lefschetz``.
+
 Exit codes: 0 pass, 1 verified-false, 2 input error, 3 resource limit,
 4 internal invariant failed.
 Reports are byte-stable for a fixed configuration and seed.
@@ -11,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import os
@@ -19,6 +25,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import InvariantError, LefkitError, TooLargeError
 from .families import (
@@ -30,21 +37,10 @@ from .families import (
     make_invariant,
     predicted_hilbert,
 )
-from .lefschetz import (
-    SlpTable,
-    hessian_determinants_at,
-    random_linear_form,
-    slp_check,
-    verify_theorem,
-)
-from .macaulay import (
-    Symmetry,
-    annihilator_basis,
-    count_text,
-    ensure_within_budget,
-    hilbert_function,
-)
 from .polyring import Poly, dim_of_degree, format_poly, scale_variables
+
+if TYPE_CHECKING:
+    from .macaulay import Symmetry
 
 EXIT_PASS = 0
 EXIT_FALSE = 1
@@ -114,12 +110,15 @@ def _name_values(source: str, what: str, spec: FamilySpec, default: int) -> list
     """One rational per layout variable from a JSON object mapping variable
     names to rationals, given inline (a value starting with `{` or `[`) or as
     a file path; unnamed variables get `default`.  Any bad name or value is
-    an input error."""
+    an input error, and so is JSON nested too deeply to decode."""
     text = source
     if not source.lstrip().startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise LefkitError(f"{what}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise LefkitError(f"{what} must be a JSON object")
     index = {name: k for k, name in enumerate(spec.layout)}
@@ -153,6 +152,8 @@ def _invariant(
     (``_resolve_weights``) F is F(w*x), whose plain apolarity pairing is the
     weighted pairing of F; it is no longer fixed by the family's variable
     permutations, so its symmetry is None and it takes the generic path."""
+    from .macaulay import ensure_within_budget
+
     ensure_within_budget(spec.nvars, spec.socle_degree, budget)
     weights = _resolve_weights(weights_arg, spec)
     f = make_invariant(spec)
@@ -172,6 +173,8 @@ def _lefschetz_from(args: argparse.Namespace, spec: FamilySpec) -> Poly:
             raise LefkitError("Lefschetz file defines the zero form")
         return L
     if args.lefschetz == "random":
+        from .lefschetz import random_linear_form
+
         return random_linear_form(spec.nvars, random.Random(args.seed))
     return canonical_lefschetz(spec)
 
@@ -207,6 +210,8 @@ def _emit(args: argparse.Namespace, payload: dict, fields: list[str],
     if args.fmt == "json":
         _write(args, json.dumps(payload, indent=2))
     elif args.fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
@@ -248,6 +253,8 @@ def _coeff_map(coeffs, spec: FamilySpec) -> dict[str, str]:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    from .macaulay import hilbert_function
+
     f, symmetry = _invariant(spec, args.budget, args.weights)
     fn = hilbert_function(f, symmetry)
     rows = []
@@ -267,6 +274,8 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 def cmd_slp(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    from .lefschetz import SlpTable, slp_check
+
     f, symmetry = _invariant(spec, args.budget, args.weights)
     L = _lefschetz_from(args, spec)
     table = SlpTable(f, symmetry)
@@ -298,6 +307,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = _spec(args)
     _unit_weights_only(args, spec, "verify compares against open-orbit "
                        "membership, which assumes unit apolarity weights")
+    from .lefschetz import verify_theorem
+
     summary = verify_theorem(spec, args.samples, args.seed, args.budget)
     rows = [
         {
@@ -337,6 +348,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     spec = _spec(args)
     _unit_weights_only(args, spec, "predict compares unit-weight Hilbert functions")
+    from .macaulay import hilbert_function
+
     f, symmetry = _invariant(spec, args.budget, None)
     predicted = predicted_hilbert(spec, args.budget)
     computed = hilbert_function(f, symmetry)
@@ -366,6 +379,8 @@ def _det_text(i: int, det: Fraction) -> str:
     try:
         return str(det)
     except ValueError:
+        from .macaulay import count_text
+
         size = count_text(max(abs(det.numerator), det.denominator))
         raise TooLargeError(
             f"Hessian determinant at degree {i} is too long to print in "
@@ -375,6 +390,8 @@ def _det_text(i: int, det: Fraction) -> str:
 
 def cmd_hessian(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    from .lefschetz import hessian_determinants_at
+
     f, _ = _invariant(spec, args.budget, args.weights)
     L = _lefschetz_from(args, spec)
     dets = hessian_determinants_at(f, L)
@@ -397,6 +414,8 @@ def cmd_hessian(args: argparse.Namespace) -> int:
 
 def cmd_annihilator(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    from .macaulay import annihilator_basis
+
     f, _ = _invariant(spec, args.budget, args.weights)
     basis = annihilator_basis(f, args.degree)
     texts = [format_poly(p, spec.layout) for p in basis]

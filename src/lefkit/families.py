@@ -11,6 +11,11 @@ point that characterizes Lefschetz elements, and the symmetry
 (``family_symmetry``: torus weights and signed variable permutations fixing
 F up to sign, which ``macaulay.hilbert_function`` checks exactly and uses to
 rank one catalecticant block per orbit) or None for the generic path.
+
+At load time this module imports only ``errors`` and ``polyring``.  The
+rank engine's types (``macaulay.Symmetry``, ``macaulay.HilbertFn``,
+``exactmath.RatMatrix``) are imported inside the three functions that build
+them, so the orbit test cannot reach the rank kernels it cross-checks.
 """
 
 from __future__ import annotations
@@ -22,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from typing import TYPE_CHECKING
 
 from .errors import InvalidSpecError, InvariantError, OutOfRangeError, TooLargeError
-from .exactmath import RatMatrix
-from .macaulay import HilbertFn, Symmetry, count_text, resolve_budget
 from .polyring import (
     Poly,
     _clear_denominators,
@@ -33,6 +37,9 @@ from .polyring import (
     poly_mul,
     poly_pow,
 )
+
+if TYPE_CHECKING:
+    from .macaulay import HilbertFn, Symmetry
 
 
 class FamilyKind(enum.Enum):
@@ -167,6 +174,8 @@ def predicted_hilbert(spec: FamilySpec, budget: int | None = None) -> HilbertFn:
     in 1 and 2 variables too (d = -1, 0).  Each (x, t) factor is tabled once
     per call.  The partition count C(r+s, r) is held to the
     cell budget (``macaulay.resolve_budget``)."""
+    from .macaulay import HilbertFn, count_text, resolve_budget
+
     r, s = spec.rank_r, spec.power
     count = comb(r + s, r)
     limit = resolve_budget(budget)
@@ -278,6 +287,8 @@ def _matrix_symmetry(spec: FamilySpec) -> Symmetry:
     and the n-cycle, and x_ij goes to x_p(i)p(j): on rows and on columns
     apart for a matrix without mirror, which adds the transpose
     x_ij -> x_ji; with the mirror's sign when p flips the pair."""
+    from .macaulay import Symmetry
+
     n, mirror = spec.size, spec._family.mirror
     positions = _positions(spec.kind, n)
     index = _position_index(spec.kind, n)
@@ -336,6 +347,8 @@ def _filled(spec: FamilySpec, entries: dict, zero) -> list[list]:
 def coeffs_to_matrix(spec: FamilySpec, L: Poly):
     """The matrix (``_matrix_entries``) whose entries are L's coefficients
     under the family layout, or their vector for a family without one."""
+    from .exactmath import RatMatrix
+
     coeffs = _linear_form_coeffs(L, spec.nvars)
     if spec._family.mirror is None:
         return coeffs

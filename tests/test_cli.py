@@ -371,6 +371,20 @@ def test_weights_inline_array_is_not_an_object(capsys):
     assert out == "" and "must be a JSON object" in err
 
 
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    # json.loads raises RecursionError on these, which must not escape as
+    # a traceback (exit 1, the verified-false code)
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for option, value, what in (("--weights", deep, "weights"),
+                                ("--lefschetz-file", str(path), "Lefschetz")):
+        code, out, err = run(capsys, "slp", "--family", "sym-det", "--n", "2",
+                             option, value)
+        assert code == 2 and out == "", option
+        assert err.startswith(f"error: {what}") and "nested too deeply" in err
+
+
 def test_usage_error_is_input_error(capsys):
     assert main(["hilbert", "--family", "sym-det"]) == 2
     assert main(["nonsense"]) == 2
