@@ -3,11 +3,14 @@ every report (json, csv, text) from one payload and one row list per
 command through ``_emit``.
 
 At load time this module imports only ``errors``, ``polyring`` and
-``families``.  Each command imports what it runs once its instance is
+``families``.  Every command checks its inputs in one order
+(``_checked``): each JSON option is decoded (exit 2), then the instance is
+held to the cell budget (exit 3), then the names are resolved against the
+layout (exit 2).  Each command imports what it runs once its inputs are
 checked: ``macaulay``, and ``lefschetz`` for ``slp``, ``verify``,
 ``hessian`` and a random L; ``csv`` is imported only for a CSV report.  So
-a parse error or a bad instance loads no rank engine, and ``hilbert``,
-``predict`` and ``annihilator`` never load ``lefschetz``.
+a parse error, malformed JSON or a bad instance loads no rank engine, and
+``hilbert``, ``predict`` and ``annihilator`` never load ``lefschetz``.
 
 Exit codes: 0 pass, 1 verified-false, 2 input error, 3 resource limit,
 4 internal invariant failed.
@@ -106,11 +109,13 @@ def _spec(args: argparse.Namespace) -> FamilySpec:
     return FamilySpec(kind_from_name(args.family), args.n, args.power)
 
 
-def _name_values(source: str, what: str, spec: FamilySpec, default: int) -> list[Fraction]:
-    """One rational per layout variable from a JSON object mapping variable
-    names to rationals, given inline (a value starting with `{` or `[`) or as
-    a file path; unnamed variables get `default`.  Any bad name or value is
-    an input error, and so is JSON nested too deeply to decode."""
+def _decoded(source: str | None, what: str) -> dict | None:
+    """The JSON object of an option, given inline (a value starting with
+    `{` or `[`) or as a file path, or None when the option is absent.
+    Malformed JSON, JSON nested too deeply to decode, or anything but an
+    object is an input error."""
+    if source is None:
+        return None
     text = source
     if not source.lstrip().startswith(("{", "[")):
         with open(source, "r", encoding="utf-8") as fh:
@@ -121,6 +126,13 @@ def _name_values(source: str, what: str, spec: FamilySpec, default: int) -> list
         raise LefkitError(f"{what}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise LefkitError(f"{what} must be a JSON object")
+    return data
+
+
+def _name_values(data: dict, what: str, spec: FamilySpec, default: int) -> list[Fraction]:
+    """One rational per layout variable from a decoded object mapping
+    variable names to rationals; unnamed variables get `default`.  Any bad
+    name or value is an input error."""
     index = {name: k for k, name in enumerate(spec.layout)}
     values = [Fraction(default)] * spec.nvars
     for name, value in data.items():
@@ -133,50 +145,54 @@ def _name_values(source: str, what: str, spec: FamilySpec, default: int) -> list
     return values
 
 
-def _resolve_weights(arg: str | None, spec: FamilySpec) -> list[Fraction] | None:
-    """The --weights values, one per layout variable, or None when all are 1;
-    scale_variables rejects non-positive ones."""
-    if arg is None:
-        return None
-    weights = _name_values(arg, "weights", spec, 1)
-    if all(w == 1 for w in weights):
-        return None
-    return weights
+def _checked(
+    args: argparse.Namespace, spec: FamilySpec
+) -> tuple[list[Fraction] | None, Poly | None]:
+    """A command's inputs, checked in the one order every command uses:
+    each JSON option is decoded (malformed: exit 2), then the instance is
+    checked against the cell budget (exit 3) before any layout is built,
+    then the names are resolved against the layout (exit 2).  Returns the
+    --weights values, one per layout variable, or None when all are 1
+    (scale_variables rejects non-positive ones), and, for a command that
+    reads one, the linear form L."""
+    weights = _decoded(args.weights, "weights")
+    what = "Lefschetz coefficients"
+    coeffs = _decoded(getattr(args, "lefschetz_file", None), what)
+    from .macaulay import ensure_within_budget
+
+    ensure_within_budget(spec.nvars, spec.socle_degree, args.budget)
+    if weights is not None:
+        weights = _name_values(weights, "weights", spec, 1)
+        if all(w == 1 for w in weights):
+            weights = None
+    if not hasattr(args, "lefschetz"):
+        return weights, None
+    if coeffs is not None:
+        L = Poly(spec.nvars, {
+            tuple(int(k == j) for k in range(spec.nvars)): coeff
+            for j, coeff in enumerate(_name_values(coeffs, what, spec, 0))
+        })
+        if L.is_zero():
+            raise LefkitError("Lefschetz file defines the zero form")
+        return weights, L
+    if args.lefschetz == "random":
+        from .lefschetz import random_linear_form
+
+        return weights, random_linear_form(spec.nvars, random.Random(args.seed))
+    return weights, canonical_lefschetz(spec)
 
 
 def _invariant(
-    spec: FamilySpec, budget: int | None, weights_arg: str | None
+    spec: FamilySpec, weights: list[Fraction] | None
 ) -> tuple[Poly, Symmetry | None]:
-    """The invariant F after the budget check, and the symmetry to rank it
-    with.  Under the non-unit weights of ``weights_arg``
-    (``_resolve_weights``) F is F(w*x), whose plain apolarity pairing is the
-    weighted pairing of F; it is no longer fixed by the family's variable
+    """The invariant F and the symmetry to rank it with.  Under non-unit
+    ``weights`` F is F(w*x), whose plain apolarity pairing is the weighted
+    pairing of F; it is no longer fixed by the family's variable
     permutations, so its symmetry is None and it takes the generic path."""
-    from .macaulay import ensure_within_budget
-
-    ensure_within_budget(spec.nvars, spec.socle_degree, budget)
-    weights = _resolve_weights(weights_arg, spec)
     f = make_invariant(spec)
     if weights is not None:
         return scale_variables(f, weights), None
     return f, family_symmetry(spec)
-
-
-def _lefschetz_from(args: argparse.Namespace, spec: FamilySpec) -> Poly:
-    if args.lefschetz_file is not None:
-        coeffs = _name_values(args.lefschetz_file, "Lefschetz coefficients", spec, 0)
-        L = Poly(spec.nvars, {
-            tuple(int(k == j) for k in range(spec.nvars)): coeff
-            for j, coeff in enumerate(coeffs)
-        })
-        if L.is_zero():
-            raise LefkitError("Lefschetz file defines the zero form")
-        return L
-    if args.lefschetz == "random":
-        from .lefschetz import random_linear_form
-
-        return random_linear_form(spec.nvars, random.Random(args.seed))
-    return canonical_lefschetz(spec)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -253,9 +269,10 @@ def _coeff_map(coeffs, spec: FamilySpec) -> dict[str, str]:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    weights, _ = _checked(args, spec)
     from .macaulay import hilbert_function
 
-    f, symmetry = _invariant(spec, args.budget, args.weights)
+    f, symmetry = _invariant(spec, weights)
     fn = hilbert_function(f, symmetry)
     rows = []
     for i, h in enumerate(fn.values):
@@ -274,10 +291,10 @@ def cmd_hilbert(args: argparse.Namespace) -> int:
 
 def cmd_slp(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    weights, L = _checked(args, spec)
     from .lefschetz import SlpTable, slp_check
 
-    f, symmetry = _invariant(spec, args.budget, args.weights)
-    L = _lefschetz_from(args, spec)
+    f, symmetry = _invariant(spec, weights)
     table = SlpTable(f, symmetry)
     report = slp_check(f, L, table)
     rows = [
@@ -298,8 +315,9 @@ def cmd_slp(args: argparse.Namespace) -> int:
 
 
 def _unit_weights_only(args: argparse.Namespace, spec: FamilySpec, why: str) -> None:
-    """Refuse non-unit --weights, as an input error saying ``why``."""
-    if _resolve_weights(args.weights, spec) is not None:
+    """Check the inputs (``_checked``) and refuse non-unit --weights, as an
+    input error saying ``why``."""
+    if _checked(args, spec)[0] is not None:
         raise LefkitError(why)
 
 
@@ -350,7 +368,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _unit_weights_only(args, spec, "predict compares unit-weight Hilbert functions")
     from .macaulay import hilbert_function
 
-    f, symmetry = _invariant(spec, args.budget, None)
+    f, symmetry = _invariant(spec, None)
     predicted = predicted_hilbert(spec, args.budget)
     computed = hilbert_function(f, symmetry)
     match = predicted.values == computed.values
@@ -390,10 +408,10 @@ def _det_text(i: int, det: Fraction) -> str:
 
 def cmd_hessian(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    weights, L = _checked(args, spec)
     from .lefschetz import hessian_determinants_at
 
-    f, _ = _invariant(spec, args.budget, args.weights)
-    L = _lefschetz_from(args, spec)
+    f, _ = _invariant(spec, weights)
     dets = hessian_determinants_at(f, L)
     rows = [
         {"i": i, "det": _det_text(i, d), "nonzero": bool(d)}
@@ -414,9 +432,10 @@ def cmd_hessian(args: argparse.Namespace) -> int:
 
 def cmd_annihilator(args: argparse.Namespace) -> int:
     spec = _spec(args)
+    weights, _ = _checked(args, spec)
     from .macaulay import annihilator_basis
 
-    f, _ = _invariant(spec, args.budget, args.weights)
+    f, _ = _invariant(spec, weights)
     basis = annihilator_basis(f, args.degree)
     texts = [format_poly(p, spec.layout) for p in basis]
     payload = {

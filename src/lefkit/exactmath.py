@@ -15,10 +15,11 @@ exact.  ``Fraction`` is made only by ``_as_rational`` and in the values
 that ``mat_det`` and ``mat_kernel`` return.
 The pivots are the ones a whole-matrix elimination would choose: its
 entries factor over the blocks, so its shortest-entry order is replayed
-block by block.  ``mat_rank`` sums the block ranks; on each block a modular
-probe of the integer rows at one fixed prime p below 2^30 gives a cheap
-rank lower bound that short-circuits full-rank confirmations, and only the
-blocks it cannot confirm are eliminated.  A probe rank is only ever a lower
+block by block.  ``mat_rank`` sums the block ranks; a block of one row or
+one column has rank 1 (it holds only nonzero entries), and on each other
+block a modular probe of the integer rows at one fixed prime p below 2^30
+gives a cheap rank lower bound that short-circuits full-rank
+confirmations, and only the blocks it cannot confirm are eliminated.  A probe rank is only ever a lower
 bound: a minor that is nonzero mod p is nonzero, but a nonzero minor can
 vanish mod p.  A row is never zero mod p just because p divides the lcm it
 was scaled by, so no prime is bad for the probe.
@@ -34,7 +35,8 @@ the pivot row is never scaled slot by slot.  A slot starts below p and
 gains less than p * 4 * 2^k at each of at most min(rows, cols) updates,
 so a width of the bit length of p + min(rows, cols) * p * 4 * 2^k, in
 whole bytes, never carries into a neighbour.  ``lefschetz`` keeps one
-layout per prime for each SLP matrix and packs its own residues.
+layout per prime for each dense SLP matrix and gathers its own rows from
+the encoded residues.
 
 ``dense_rank`` is a second, rank-only fraction-free elimination, for a
 caller that already holds one small block as dense integer rows (the
@@ -413,11 +415,14 @@ def _echelon(blocks: list[_Block]) -> _Echelon:
 
 
 def _block_rank(rows: dict[int, dict[int, int]], cols: list[int]) -> int:
-    # The rank mod PROBE_PRIME of the block's integer rows, each column
-    # numbered by its place in cols, is a lower bound, so reaching
-    # min(rows, cols) is conclusive; anything less falls through to
-    # fraction-free elimination.
+    # A block holds only nonzero entries, so with one row or one column its
+    # rank is 1.  Otherwise the rank mod PROBE_PRIME of the block's integer
+    # rows, each column numbered by its place in cols, is a lower bound, so
+    # reaching min(rows, cols) is conclusive; anything less falls through
+    # to fraction-free elimination.
     full = min(len(rows), len(cols))
+    if full == 1:
+        return 1
     slots = _Slots(PROBE_PRIME, len(rows), len(cols))
     at = {j: k for k, j in enumerate(cols)}
     packed = slots.pack(

@@ -118,7 +118,7 @@ class FamilySpec:
         n, row = self.size, self._family.row
         return sum(len(row(n, i)) for i in range(1, n + 1))
 
-    @property
+    @functools.cached_property
     def layout(self) -> tuple[str, ...]:
         """Variable names in layout order (row-major over matrix positions);
         a coordinate at (i, 0) is named x_i."""

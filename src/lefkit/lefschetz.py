@@ -18,10 +18,13 @@ when L is Lefschetz in degree i (it is the higher Hessian at l in the
 basis b_i).  b_i is the pivot rows of Cat_i, and its size must be h_i.
 The rows of Cat_2i at the products b_j b_k, and which row sits at each
 cell (j, k), are a per-F table (SlpTable) built once from F's terms and
-reused for every L.  For each L the row values go mod PROBE_PRIME straight
-into exactmath's packed rank kernel, with no RatMatrix and no block split;
-the probe's rank is a lower bound, so it settles the rank when it reaches
-h_i, and otherwise the matrix is built and ranked exactly by mat_rank.
+reused for every L.  For each L the row values pick the rank path
+(_Restricted.rank_at): a 1 x 1 matrix is its value's being nonzero; a
+sparse one (fewer than half of the rows nonzero) is built and ranked
+exactly by mat_rank, whose block split keeps it in small blocks; a dense
+one goes mod PROBE_PRIME straight into exactmath's packed rank kernel,
+with no RatMatrix and no block split, and the probe's rank, a lower bound,
+settles the rank when it reaches h_i; otherwise mat_rank decides.
 
 The higher-Hessian determinants evaluated at L's coefficient point give an
 independent route to the same verdict.  The quotient basis b is the pivot
@@ -49,6 +52,7 @@ F(w*x) (polyring.scale_variables).
 from __future__ import annotations
 
 import random
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,14 +174,15 @@ class _Restricted:
     """N of degree i restricted to b_i x b_i, in an SlpTable.  `basis`
     holds the keys of b_i (additive: key(m m') = key(m) + key(m')), the
     pivot rows of Cat_i.  Only the rows of Cat_2i at the keys b_j + b_k
-    are kept: row t is (its entries, their residual ids), and residual r
-    is the column monomial x^(e - mu) as the flat power index
-    k * base + e_k of each variable k with e_k > 0.  `cells[j]` =
-    (columns, row ids) lists, for each k with b_j + b_k a row, k and the
-    id of that row.  `slots` is the probe's slot layout (exactmath._Slots)
-    for the prime of the last ``rank_at``, made again when the prime
-    changes, so each call packs its rows with no per-call position list
-    and nothing kept per cell."""
+    are kept: kept row t is `terms[t]`, its entries and their residual
+    ids, and residual r is the column monomial x^(e - mu) as the flat
+    power index k * base + e_k of each variable k with e_k > 0; `terms[0]`
+    has no entries, so its value is always 0.  `layout[j]` is an array of
+    h_i ids, one per column k: the id t of the kept row at b_j + b_k, or 0
+    where b_j + b_k is no row of Cat_2i; it is filled in place, pair by
+    pair.  `slots` is the probe's slot layout (exactmath._Slots) for the
+    prime of the last ``rank_at``, made again when the prime changes, so
+    each call gathers its rows with no per-call position list."""
 
     def __init__(self, cat, double, h: int, i: int, base: int, nvars: int):
         keys, col_at, entries = list(cat), {}, {}
@@ -192,18 +197,14 @@ class _Restricted:
                 f"h_{i} = {h}"
             )
         basis, row_id, self.slots = self.basis, {}, None
-        self.cells: list[tuple[list[int], list[int]]] = [([], []) for _ in range(h)]
+        self.layout = layout = [array("I", [0]) * h for _ in range(h)]
         for j, bj in enumerate(basis):
             for k in [k for k in range(j, h) if bj + basis[k] in double]:
-                t = row_id.setdefault(bj + basis[k], len(row_id))
-                self.cells[j][0].append(k)
-                self.cells[j][1].append(t)
-                if k != j:
-                    self.cells[k][0].append(j)
-                    self.cells[k][1].append(t)
+                layout[j][k] = layout[k][j] = row_id.setdefault(
+                    bj + basis[k], len(row_id) + 1)
         residual_id: dict[int, int] = {}
         self.residuals: list[tuple[int, ...]] = []
-        self.terms: list[tuple[list[int], list[int]]] = []
+        self.terms: list[tuple[list[int], list[int]]] = [([], [])]
         for key in row_id:
             coeffs, ids = [], []
             for entry, rest in double[key]:
@@ -219,29 +220,43 @@ class _Restricted:
 
     def values_at(self, powers: list[int]) -> list[int]:
         """Each kept row's value at the point whose coordinate powers are
-        `powers` (n_k^e at k * base + e), in `terms` order."""
+        `powers` (n_k^e at k * base + e), in `terms` order: 0 at id 0."""
         get = powers.__getitem__
         at = [prod(map(get, r)) for r in self.residuals]
         return [sum(map(mul, coeffs, map(at.__getitem__, ids)))
                 for coeffs, ids in self.terms]
 
     def rank_at(self, powers: list[int]) -> int:
-        """The exact rank of the h_i x h_i matrix at the point: h_i when its
-        rank mod PROBE_PRIME, a lower bound, reaches h_i; otherwise the
-        matrix is built and ranked by mat_rank."""
-        values, h, p = self.values_at(powers), len(self.basis), PROBE_PRIME
-        slots = self.slots
-        if slots is None or slots.prime != p:
-            slots = self.slots = _Slots(p, h, h)
-        slot = slots.encode(values)
-        rows = slots.pack((cols, map(slot.__getitem__, ids)) for cols, ids in self.cells)
-        if _rank_mod_p(rows, slots) == h:
-            return h
+        """The exact rank of the h_i x h_i matrix at the point, by the path
+        its values pick:
+        - h_i = 1 (i = 0, N = [D F(l)]): 1 exactly when that integer is
+          nonzero;
+        - fewer than half of the kept rows nonzero (a structured L): the
+          matrix, built from `layout`, ranked by mat_rank, exact by its
+          block split and fraction-free elimination;
+        - otherwise the rank mod PROBE_PRIME of the rows gathered from
+          `layout`, each the slot bytes of its cells joined into one int:
+          a lower bound, as a minor nonzero mod p is nonzero, so reaching
+          h_i settles the rank; a probe short of h_i goes to mat_rank."""
+        values, h = self.values_at(powers), len(self.basis)
+        if h == 1:
+            return 1 if values[self.layout[0][0]] else 0
+        kept, nonzero = len(values) - 1, len(values) - values.count(0)
+        if 2 * nonzero >= kept:
+            slots, p = self.slots, PROBE_PRIME
+            if slots is None or slots.prime != p:
+                slots = self.slots = _Slots(p, h, h)
+            slot = slots.encode(values)
+            rows = (int.from_bytes(b"".join(map(slot.__getitem__, ids)), "little")
+                    for ids in self.layout)
+            if _rank_mod_p(rows, slots) == h:
+                return h
+        get = values.__getitem__
         return mat_rank(RatMatrix._of(h, h, {
-            (j, k): values[t]
-            for j, (cols, ids) in enumerate(self.cells)
-            for k, t in zip(cols, ids)
-            if values[t]
+            (j, k): v
+            for j, ids in enumerate(self.layout)
+            for k, v in enumerate(map(get, ids))
+            if v
         }))
 
 

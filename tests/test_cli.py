@@ -385,6 +385,38 @@ def test_deeply_nested_json_is_input_error(capsys, tmp_path):
         assert err.startswith(f"error: {what}") and "nested too deeply" in err
 
 
+COMMANDS = [
+    ("hilbert",), ("slp",), ("verify",), ("predict",), ("hessian",),
+    ("annihilator", "--degree", "1"),
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_inputs_are_checked_in_one_order(capsys, monkeypatch, command):
+    # Every command decodes its JSON options first (malformed: exit 2),
+    # then holds the instance to the budget (exit 3, before the 4M-name
+    # layout of generic-det 2000 is built), then resolves the names (an
+    # unknown one: exit 2).
+    options = ["--weights"]
+    if command[0] in ("slp", "hessian"):
+        options.append("--lefschetz-file")
+
+    def refuse(spec):
+        raise AssertionError("the layout was built")
+
+    huge = [*command, "--family", "generic-det", "--n", "2000"]
+    for option in options:
+        monkeypatch.setattr(lefkit.families.FamilySpec, "layout", property(refuse))
+        code, out, err = run(capsys, *huge, option, '{"x1_1": ')
+        assert code == 2 and out == "", option
+        code, out, err = run(capsys, *huge, option, '{"x1_1": "1"}')
+        assert code == 3 and out == "" and "budget" in err, option
+        monkeypatch.undo()
+        code, out, err = run(capsys, *command, "--family", "sym-det", "--n", "2",
+                             option, '{"x1_1": "1"}')
+        assert code == 2 and out == "" and "unknown variable 'x1_1'" in err, option
+
+
 def test_usage_error_is_input_error(capsys):
     assert main(["hilbert", "--family", "sym-det"]) == 2
     assert main(["nonsense"]) == 2

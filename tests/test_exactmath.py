@@ -12,6 +12,7 @@ from lefkit.errors import InvariantError
 from lefkit.exactmath import (
     PROBE_PRIME,
     RatMatrix,
+    _block_rank,
     _blocks,
     _echelon,
     _rank_mod_p,
@@ -645,3 +646,21 @@ def test_packed_kernel_matches_rank_mod_p_oracle(p):
     for r in (1, 2, 5, 12, 40):
         dense = _chained_growth(r, p)
         assert _kernel_rank(dense, p) == naive_rank_mod_p(dense, p) == r
+
+
+def test_single_row_or_column_block_is_rank_one(monkeypatch):
+    # A block stores only nonzero entries, so one row or one column has
+    # rank 1 with no probe layout made; mat_rank of a matrix of such blocks
+    # is their count.
+    def refuse(*args):
+        raise AssertionError("a probe layout was made")
+
+    monkeypatch.setattr(exactmath, "_Slots", refuse)
+    assert _block_rank({4: {0: 5, 3: -7, 9: 2**70}}, [0, 3, 9]) == 1
+    assert _block_rank({0: {2: 1}, 5: {2: -4}, 6: {2: 3}}, [2]) == 1
+    assert _block_rank({1: {1: 6}}, [1]) == 1
+    rows = [[0, 3, 0, 0, 0], [0, 0, 2, 0, 0], [0, 5, 0, 0, 0], [7, 0, 0, 1, 4]]
+    assert mat_rank(RatMatrix.from_rows(rows)) == naive_rank(rows) == 3
+    monkeypatch.undo()
+    assert _block_rank({0: {0: 1, 1: 2}, 1: {0: 2, 1: 4}}, [0, 1]) == 1
+    assert _block_rank({0: {0: 1, 1: 2}, 1: {0: 2, 1: 5}}, [0, 1]) == 2

@@ -96,6 +96,11 @@ def test_layouts():
     assert FamilySpec(FamilyKind.GENERIC_DET, 2).layout == (
         "x11", "x12", "x21", "x22",
     )
+    # built once per spec, as nvars is, and not part of its equality
+    spec = FamilySpec(FamilyKind.PFAFFIAN, 6)
+    assert spec.layout is spec.layout
+    assert spec == FamilySpec(FamilyKind.PFAFFIAN, 6) and hash(spec) == hash(
+        FamilySpec(FamilyKind.PFAFFIAN, 6))
 
 
 def test_nvars_and_degrees():

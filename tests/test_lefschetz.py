@@ -34,6 +34,7 @@ from lefkit.lefschetz import (
     TheoremSample,
     TheoremSummary,
     default_degree_basis,
+    _random_point,
     hessian_determinants_at,
     random_linear_form,
     slp_check,
@@ -342,6 +343,7 @@ def test_probe_settles_a_lefschetz_l_at_h_i(monkeypatch):
     # det^3 on 3x3 symmetric matrices has h_4 = 81 but 126 monomials of
     # degree 4.  Each matrix is ranked on its quotient basis, h_i rows,
     # and for a random L the probe reaches h_i: no degree goes to mat_rank.
+    # The 1 x 1 degree i = 0 is its value's being nonzero, with no probe.
     probed = []
 
     def recording(rows, slots):
@@ -359,13 +361,23 @@ def test_probe_settles_a_lefschetz_l_at_h_i(monkeypatch):
     assert [(r.required, r.achieved) for r in report.rows] == [
         (1, 1), (6, 6), (21, 21), (56, 56), (81, 81)]
     assert [len(d.basis) for d in table.degrees] == [1, 6, 21, 56, 81]
-    assert probed == [1, 6, 21, 56, 81]
+    assert probed == [6, 21, 56, 81]
+
+
+def _symmetric_point(*vectors):
+    """The layout point of sym-det n = 3 whose matrix is the sum of v v^T
+    over `vectors`: every entry nonzero for the vectors used here."""
+    m = [[sum(v[a] * v[b] for v in vectors) for b in range(3)] for a in range(3)]
+    return [m[a][b] for a in range(3) for b in range(a, 3)]
 
 
 def test_probe_short_of_h_i_goes_to_mat_rank(monkeypatch):
-    # The deficient candidates of det^3 are not Lefschetz: at i = 4 the
-    # probe of their 81 x 81 matrix falls short of h_4 = 81, and mat_rank
-    # gives the rank, 57 and 66.
+    # A rank-2 symmetric matrix with no zero entry is not Lefschetz for
+    # det^3, and its values at i = 2..4 are dense (117 of 117, 254 of 255
+    # and 129 of 129 kept rows nonzero for the first), so each goes to the
+    # probe.  At i = 4 the probe of the 81 x 81 matrix falls short of
+    # h_4 = 81, and mat_rank gives the rank, 66.
+    spec = FamilySpec(FamilyKind.SYM_DET, 3, 3)
     table = SlpTable(DET3_CUBED)
     probed, ranked = [], []
 
@@ -379,11 +391,13 @@ def test_probe_short_of_h_i_goes_to_mat_rank(monkeypatch):
 
     monkeypatch.setattr(lefschetz, "_rank_mod_p", probing)
     monkeypatch.setattr(lefschetz, "mat_rank", recording)
-    candidates = deficient_candidates(FamilySpec(FamilyKind.SYM_DET, 3, 3))
-    for L, rank in zip(candidates, (57, 66)):
+    for vectors in (((1, 2, 3), (1, -1, 2)), ((1, 1, 2), (2, -1, 1))):
+        point = _symmetric_point(*vectors)
+        assert all(point) and not families._in_open_orbit(spec, point)
+        L = linear(SYM3, dict(enumerate(point)))
         achieved = [row.achieved for row in slp_check(DET3_CUBED, L, table).rows]
         assert probed[-1] < 81  # the i = 4 probe
-        assert achieved[4] == ranked[-1] == rank
+        assert achieved[4] == ranked[-1] == 66
         assert achieved == naive_achieved_ranks(DET3_CUBED, L)
 
 
@@ -433,12 +447,13 @@ def test_basis_size_other_than_h_i_is_an_invariant_failure(monkeypatch):
 
 
 def test_row_vanishing_mod_p_is_still_counted(monkeypatch):
-    # L = 7 x11 + 7 x22 + x33 is nonsingular, so Lefschetz for det on 3x3
-    # symmetric matrices.  Mod 7 its i = 0 matrix (det at l, times 3!) is
-    # 0, and at i = 1 the rows of x33, x13 and x23 (second derivatives of
-    # det, here (x22, x11, -2 x12) and -2 x22, -2 x11 times constants) are
-    # zero mod 7 but not over the integers.  So the probe's ranks are 0 and
-    # 3, short of h_0 = 1 and h_1 = 6, and both degrees go to mat_rank.
+    # L = 7 B + x33, B with no zero entry, is nonsingular, so Lefschetz for
+    # det on 3x3 symmetric matrices, and all 12 kept rows at i = 1 are
+    # nonzero, so the degree goes to the probe.  L is x33 mod 7, and the
+    # i = 1 rows of x33, x13 and x23 (second derivatives of det, linear in
+    # x11, x22 and x12) are zero mod 7 but not over the integers.  So the
+    # probe's rank is 3, short of h_1 = 6, and mat_rank gives 6.  The
+    # 1 x 1 degree i = 0 (det at l, 0 mod 7) is decided exactly, unprobed.
     monkeypatch.setattr(lefschetz, "PROBE_PRIME", 7)
     probed = []
 
@@ -447,12 +462,89 @@ def test_row_vanishing_mod_p_is_still_counted(monkeypatch):
         return probed[-1]
 
     monkeypatch.setattr(lefschetz, "_rank_mod_p", probing)
-    L = linear(SYM3, {SYM3.var_index(1, 1): 7, SYM3.var_index(2, 2): 7,
-                      SYM3.var_index(3, 3): 1})
-    report = slp_check(DET3, L, SlpTable(DET3))
-    assert probed == [0, 3]
+    b = [1, 2, 1, 1, 3, 1]  # B's entries in layout order
+    L = linear(SYM3, {k: 7 * v + (k == SYM3.var_index(3, 3)) for k, v in enumerate(b)})
+    table = SlpTable(DET3)
+    values = table.degrees[1].values_at(table._powers([7 * v for v in b[:5]] + [8]))
+    assert values[0] == 0 and all(values[1:]) and len(values) == 13
+    report = slp_check(DET3, L, table)
+    assert probed == [3]
     assert [row.achieved for row in report.rows] == naive_achieved_ranks(DET3, L) == [1, 6]
     assert report.verdict and orbit_test(SYM3, L)
+
+
+@pytest.mark.parametrize("prime", [PROBE_PRIME, 7])
+def test_gathered_rows_equal_packed_cells(monkeypatch, prime):
+    # Each probe row is gathered from the per-F layout, one slot per
+    # column; _Slots.pack lays out the same cells (each column with a kept
+    # row, and that row's encoded value) with a zero slot elsewhere.
+    monkeypatch.setattr(lefschetz, "PROBE_PRIME", prime)
+    gathered = []
+
+    def keeping(rows, slots):
+        gathered.append((list(rows), slots))
+        return _rank_mod_p(gathered[-1][0], slots)
+
+    monkeypatch.setattr(lefschetz, "_rank_mod_p", keeping)
+    table = SlpTable(DET3_CUBED)
+    powers = table._powers(_random_point(6, random.Random(3)))
+    for d in table.degrees[1:]:
+        gathered.clear()
+        d.rank_at(powers)
+        [(rows, slots)] = gathered
+        slot = slots.encode(d.values_at(powers))
+        cells = [[(k, t) for k, t in enumerate(ids) if t] for ids in d.layout]
+        assert cells[0]  # every row has a kept cell here
+        assert rows == list(slots.pack(
+            ([k for k, _ in row], [slot[t] for _, t in row]) for row in cells))
+
+
+FILL_INSTANCES = [
+    (FamilyKind.SYM_DET, 3, 2),
+    (FamilyKind.PFAFFIAN, 6, 1),
+    (FamilyKind.GENERIC_DET, 3, 2),
+    (FamilyKind.QUADRIC, 5, 2),
+]
+
+
+@pytest.mark.parametrize("kind,n,s", FILL_INSTANCES)
+def test_fill_rule_picks_the_rank_path(kind, n, s, monkeypatch):
+    # A degree with fewer than half of its kept rows nonzero at L goes
+    # straight to mat_rank: the canonical L makes such degrees on every
+    # family, and no probe is run on them.  A random L fills every degree,
+    # which the probe settles with no mat_rank call.  The 1 x 1 degree
+    # calls neither.  Both sides give the naive ranks.
+    spec = FamilySpec(kind, n, s)
+    f = make_invariant(spec)
+    table = SlpTable(f, family_symmetry(spec))
+    calls = []
+    monkeypatch.setattr(lefschetz, "_rank_mod_p",
+                        lambda rows, slots: calls.append("probe") or _rank_mod_p(rows, slots))
+    monkeypatch.setattr(lefschetz, "mat_rank",
+                        lambda m: calls.append("mat_rank") or mat_rank(m))
+    canonical = canonical_lefschetz(spec)
+    random_form = random_linear_form(spec.nvars, random.Random(n * 10 + s))
+    sparse_seen = 0
+    for L, is_random in ((canonical, False), (random_form, True)):
+        point = [int(v) for v in L.linear_coefficients()]
+        powers = table._powers(point)
+        achieved = []
+        for d in table.degrees:
+            values = d.values_at(powers)
+            sparse = 2 * (len(values) - values.count(0)) < len(values) - 1
+            calls.clear()
+            achieved.append(d.rank_at(powers))
+            if len(d.basis) == 1:
+                assert calls == []
+            elif sparse:
+                assert calls == ["mat_rank"] and not is_random
+                sparse_seen += 1
+            else:
+                assert calls == ["probe"]
+        ranks = table.ranks_at(point)
+        assert achieved == ranks[:len(achieved)]
+        assert ranks == naive_achieved_ranks(f, L)
+    assert sparse_seen
 
 
 @pytest.mark.parametrize("kind,n,s", [
